@@ -41,6 +41,7 @@ from .divergence_core import (
     DiscreteDistribution,
     MixtureSpec,
     kl_divergence,
+    kl_matrix,
     mixture_distribution,
     mixture_kl_bound_logsumexp,
     mixture_kl_bound_min,
@@ -121,6 +122,7 @@ __all__ = [
     "kl_bound_refined",
     "kl_bound_simple",
     "kl_divergence",
+    "kl_matrix",
     "kl_stability_bound",
     "load_experiment_config",
     "mc_expected_gen_error",

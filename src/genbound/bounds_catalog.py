@@ -34,6 +34,7 @@ __all__ = [
     "gen_error_from_mi",
     "pac_bayes_gen_bound",
     "asymptotic_report",
+    "kl_candidates",
     "best_bound",
     "catalog_entries",
 ]
@@ -258,11 +259,15 @@ def mi_bound_typical(
     )
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (0 <= sigma < math.inf):
+        raise InputError(f"sigma must be non-negative and finite, got {sigma}")
+
+
 def gen_error_from_mi(sigma: float, n: int, mi_bound: float) -> float:
     """Expected-generalization-error bound sqrt(2 sigma^2 * MI / n) for a
     sigma-sub-Gaussian loss."""
-    if sigma < 0:
-        raise InputError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma)
     if n < 1:
         raise InputError(f"dataset length must be positive, got {n}")
     if mi_bound < 0:
@@ -273,8 +278,7 @@ def gen_error_from_mi(sigma: float, n: int, mi_bound: float) -> float:
 def pac_bayes_gen_bound(sigma: float, n: int, kl_value: float, beta: float) -> float:
     """High-probability variant sqrt((2 sigma^2 / n)(KL + log(1/beta))),
     holding with probability at least 1 - beta."""
-    if sigma < 0:
-        raise InputError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma)
     if n < 1:
         raise InputError(f"dataset length must be positive, got {n}")
     if kl_value < 0:
@@ -295,8 +299,7 @@ def asymptotic_report(
     multinomial-entropy approximation, in nats.
     """
     k = _check_mn(alphabet_size, n)
-    if sigma < 0:
-        raise InputError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma)
     if not (gamma > 0):
         raise InputError(f"gamma must be positive, got {gamma}")
     m = alphabet_size
@@ -354,7 +357,7 @@ def asymptotic_report(
     return reports
 
 
-def _kl_candidates(
+def kl_candidates(
     privacy: PrivacyParams, alphabet_size: int, n: int
 ) -> list[BoundReport]:
     """All certified KL/MI branches available for this privacy setting."""
@@ -381,9 +384,8 @@ def best_bound(
     gen_error_from_mi and returns the minimum; ties go to the branch
     declared earliest in BoundId.
     """
-    if sigma < 0:
-        raise InputError(f"sigma must be non-negative, got {sigma}")
-    candidates = [c for c in _kl_candidates(privacy, alphabet_size, n) if c.applicable]
+    _check_sigma(sigma)
+    candidates = [c for c in kl_candidates(privacy, alphabet_size, n) if c.applicable]
     best = None
     best_gen = math.inf
     for cand in sorted(candidates, key=lambda c: _ENUM_ORDER[c.bound_id]):

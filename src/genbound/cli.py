@@ -24,7 +24,7 @@ import click
 
 from .bounds_catalog import (
     BoundId,
-    _kl_candidates,
+    kl_candidates,
     asymptotic_report,
     catalog_entries,
     gen_error_from_mi,
@@ -156,7 +156,7 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
                 report.applicable, report.asymptotic_only, report.regime_note,
             ])
 
-    candidates = _kl_candidates(privacy, alphabet_size, n)
+    candidates = kl_candidates(privacy, alphabet_size, n)
     for report in candidates:
         add(report, nats=True)
     gamma = privacy.value if privacy.kind is not PrivacyKind.NONE else None
@@ -201,7 +201,7 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
     source = None
     if kind_enum is CoverKind.TYPICAL_GRID:
         if source_text is not None:
-            source = SourceDistribution([float(x) for x in source_text.split(",")])
+            source = SourceDistribution.parse(source_text)
             if source.alphabet_size != alphabet_size:
                 raise InputError(
                     f"source lists {source.alphabet_size} probabilities for "

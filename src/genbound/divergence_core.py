@@ -13,6 +13,11 @@ with the log-sum-exp evaluated in max-shifted log space. The softmax
 responsibilities over -KL scores attain the middle expression, which is
 what optimal_responsibilities returns.
 
+kl_matrix evaluates KL(P_i || Q_j) for every row pair at once as
+H_i - P_i @ log(Q_j), with the same conventions as kl_divergence. The
+scalar kl_divergence and the mixture_kl_bound_* functions stay the
+pair-at-a-time reference the matrix form is tested against.
+
 Inputs are validated, never clipped or smoothed.
 """
 
@@ -22,14 +27,16 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .errors import InputError
 
 __all__ = [
+    "KL_BLOCK_ROWS",
     "DiscreteDistribution",
     "MixtureSpec",
     "kl_divergence",
+    "kl_matrix",
+    "logsumexp",
     "mixture_distribution",
     "mixture_kl_bound_logsumexp",
     "mixture_kl_bound_min",
@@ -143,6 +150,77 @@ def kl_divergence(
     return float(np.sum(ps * np.log(ps / qa[mask])))
 
 
+# Rows of P per block in kl_matrix: its temporaries are KL_BLOCK_ROWS x
+# len(Q) arrays, whatever the number of rows.
+KL_BLOCK_ROWS = 256
+
+
+def kl_matrix(
+    P: "Sequence[Sequence[float]] | np.ndarray",
+    Q: "Sequence[Sequence[float]] | np.ndarray",
+) -> np.ndarray:
+    """KL(P_i || Q_j) in nats for every row pair, shape (len(P), len(Q)).
+
+    Follows kl_divergence exactly: 0 * log 0 = 0, +inf where P_i puts
+    mass on a zero of Q_j, and 0.0 for identical rows. Other entries
+    agree with kl_divergence to rounding (the two differ in summation
+    order). Rows are evaluated KL_BLOCK_ROWS at a time, so memory beyond
+    the result is O(KL_BLOCK_ROWS * len(Q)).
+    """
+    pa = np.asarray(P, dtype=float)
+    qa = np.asarray(Q, dtype=float)
+    if pa.ndim != 2 or qa.ndim != 2 or pa.shape[1] != qa.shape[1]:
+        raise InputError(
+            f"kl_matrix needs two 2-D arrays with equal row length, "
+            f"got {pa.shape} and {qa.shape}"
+        )
+    # masked logs: zeros contribute 0 to the products and never make nan
+    log_p = np.log(pa, where=pa > 0, out=np.zeros_like(pa))
+    log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
+    neg_entropy = np.einsum("ij,ij->i", pa, log_p)
+    # support mask: only columns where some row of Q is zero can give +inf
+    zero_cols = np.flatnonzero((qa <= 0).any(axis=0))
+    q_zero = (qa[:, zero_cols] <= 0).astype(float)
+    # identical rows cancel exactly in the scalar sum, not in H - cross
+    row_ids: dict[bytes, int] = {}
+    p_ids = np.array([row_ids.setdefault(r.tobytes(), len(row_ids)) for r in pa])
+    q_ids = np.array([row_ids.setdefault(r.tobytes(), len(row_ids)) for r in qa])
+
+    out = np.empty((pa.shape[0], qa.shape[0]))
+    for lo in range(0, pa.shape[0], KL_BLOCK_ROWS):
+        hi = min(lo + KL_BLOCK_ROWS, pa.shape[0])
+        block = out[lo:hi]
+        np.subtract(neg_entropy[lo:hi, None], pa[lo:hi] @ log_q.T, out=block)
+        if zero_cols.size:
+            off_support = (pa[lo:hi, zero_cols] > 0).astype(float) @ q_zero.T > 0
+            block[off_support] = math.inf
+        block[p_ids[lo:hi, None] == q_ids[None, :]] = 0.0
+    return out
+
+
+def logsumexp(
+    a: "Sequence[float] | np.ndarray",
+    b: "Sequence[float] | np.ndarray | None" = None,
+    axis: int | None = None,
+) -> "float | np.ndarray":
+    """log(sum(b * exp(a))) along axis (all entries when None), evaluated
+    shifted by the maximum; -inf where every term is zero."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    terms = np.exp(a - shift)
+    if b is not None:
+        terms = terms * b
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(terms, axis=axis, keepdims=True)) + shift
+    return out.item() if axis is None else np.squeeze(out, axis=axis)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - np.max(x))
+    return e / np.sum(e)
+
+
 def mixture_distribution(mix: MixtureSpec) -> DiscreteDistribution:
     """The mixture's marginal: weights @ components."""
     return DiscreteDistribution(mix.weights @ mix.components)
@@ -199,7 +277,7 @@ def optimal_responsibilities(
     if not np.isfinite(kls).any():
         raise InputError("no absolutely continuous component")
     scores = np.log(mix.weights) - kls
-    return softmax(scores)
+    return _softmax(scores)
 
 
 def mixture_variational_objective(

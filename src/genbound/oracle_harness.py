@@ -29,15 +29,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .bounds_catalog import BoundId, gen_error_from_mi, _kl_candidates
+from .bounds_catalog import BoundId, gen_error_from_mi, kl_candidates
 from .covering import CoverSpec, build_simplex_grid_cover, build_full_grid_cover, optimal_grid_parameter
-from .divergence_core import (
-    MixtureSpec,
-    kl_divergence,
-    mixture_distribution,
-    mixture_kl_bound_logsumexp,
-    mixture_kl_bound_min,
-)
+from .divergence_core import kl_matrix, logsumexp
 from .errors import InputError
 from .privacy_mechanisms import (
     Mechanism,
@@ -51,6 +45,7 @@ from .types_core import (
     Alphabet,
     CountVector,
     SourceDistribution,
+    check_cap,
     enumerate_types,
     sigma_sub_gaussian,
     type_index,
@@ -162,7 +157,7 @@ def random_mechanism(
     Dirichlet(1), seeded. Declares no privacy unless told otherwise."""
     if hypothesis_count < 1:
         raise InputError(f"hypothesis count must be positive, got {hypothesis_count}")
-    total = len(list(enumerate_types(alphabet_size, n, cap=cap)))
+    total = check_cap(alphabet_size, n, cap)
     rng = np.random.default_rng(seed)
     kernel = rng.dirichlet(np.ones(hypothesis_count), size=total)
     return Mechanism(
@@ -190,11 +185,7 @@ def exact_mutual_information(config: ExperimentConfig, cap: int | None = None) -
         config.alphabet.size, config.n, config.source, cap=cap
     )
     marginal = p_types @ config.mechanism.kernel
-    total = math.fsum(
-        float(p) * kl_divergence(config.mechanism.kernel[i], marginal)
-        for i, p in enumerate(p_types)
-        if p > 0
-    )
+    total = _expected_kl(p_types, config.mechanism.kernel, marginal)
     if total < 0 and total > -1e-12:
         return 0.0
     return total
@@ -211,12 +202,15 @@ class PerDatasetKl:
     bound_min: float
 
 
-def per_dataset_kl_to_cover_mixture(
-    config: ExperimentConfig, cover: CoverSpec, cap: int | None = None
-) -> list[PerDatasetKl]:
-    """For every count vector: KL of its kernel row against the uniform
-    mixture of the cover centers' rows, plus the log-sum-exp and
-    single-component bounds on the same quantity."""
+def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) -> float:
+    """sum_s P(s) * KL(kernel[s] || target) over count vectors of positive
+    probability; O(T x hypotheses)."""
+    kls = kl_matrix(kernel, target[None, :])[:, 0]
+    return math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
+
+
+def _cover_rows(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
+    """Kernel rows of the cover centers, one per center."""
     if (
         cover.alphabet_size != config.alphabet.size
         or cover.n != config.n
@@ -225,23 +219,37 @@ def per_dataset_kl_to_cover_mixture(
             f"cover built for alphabet size {cover.alphabet_size}, n={cover.n}; "
             f"experiment uses {config.alphabet.size}, n={config.n}"
         )
+    return config.mechanism.kernel[[type_index(c) for c in cover.centers]]
+
+
+def per_dataset_kl_to_cover_mixture(
+    config: ExperimentConfig, cover: CoverSpec, cap: int | None = None
+) -> list[PerDatasetKl]:
+    """For every count vector: KL of its kernel row against the uniform
+    mixture of the cover centers' rows, plus the log-sum-exp and
+    single-component bounds on the same quantity.
+
+    Both bound columns come from one count-vector x center KL matrix;
+    mixture_kl_bound_logsumexp and mixture_kl_bound_min compute the same
+    values one row at a time.
+    """
+    center_rows = _cover_rows(config, cover)
     kernel = config.mechanism.kernel
-    center_rows = [kernel[type_index(c)] for c in cover.centers]
-    weights = [1.0 / len(center_rows)] * len(center_rows)
-    mix = MixtureSpec(center_rows, weights)
-    mixture = mixture_distribution(mix)
-    out = []
-    for s in enumerate_types(config.alphabet.size, config.n, cap=cap):
-        row = kernel[type_index(s)]
-        out.append(
-            PerDatasetKl(
-                count_vector=s,
-                exact_kl=kl_divergence(row, mixture),
-                bound_logsumexp=mixture_kl_bound_logsumexp(row, mix),
-                bound_min=mixture_kl_bound_min(row, mix),
-            )
+    log_w = -math.log(center_rows.shape[0])
+    component = kl_matrix(kernel, center_rows)
+    exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
+    bound_logsumexp = -logsumexp(-component, axis=1) - log_w
+    bound_min = np.min(component, axis=1) - log_w
+    types = enumerate_types(config.alphabet.size, config.n, cap=cap)
+    return [
+        PerDatasetKl(
+            count_vector=s,
+            exact_kl=float(exact[i]),
+            bound_logsumexp=float(bound_logsumexp[i]),
+            bound_min=float(bound_min[i]),
         )
-    return out
+        for i, s in enumerate(types)
+    ]
 
 
 def _risk_tables(config: ExperimentConfig, cap: int | None = None):
@@ -433,16 +441,14 @@ def run_verification(
     values: dict[BoundId, float] = {}
     slack: dict[BoundId, float] = {}
 
-    for report in _kl_candidates(privacy, m, n):
+    for report in kl_candidates(privacy, m, n):
         if not report.applicable:
             continue
         values[report.bound_id] = report.value
         if report.bound_id in _COUNT_BASED:
             cover = cover_for_bound(report.bound_id, privacy, m, n)
-            rows = per_dataset_kl_to_cover_mixture(config, cover, cap=cap)
-            expectation = math.fsum(
-                float(p) * r.exact_kl for p, r in zip(p_types, rows) if p > 0
-            )
+            mixture = _cover_rows(config, cover).mean(axis=0)
+            expectation = _expected_kl(p_types, config.mechanism.kernel, mixture)
             slack[report.bound_id] = report.value - expectation
         elif report.bound_id in _TYPICAL_IDS:
             slack[report.bound_id] = report.value - mi
@@ -512,6 +518,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _finite_value(path: str, raw: Mapping[str, str], key: str) -> float:
+    try:
+        value = float(raw[key])
+    except ValueError:
+        raise InputError(f"{path}: {key} must be a number, got {raw[key]!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path}: {key} must be finite, got {raw[key]!r}")
+    return value
+
+
 def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     """Parse a key=value experiment file.
 
@@ -555,10 +571,9 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
         raise InputError(f"{path}: non-integer value where an integer is required") from exc
 
     try:
-        probs = [float(x) for x in raw["source"].split(",")]
-    except ValueError as exc:
-        raise InputError(f"{path}: source must be comma-separated numbers") from exc
-    source = SourceDistribution(probs)
+        source = SourceDistribution.parse(raw["source"])
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if source.alphabet_size != size:
         raise InputError(
             f"{path}: source lists {source.alphabet_size} probabilities "
@@ -569,7 +584,9 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     if mech_name == "exponential":
         if "epsilon" not in raw:
             raise InputError(f"{path}: mechanism=exponential requires epsilon")
-        mechanism = exponential_mechanism_over_types(size, n, float(raw["epsilon"]))
+        mechanism = exponential_mechanism_over_types(
+            size, n, _finite_value(path, raw, "epsilon")
+        )
     elif mech_name == "identity":
         mechanism = identity_mechanism(size, n)
     elif mech_name == "uniform":
@@ -586,15 +603,15 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     # the kernel; it is trusted here and auditable via verify_kl_stability
     declared = None
     if "epsilon" in raw and mech_name != "exponential":
-        declared = PrivacyParams.eps_dp(float(raw["epsilon"]))
+        declared = PrivacyParams.eps_dp(_finite_value(path, raw, "epsilon"))
     elif "mu" in raw:
-        declared = PrivacyParams.mu_gdp(float(raw["mu"]))
+        declared = PrivacyParams.mu_gdp(_finite_value(path, raw, "mu"))
     if declared is not None:
         mechanism = Mechanism(
             mechanism.kernel, size, n, declared, mechanism.description
         )
 
-    sigma_override = float(raw["sigma"]) if "sigma" in raw else None
+    sigma_override = _finite_value(path, raw, "sigma") if "sigma" in raw else None
     config = ExperimentConfig(
         alphabet=Alphabet(size),
         n=n,

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence_core import kl_divergence
+from .divergence_core import KL_BLOCK_ROWS, kl_matrix
 from .errors import InputError
 from .types_core import (
-    _check_cap,
-    dataset_distance,
+    check_cap,
     enumerate_types,
     num_types,
 )
@@ -70,9 +69,10 @@ class PrivacyParams:
             if self.value is not None:
                 raise InputError("privacy kind 'none' takes no parameter")
         else:
-            if self.value is None or not (self.value > 0):
+            if self.value is None or not (0 < self.value < math.inf):
                 raise InputError(
-                    f"privacy parameter must be positive, got {self.value!r}"
+                    f"privacy parameter must be positive and finite, "
+                    f"got {self.value!r}"
                 )
 
     @classmethod
@@ -164,8 +164,8 @@ def exponential_mechanism_over_types(
     weights candidate w proportionally to exp(-eps * d(s, w) / 2). The
     replacement distance has sensitivity 1, so this is eps-DP.
     """
-    if not (epsilon > 0):
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not (0 < epsilon < math.inf):
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     types = list(enumerate_types(alphabet_size, n, cap=cap))
     counts = np.array([t.counts for t in types], dtype=float)
     dist = np.abs(counts[:, None, :] - counts[None, :, :]).sum(axis=2) / 2.0
@@ -182,7 +182,7 @@ def exponential_mechanism_over_types(
 
 def identity_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Mechanism:
     """Deterministic kernel mapping each count vector to its own index."""
-    total = _check_cap(alphabet_size, n, cap)
+    total = check_cap(alphabet_size, n, cap)
     kernel = np.eye(total)
     return Mechanism(
         kernel,
@@ -195,7 +195,7 @@ def identity_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Me
 
 def uniform_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Mechanism:
     """Input-independent kernel: uniform over the count-vector indices."""
-    total = _check_cap(alphabet_size, n, cap)
+    total = check_cap(alphabet_size, n, cap)
     kernel = np.full((total, total), 1.0 / total)
     return Mechanism(
         kernel,
@@ -246,21 +246,37 @@ def verify_kl_stability(
     """Measure the worst KL between kernel rows at every distance and
     compare against the declared privacy's stability envelope.
 
-    Scans all ordered row pairs (KL is asymmetric). A distance passes
-    when its worst observed KL stays within bound + tol.
+    Covers all ordered row pairs (KL is asymmetric), KL_BLOCK_ROWS rows
+    at a time, so memory stays O(KL_BLOCK_ROWS x count vectors). A
+    distance passes when its worst observed KL stays within bound + tol.
+    Its witness is the first pair in row-major order that attains the
+    worst value; on exactly tied pairs that is judged on kl_matrix
+    values, which can break a tie that kl_divergence's rounding would
+    not (symmetric rows are the usual case).
     """
     if mech.privacy.kind is PrivacyKind.NONE:
         raise InputError("mechanism declares no privacy guarantee to audit")
-    types = list(enumerate_types(mech.alphabet_size, mech.n, cap=cap))
+    counts = np.array(
+        [t.counts for t in enumerate_types(mech.alphabet_size, mech.n, cap=cap)],
+        dtype=np.int64,
+    )
+    kernel = mech.kernel
+    total = counts.shape[0]
     worst: dict[int, tuple[float, tuple[int, int]]] = {}
-    for i, si in enumerate(types):
-        for j, sj in enumerate(types):
-            if i == j:
-                continue
-            k = dataset_distance(si, sj)
-            val = kl_divergence(mech.kernel[i], mech.kernel[j])
+    for lo in range(0, total, KL_BLOCK_ROWS):
+        hi = min(lo + KL_BLOCK_ROWS, total)
+        kl = kl_matrix(kernel[lo:hi], kernel)
+        dist = np.zeros((hi - lo, total), dtype=np.int64)
+        for a in range(counts.shape[1]):
+            dist += np.abs(counts[lo:hi, a, None] - counts[None, :, a])
+        dist //= 2
+        dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
+        for k in np.unique(dist[dist > 0]).tolist():
+            masked = np.where(dist == k, kl, -math.inf)
+            flat = int(np.argmax(masked))
+            val = float(masked.flat[flat])
             if k not in worst or val > worst[k][0]:
-                worst[k] = (val, (i, j))
+                worst[k] = (val, (lo + flat // total, flat % total))
     rows = []
     for k in sorted(worst):
         max_kl, pair = worst[k]
@@ -326,28 +342,51 @@ def load_mechanism_csv(path: str) -> Mechanism:
                 raise InputError(f"{meta_path}: malformed line {line!r}")
             key, _, val = line.partition("=")
             meta[key.strip()] = val
-    for key in ("alphabet_size", "n", "privacy_kind"):
+    for key in ("alphabet_size", "n", "hypothesis_count", "privacy_kind"):
         if key not in meta:
             raise InputError(f"{meta_path}: missing key {key!r}")
+    try:
+        alphabet_size, n, width = (
+            int(meta[key]) for key in ("alphabet_size", "n", "hypothesis_count")
+        )
+    except ValueError:
+        raise InputError(
+            f"{meta_path}: alphabet_size, n and hypothesis_count must be integers"
+        ) from None
     kind = meta["privacy_kind"]
     if kind == PrivacyKind.NONE.value:
         privacy = PrivacyParams.none()
-    elif kind == PrivacyKind.EPS_DP.value:
-        privacy = PrivacyParams.eps_dp(float(meta["privacy_value"]))
-    elif kind == PrivacyKind.MU_GDP.value:
-        privacy = PrivacyParams.mu_gdp(float(meta["privacy_value"]))
+    elif kind in (PrivacyKind.EPS_DP.value, PrivacyKind.MU_GDP.value):
+        try:
+            value = float(meta.get("privacy_value", ""))
+        except ValueError:
+            raise InputError(
+                f"{meta_path}: privacy_value must be a number, "
+                f"got {meta.get('privacy_value')!r}"
+            ) from None
+        privacy = PrivacyParams(PrivacyKind(kind), value)
     else:
         raise InputError(f"{meta_path}: unknown privacy kind {kind!r}")
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != width:
+                raise InputError(
+                    f"{path}: line {lineno} has {len(fields)} entries, "
+                    f"hypothesis_count is {width}"
+                )
+            try:
+                rows.append([float(x) for x in fields])
+            except ValueError:
+                raise InputError(f"{path}: non-numeric entry on line {lineno}") from None
     return Mechanism(
-        np.asarray(rows, dtype=float),
-        int(meta["alphabet_size"]),
-        int(meta["n"]),
+        np.asarray(rows, dtype=float).reshape(len(rows), width),
+        alphabet_size,
+        n,
         privacy,
         description=meta.get("description", ""),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "dataset_distance",
     "num_types",
     "num_types_upper_bound",
+    "check_cap",
     "enumerate_types",
     "type_index",
     "type_probability",
@@ -170,6 +172,17 @@ class SourceDistribution:
         self.probs = arr
 
     @classmethod
+    def parse(cls, text: str) -> "SourceDistribution":
+        """A source from comma-separated probabilities, e.g. '0.2,0.8'."""
+        try:
+            probs = [float(x) for x in text.split(",")]
+        except ValueError:
+            raise InputError(
+                f"source must be comma-separated numbers, got {text!r}"
+            ) from None
+        return cls(probs)
+
+    @classmethod
     def uniform(cls, size: int) -> "SourceDistribution":
         if size < 2:
             raise InputError(f"alphabet size must be at least 2, got {size}")
@@ -243,7 +256,12 @@ def num_types_upper_bound(alphabet_size: int, n: int) -> int:
     return (n + 1) ** (alphabet_size - 1)
 
 
-def _check_cap(alphabet_size: int, n: int, cap: int | None) -> int:
+def check_cap(alphabet_size: int, n: int, cap: int | None = None) -> int:
+    """Number of count vectors, after checking that the lattice is valid
+    (alphabet size >= 2, n >= 1) and that enumerating it stays within
+    the cap (the current type_enumeration_cap when None)."""
+    if alphabet_size < 2:
+        raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
     total = num_types(alphabet_size, n)
     limit = type_enumeration_cap() if cap is None else int(cap)
     if total > limit:
@@ -264,9 +282,7 @@ def enumerate_types(
     mechanism files both rely on it. Refuses to start when the exact
     count exceeds the cap.
     """
-    if alphabet_size < 2:
-        raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
-    _check_cap(alphabet_size, n, cap)
+    check_cap(alphabet_size, n, cap)
 
     def rec(prefix: tuple[int, ...], remaining: int, dims: int) -> Iterator[tuple[int, ...]]:
         if dims == 1:
@@ -297,7 +313,10 @@ def type_probability(s: CountVector, source: SourceDistribution) -> float:
     """Multinomial probability of observing this count vector.
 
     n! / prod(counts!) * prod(p_a ** counts_a), with the coefficient in
-    exact big-integer arithmetic. Sums to 1 over all count vectors.
+    exact big-integer arithmetic. When prod(p_a ** counts_a) falls below
+    the normal float range the product is taken in log space, so tiny
+    probabilities keep their relative accuracy instead of flushing to 0.
+    Sums to 1 over all count vectors.
     """
     if s.alphabet_size != source.alphabet_size:
         raise InputError(
@@ -316,14 +335,14 @@ def type_probability(s: CountVector, source: SourceDistribution) -> float:
         if p == 0.0:
             return 0.0
         mass *= float(p) ** c
-    try:
+    if mass >= sys.float_info.min:
+        # coef * mass <= 1, so here the coefficient fits in a float too
         return float(coef) * mass
-    except OverflowError:
-        # coefficient too large for a float on its own; the product is
-        # still a probability, so evaluate in log space
-        return math.exp(math.log(coef) + math.fsum(
-            c * math.log(p) for c, p in zip(s.counts, source.probs) if c > 0
-        ))
+    # a subnormal mass has lost digits (or underflowed to 0): evaluate in
+    # log space, from the exact coefficient
+    return math.exp(math.log(coef) + math.fsum(
+        c * math.log(p) for c, p in zip(s.counts, source.probs) if c > 0
+    ))
 
 
 def sigma_sub_gaussian(loss_table: np.ndarray) -> float:

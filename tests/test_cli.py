@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import genbound
 from genbound.cli import main
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyParams,
+    exponential_mechanism_over_types,
     identity_mechanism,
     save_mechanism_csv,
 )
@@ -256,3 +261,96 @@ def test_output_flag_writes_file(runner, tmp_path):
     data = out.read_bytes()
     assert data.startswith(b"bound_id,")
     assert b"\r" not in data
+
+
+def assert_input_error(result):
+    """Exit code 2 with one 'error:' line on stderr and no traceback."""
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+class TestInputContract:
+    def test_non_numeric_epsilon_in_config(self, runner, tmp_path):
+        config = write_config(tmp_path, GOOD_CONFIG.replace(
+            "epsilon = 0.5", "epsilon = abc"))
+        result = runner.invoke(main, ["verify-mi", "--config", config])
+        assert_input_error(result)
+        assert "epsilon" in result.stderr
+
+    @pytest.mark.parametrize("old, new", [
+        ("epsilon = 0.5", "epsilon = inf"),
+        ("epsilon = 0.5", "epsilon = 0.5\nsigma = nan"),
+        ("mechanism = exponential\nepsilon = 0.5", "mechanism = uniform\nmu = nan"),
+    ])
+    def test_non_finite_config_values(self, runner, tmp_path, old, new):
+        config = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+        result = runner.invoke(main, ["verify-mi", "--config", config])
+        assert_input_error(result)
+
+    def test_non_numeric_cover_source(self, runner):
+        result = runner.invoke(main, ["cover", "--alphabet-size", "2",
+                                      "--n", "8", "--t", "2",
+                                      "--kind", "typical_grid",
+                                      "--source", "0.5,x"])
+        assert_input_error(result)
+
+    def test_ragged_kernel_csv(self, runner, tmp_path):
+        path = tmp_path / "ragged.csv"
+        save_mechanism_csv(exponential_mechanism_over_types(2, 3, 0.5), str(path))
+        lines = path.read_text().splitlines()
+        lines[1] += ",0.0"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["stability", "--mechanism", str(path)])
+        assert_input_error(result)
+        assert "line 2" in result.stderr
+
+    def test_kernel_width_checked_against_sidecar(self, runner, tmp_path):
+        path = tmp_path / "mech.csv"
+        save_mechanism_csv(exponential_mechanism_over_types(2, 3, 0.5), str(path))
+        meta = tmp_path / "mech.csv.meta"
+        meta.write_text(meta.read_text().replace("hypothesis_count=4",
+                                                 "hypothesis_count=5"))
+        result = runner.invoke(main, ["stability", "--mechanism", str(path)])
+        assert_input_error(result)
+        assert "hypothesis_count is 5" in result.stderr
+
+    def test_non_numeric_kernel_entry(self, runner, tmp_path):
+        path = tmp_path / "mech.csv"
+        save_mechanism_csv(exponential_mechanism_over_types(2, 3, 0.5), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = "x," + lines[2].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["stability", "--mechanism", str(path)])
+        assert_input_error(result)
+        assert "line 3" in result.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "0.5", "--sigma", "nan"],
+        ["--epsilon", "0.5", "--sigma", "inf"],
+        ["--epsilon", "inf", "--sigma", "1"],
+        ["--epsilon", "nan", "--sigma", "1"],
+        ["--mu", "inf", "--sigma", "1"],
+        ["--mu", "nan", "--sigma", "1"],
+    ])
+    def test_non_finite_bounds_flags(self, runner, flags):
+        result = runner.invoke(main, ["bounds", "--alphabet-size", "3",
+                                      "--n", "10", *flags])
+        assert_input_error(result)
+        assert "nan" not in result.stdout
+
+    def test_non_finite_stability_epsilon(self, runner):
+        result = runner.invoke(main, ["stability", "--alphabet-size", "2",
+                                      "--n", "4", "--epsilon", "inf"])
+        assert_input_error(result)
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, genbound.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(genbound.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

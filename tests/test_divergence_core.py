@@ -13,6 +13,8 @@ from genbound.divergence_core import (
     DiscreteDistribution,
     MixtureSpec,
     kl_divergence,
+    kl_matrix,
+    logsumexp,
     mixture_distribution,
     mixture_kl_bound_logsumexp,
     mixture_kl_bound_min,
@@ -160,3 +162,66 @@ def test_objective_skips_zero_responsibility_components():
     value = mixture_variational_objective([0.5, 0.5], mix, [0.0, 1.0])
     expected = kl_divergence([0.5, 0.5], [0.5, 0.5]) + math.log(1.0 / 0.5)
     assert math.isclose(value, expected, abs_tol=1e-12)
+
+
+# rows with zero entries, so supports differ and some pairs are +inf
+sparse_rows = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4
+).filter(lambda raw: sum(raw) > 0).map(normalized)
+
+
+@given(st.lists(sparse_rows, min_size=1, max_size=6),
+       st.lists(sparse_rows, min_size=1, max_size=6))
+@settings(max_examples=200)
+def test_kl_matrix_matches_scalar(P, Q):
+    matrix = kl_matrix(P, Q)
+    assert matrix.shape == (len(P), len(Q))
+    for i, p in enumerate(P):
+        for j, q in enumerate(Q):
+            expected = kl_divergence(p, q)
+            if math.isinf(expected):
+                assert matrix[i, j] == math.inf
+            else:
+                assert abs(matrix[i, j] - expected) <= 1e-12
+
+
+def test_kl_matrix_conventions():
+    P = [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]]
+    matrix = kl_matrix(P, [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    assert matrix[0, 0] == math.inf  # mass where q has none
+    assert matrix[1, 0] == 0.0  # 0 * log 0 = 0
+    assert matrix[2, 1] == math.inf
+    assert not np.isnan(matrix).any()
+
+
+def test_kl_matrix_identical_rows_are_exactly_zero():
+    # H_i - P_i @ log Q_j does not cancel exactly on its own
+    rows = np.full((231, 231), 1.0 / 231)
+    assert np.all(kl_matrix(rows, rows) == 0.0)
+
+
+def test_kl_matrix_spans_several_row_blocks():
+    rng = np.random.default_rng(3)
+    P = rng.dirichlet(np.ones(5), size=600)
+    Q = rng.dirichlet(np.ones(5), size=3)
+    matrix = kl_matrix(P, Q)
+    for i in (0, 255, 256, 599):
+        for j in range(3):
+            assert abs(matrix[i, j] - kl_divergence(P[i], Q[j])) <= 1e-12
+
+
+def test_kl_matrix_shape_mismatch():
+    with pytest.raises(InputError):
+        kl_matrix([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
+    with pytest.raises(InputError):
+        kl_matrix([0.5, 0.5], [0.5, 0.5])
+
+
+def test_logsumexp_values():
+    a = np.log([[0.1, 0.2, 0.7], [0.5, 0.5, 1e-300]])
+    np.testing.assert_allclose(logsumexp(a, axis=1), [0.0, 0.0], atol=1e-15)
+    weighted = logsumexp([0.0, 1.0], b=[0.25, 0.75])
+    assert math.isclose(weighted, math.log(0.25 + 0.75 * math.e), rel_tol=1e-15)
+    assert logsumexp([-math.inf, -math.inf]) == -math.inf
+    assert math.isclose(logsumexp([1000.0, 1000.0]), 1000.0 + math.log(2.0),
+                        rel_tol=1e-15)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from genbound.bounds_catalog import BoundId
-from genbound.divergence_core import MixtureSpec, mixture_distribution, kl_divergence
+from genbound.divergence_core import (
+    MixtureSpec,
+    kl_divergence,
+    mixture_distribution,
+    mixture_kl_bound_logsumexp,
+    mixture_kl_bound_min,
+)
 from genbound.errors import InputError
 from genbound.oracle_harness import (
     ExperimentConfig,
@@ -38,6 +44,7 @@ from genbound.types_core import (
     enumerate_types,
     num_types,
     sigma_sub_gaussian,
+    type_index,
     type_probability,
 )
 
@@ -115,6 +122,65 @@ def test_per_dataset_kl_rows(make_config):
         assert row.bound_logsumexp <= row.bound_min + 1e-10
 
 
+@pytest.mark.parametrize("bound_id, privacy", [
+    (BoundId.DP_GRID, PrivacyParams.eps_dp(0.5)),
+    (BoundId.DP_SIMPLEX_MID, PrivacyParams.eps_dp(0.5)),
+    (BoundId.TYPE_COUNT, PrivacyParams.none()),
+])
+def test_per_dataset_kl_matches_scalar_bounds(make_config, bound_id, privacy):
+    config = make_config(alphabet_size=3, n=6, epsilon=0.5)
+    cover = cover_for_bound(bound_id, privacy, 3, 6)
+    kernel = config.mechanism.kernel
+    centers = [kernel[type_index(c)] for c in cover.centers]
+    mix = MixtureSpec(centers, [1.0 / len(centers)] * len(centers))
+    mixture = mixture_distribution(mix)
+    rows = per_dataset_kl_to_cover_mixture(config, cover)
+    for row, s in zip(rows, enumerate_types(3, 6)):
+        assert row.count_vector == s
+        p = kernel[type_index(s)]
+        assert abs(row.exact_kl - kl_divergence(p, mixture)) <= 1e-12
+        assert abs(row.bound_logsumexp - mixture_kl_bound_logsumexp(p, mix)) <= 1e-12
+        assert abs(row.bound_min - mixture_kl_bound_min(p, mix)) <= 1e-12
+
+
+def test_per_dataset_kl_infinite_rows_match_scalar():
+    # identity kernel: a row off every center's support is +inf in all three
+    config = small_identity_config(alphabet_size=2, n=4)
+    cover = cover_for_bound(BoundId.DP_SIMPLEX_LOW, PrivacyParams.eps_dp(0.5), 2, 4)
+    kernel = config.mechanism.kernel
+    mix = MixtureSpec([kernel[type_index(c)] for c in cover.centers], [1.0])
+    for row in per_dataset_kl_to_cover_mixture(config, cover):
+        p = kernel[type_index(row.count_vector)]
+        assert row.exact_kl == kl_divergence(p, mixture_distribution(mix))
+        assert row.bound_logsumexp == mixture_kl_bound_logsumexp(p, mix)
+        assert row.bound_min == mixture_kl_bound_min(p, mix)
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_verification_comparisons_match_scalar_expectation(name):
+    # count-based slack = bound - E_S[KL(kernel row || cover mixture)],
+    # here recomputed one kl_divergence call per count vector
+    config = reference_configs()[name]
+    report = run_verification(config)
+    privacy = config.mechanism.privacy
+    m, n = config.alphabet.size, config.n
+    p_types = exact_type_distribution(m, n, config.source)
+    kernel = config.mechanism.kernel
+    for bid, value in report.bound_values.items():
+        try:
+            cover = cover_for_bound(bid, privacy, m, n)
+        except InputError:
+            continue  # typical and conversion rows are not cover-based
+        centers = [kernel[type_index(c)] for c in cover.centers]
+        mixture = np.full(len(centers), 1.0 / len(centers)) @ np.array(centers)
+        expected = math.fsum(
+            float(p) * kl_divergence(kernel[i], mixture)
+            for i, p in enumerate(p_types) if p > 0
+        )
+        comparison = value - report.per_bound_slack[bid]
+        assert comparison == expected or abs(comparison - expected) <= 1e-12
+
+
 def test_per_dataset_kl_rejects_mismatched_cover(make_config):
     config = make_config(alphabet_size=2, n=6, epsilon=0.5)
     other = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, 8)
@@ -182,6 +248,9 @@ def test_random_mechanism_rows_and_determinism():
     np.testing.assert_array_equal(a.kernel, b.kernel)
     assert not np.array_equal(a.kernel, c.kernel)
     np.testing.assert_allclose(a.kernel.sum(axis=1), 1.0, atol=1e-12)
+    # one Dirichlet draw per count vector from the seed, nothing else
+    expected = np.random.default_rng(11).dirichlet(np.ones(4), size=num_types(2, 5))
+    np.testing.assert_array_equal(a.kernel, expected)
 
 
 def test_cover_for_bound_routes():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound.divergence_core import kl_divergence
 from genbound.errors import InputError
+from genbound.oracle_harness import random_mechanism
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyKind,
@@ -24,7 +26,7 @@ from genbound.privacy_mechanisms import (
     uniform_mechanism,
     verify_kl_stability,
 )
-from genbound.types_core import enumerate_types, num_types
+from genbound.types_core import dataset_distance, enumerate_types, num_types
 
 
 class TestPrivacyParams:
@@ -115,6 +117,57 @@ def test_exponential_mechanism_passes_its_audit():
     for row in report.rows:
         assert row.max_kl <= row.bound + 1e-9
         assert row.worst_pair[0] != row.worst_pair[1]
+
+
+def scalar_stability_worst(mech):
+    """Reference audit: worst KL per distance over all ordered pairs, one
+    kl_divergence call per pair, first pair kept on ties."""
+    types = list(enumerate_types(mech.alphabet_size, mech.n))
+    worst = {}
+    for i, si in enumerate(types):
+        for j, sj in enumerate(types):
+            if i == j:
+                continue
+            k = dataset_distance(si, sj)
+            val = kl_divergence(mech.kernel[i], mech.kernel[j])
+            if k not in worst or val > worst[k][0]:
+                worst[k] = (val, (i, j))
+    return worst
+
+
+@pytest.mark.parametrize("mech", [
+    exponential_mechanism_over_types(3, 12, 0.5),
+    exponential_mechanism_over_types(2, 30, 0.9),
+    random_mechanism(3, 6, 5, seed=4, privacy=PrivacyParams.eps_dp(0.3)),
+    Mechanism(identity_mechanism(2, 5).kernel, 2, 5, PrivacyParams.mu_gdp(1.0)),
+], ids=["exp-m3n12", "exp-m2n30", "random-m3n6", "identity-m2n5"])
+def test_audit_matches_scalar_reference(mech):
+    types = list(enumerate_types(mech.alphabet_size, mech.n))
+    reference = scalar_stability_worst(mech)
+    report = verify_kl_stability(mech)
+    assert [row.k for row in report.rows] == sorted(reference)
+    for row in report.rows:
+        expected, _ = reference[row.k]
+        i, j = row.worst_pair
+        assert i != j and dataset_distance(types[i], types[j]) == row.k
+        witness = kl_divergence(mech.kernel[i], mech.kernel[j])
+        if math.isinf(expected):
+            assert row.max_kl == math.inf and witness == math.inf
+        else:
+            assert abs(row.max_kl - expected) <= 1e-12
+            assert abs(witness - expected) <= 1e-12
+
+
+def test_audit_spans_several_row_blocks():
+    # 300 count vectors: the audit works through two blocks of rows
+    mech = random_mechanism(2, 299, 3, seed=8, privacy=PrivacyParams.eps_dp(2.0))
+    reference = scalar_stability_worst(mech)
+    report = verify_kl_stability(mech)
+    for row in report.rows:
+        i, j = row.worst_pair
+        assert abs(row.max_kl - reference[row.k][0]) <= 1e-12
+        assert abs(kl_divergence(mech.kernel[i], mech.kernel[j])
+                   - reference[row.k][0]) <= 1e-12
 
 
 def test_audit_catches_a_false_claim():

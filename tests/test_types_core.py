@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from genbound.types_core import (
     Alphabet,
     CountVector,
     SourceDistribution,
+    check_cap,
     dataset_distance,
     enumerate_types,
     load_loss_csv,
@@ -240,6 +242,46 @@ def test_type_probability_large_n_stays_finite():
     s = CountVector((600, 600))
     p = type_probability(s, src)
     assert 0.0 < p < 1.0
+
+
+def exact_type_probability(counts, probs):
+    """n! / prod(c!) * prod(p ** c) in rational arithmetic, with each
+    probability taken as the exact value of its float."""
+    value = Fraction(1)
+    partial = 0
+    for c, p in zip(counts, probs):
+        partial += c
+        value *= math.comb(partial, c) * Fraction(p) ** c
+    return value
+
+
+@pytest.mark.parametrize("counts, probs", [
+    # the float mass 0.001**110 * 0.999**890 underflows to 0.0
+    ((110, 890), (0.001, 0.999)),
+    # the float mass is subnormal, about 1e-317, and keeps ~6 digits
+    ((360, 778), (0.41, 0.59)),
+    # normal-range mass, for contrast
+    ((30, 50), (0.41, 0.59)),
+])
+def test_type_probability_keeps_relative_accuracy(counts, probs):
+    exact = exact_type_probability(counts, probs)
+    got = type_probability(CountVector(counts), SourceDistribution(probs))
+    assert got > 0.0
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
+
+
+def test_check_cap_counts_and_guards():
+    assert check_cap(3, 4) == num_types(3, 4)
+    with pytest.raises(ResourceLimitError):
+        check_cap(4, 100, cap=10)
+    with pytest.raises(InputError):
+        check_cap(1, 5)
+
+
+def test_source_parse():
+    assert SourceDistribution.parse("0.25, 0.75") == SourceDistribution([0.25, 0.75])
+    with pytest.raises(InputError):
+        SourceDistribution.parse("0.5,x")
 
 
 def test_sigma_from_loss_range():
