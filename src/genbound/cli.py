@@ -312,7 +312,8 @@ def verify_mi_cmd(config_path, fmt, output) -> None:
 @main.command("simulate")
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Accepted (must be >= 1) and has no effect.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
               default="csv")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)

@@ -28,22 +28,25 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .errors import InputError
 from .types_core import (
     CountVector,
     SourceDistribution,
-    enumerate_types,
+    distance_matrix,
+    type_counts,
     type_probability,
 )
 
 __all__ = [
+    "VERIFY_BLOCK_ROWS",
     "CoverKind",
     "CoverSpec",
-    "TypicalSetSpec",
     "CoverVerification",
     "GridParameter",
     "simplex_hypercube_count",
@@ -99,21 +102,6 @@ class CoverSpec:
     @property
     def alphabet_size(self) -> int:
         return self.centers[0].alphabet_size
-
-
-@dataclass(frozen=True)
-class TypicalSetSpec:
-    """A typicality test: source, dataset length, per-symbol threshold."""
-
-    epsilon: float
-    source: SourceDistribution = field(compare=False)
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (self.epsilon > 0):
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
-        if self.n < 1:
-            raise InputError(f"dataset length must be positive, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -255,6 +243,16 @@ def typical_epsilon(n: int) -> float:
     return math.sqrt(math.log(n) / n)
 
 
+def _typical_mask(counts: np.ndarray, probs: np.ndarray, epsilon: float) -> np.ndarray:
+    """Typicality of each count vector (the last axis of counts)."""
+    if not (epsilon > 0):
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    freqs = counts / counts.sum(axis=-1, keepdims=True)
+    return np.where(
+        probs == 0.0, counts == 0, np.abs(freqs - probs) <= epsilon
+    ).all(axis=-1)
+
+
 def is_typical(s: CountVector, source: SourceDistribution, epsilon: float) -> bool:
     """Whether every empirical frequency is within epsilon of the source,
     with zero-probability symbols unseen."""
@@ -263,16 +261,7 @@ def is_typical(s: CountVector, source: SourceDistribution, epsilon: float) -> bo
             f"count vector over {s.alphabet_size} symbols does not match "
             f"source over {source.alphabet_size}"
         )
-    if not (epsilon > 0):
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    n = s.n
-    for c, p in zip(s.counts, source.probs):
-        if p == 0.0:
-            if c != 0:
-                return False
-        elif abs(c / n - p) > epsilon:
-            return False
-    return True
+    return bool(_typical_mask(np.array(s.counts), source.probs, epsilon))
 
 
 def typical_mass(
@@ -281,36 +270,29 @@ def typical_mass(
     """Exact probability of the typical set: sum of multinomial masses
     over typical count vectors. Enumerates all count vectors, so the
     type-enumeration cap applies."""
-    if n < 1:
-        raise InputError(f"dataset length must be positive, got {n}")
-    masses = [
-        type_probability(s, source)
-        for s in enumerate_types(source.alphabet_size, n, cap=cap)
-        if is_typical(s, source, epsilon)
-    ]
-    return float(math.fsum(masses))
+    counts = type_counts(source.alphabet_size, n, cap=cap)
+    typical = counts[_typical_mask(counts, source.probs, epsilon)]
+    return float(math.fsum(
+        type_probability(CountVector(tuple(row)), source) for row in typical.tolist()
+    ))
 
 
 def _typical_range(n: int, p: float, epsilon: float) -> tuple[int, int]:
     """Smallest and largest count a symbol may take in a typical vector.
 
-    Scans integers with the same predicate is_typical uses, so the cover
-    and the membership test can never disagree on borderline counts.
+    Tests every count with the float arithmetic _typical_mask uses, so
+    the cover and the membership test can never disagree on borderline
+    counts.
     """
     if p == 0.0:
         return 0, 0
-    lo, hi = None, None
-    for c in range(n + 1):
-        if abs(c / n - p) <= epsilon:
-            if lo is None:
-                lo = c
-            hi = c
-    if lo is None:
+    ok = np.flatnonzero(np.abs(np.arange(n + 1) / n - p) <= epsilon)
+    if ok.size == 0:
         # threshold narrower than one lattice step; fall back to the
         # nearest achievable count so the cover still has a center there
         c = min(n, max(0, round(p * n)))
         return c, c
-    return lo, hi
+    return int(ok[0]), int(ok[-1])
 
 
 def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec:
@@ -406,6 +388,11 @@ def optimal_grid_parameter(
     return GridParameter(t=t, clamped=(t != rounded), raw_value=float(raw))
 
 
+# Count vectors checked per distance_matrix call in verify_cover; memory
+# stays O(VERIFY_BLOCK_ROWS x centers).
+VERIFY_BLOCK_ROWS = 256
+
+
 def verify_cover(
     cover: CoverSpec,
     source: SourceDistribution | None = None,
@@ -416,6 +403,8 @@ def verify_cover(
 
     Full and simplex covers are checked against every count vector;
     typical covers against the typical set only (a source is required).
+    The witness is the first count vector, in lexicographic order, at
+    the achieved radius (None when every vector is a center).
     """
     if cover.kind is CoverKind.TYPICAL_GRID:
         if source is None:
@@ -426,27 +415,23 @@ def verify_cover(
                 f"cover over {cover.alphabet_size}"
             )
 
-    center_counts = [c.counts for c in cover.centers]
+    counts = type_counts(cover.alphabet_size, cover.n, cap=cap)
+    if cover.kind is CoverKind.TYPICAL_GRID:
+        counts = counts[_typical_mask(counts, source.probs, cover.typical_epsilon)]
+    centers = np.array([c.counts for c in cover.centers], dtype=np.int64)
     worst: CountVector | None = None
     achieved = 0
-    checked = 0
-    for s in enumerate_types(cover.alphabet_size, cover.n, cap=cap):
-        if cover.kind is CoverKind.TYPICAL_GRID and not is_typical(
-            s, source, cover.typical_epsilon
-        ):
-            continue
-        checked += 1
-        best = min(
-            sum(abs(a - b) for a, b in zip(s.counts, c)) // 2
-            for c in center_counts
-        )
-        if best > achieved:
-            achieved = best
-            worst = s
+    for lo in range(0, counts.shape[0], VERIFY_BLOCK_ROWS):
+        block = counts[lo:lo + VERIFY_BLOCK_ROWS]
+        best = distance_matrix(block, centers).min(axis=1)
+        i = int(np.argmax(best))
+        if best[i] > achieved:
+            achieved = int(best[i])
+            worst = CountVector(tuple(block[i].tolist()))
     return CoverVerification(
         achieved_radius=achieved,
         certified_radius=cover.certified_radius,
         verified=achieved <= cover.certified_radius + 1e-12,
-        checked_vectors=checked,
+        checked_vectors=int(counts.shape[0]),
         worst=worst,
     )

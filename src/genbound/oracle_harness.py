@@ -15,15 +15,14 @@ Certification routes:
 - the sub-Gaussian conversion is checked against the exact expected
   generalization error.
 
-Monte Carlo uses the Philox counter-based generator with one stream per
-sample index, so estimates depend on (seed, mc_samples) alone and are
-bit-identical for any worker count.
+Monte Carlo draws each chunk of _MC_CHUNK samples from its own Philox
+counter-based stream keyed (seed, chunk index) and reduces the chunks in
+order, so estimates depend on (seed, mc_samples) alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -46,10 +45,10 @@ from .types_core import (
     CountVector,
     SourceDistribution,
     check_cap,
-    enumerate_types,
     sigma_sub_gaussian,
-    type_index,
+    type_counts,
     type_probability,
+    type_rank,
 )
 
 __all__ = [
@@ -139,10 +138,7 @@ def default_loss_table(alphabet_size: int, n: int, cap: int | None = None) -> np
     """Loss 1 - (frequency of symbol a under hypothesis w), where the
     hypothesis set is the count-vector set itself. Values lie in [0, 1],
     so the table is at most 1/2-sub-Gaussian."""
-    freqs = np.array(
-        [t.frequencies() for t in enumerate_types(alphabet_size, n, cap=cap)]
-    )
-    return 1.0 - freqs
+    return 1.0 - type_counts(alphabet_size, n, cap=cap) / n
 
 
 def random_mechanism(
@@ -173,19 +169,27 @@ def exact_type_distribution(
     alphabet_size: int, n: int, source: SourceDistribution, cap: int | None = None
 ) -> np.ndarray:
     """Probability of each count vector, in lexicographic order."""
-    return np.array(
-        [type_probability(t, source) for t in enumerate_types(alphabet_size, n, cap=cap)]
-    )
+    return np.array([
+        type_probability(CountVector(tuple(row)), source)
+        for row in type_counts(alphabet_size, n, cap=cap).tolist()
+    ])
 
 
 def exact_mutual_information(config: ExperimentConfig, cap: int | None = None) -> float:
     """I(S; W) as a finite sum: the type-weighted KL of each kernel row
-    against the exact output marginal."""
+    against the exact output marginal. Exactly 0.0 when every kernel row
+    is the same, i.e. the output ignores the input."""
     p_types = exact_type_distribution(
         config.alphabet.size, config.n, config.source, cap=cap
     )
-    marginal = p_types @ config.mechanism.kernel
-    total = _expected_kl(p_types, config.mechanism.kernel, marginal)
+    return _mutual_information(config.mechanism.kernel, p_types)
+
+
+def _mutual_information(kernel: np.ndarray, p_types: np.ndarray) -> float:
+    if np.all(kernel == kernel[0]):
+        # p_types @ kernel can miss that row by rounding: a ~1e-16 false MI
+        return 0.0
+    total = _expected_kl(p_types, kernel, p_types @ kernel)
     if total < 0 and total > -1e-12:
         return 0.0
     return total
@@ -219,7 +223,7 @@ def _cover_rows(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
             f"cover built for alphabet size {cover.alphabet_size}, n={cover.n}; "
             f"experiment uses {config.alphabet.size}, n={config.n}"
         )
-    return config.mechanism.kernel[[type_index(c) for c in cover.centers]]
+    return config.mechanism.kernel[type_rank([c.counts for c in cover.centers])]
 
 
 def per_dataset_kl_to_cover_mixture(
@@ -240,24 +244,22 @@ def per_dataset_kl_to_cover_mixture(
     exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
     bound_logsumexp = -logsumexp(-component, axis=1) - log_w
     bound_min = np.min(component, axis=1) - log_w
-    types = enumerate_types(config.alphabet.size, config.n, cap=cap)
+    counts = type_counts(config.alphabet.size, config.n, cap=cap)
     return [
         PerDatasetKl(
-            count_vector=s,
+            count_vector=CountVector(tuple(row)),
             exact_kl=float(exact[i]),
             bound_logsumexp=float(bound_logsumexp[i]),
             bound_min=float(bound_min[i]),
         )
-        for i, s in enumerate(types)
+        for i, row in enumerate(counts.tolist())
     ]
 
 
 def _risk_tables(config: ExperimentConfig, cap: int | None = None):
     """Population risk per hypothesis and empirical risk per (hypothesis,
     count vector), both exact."""
-    freqs = np.array(
-        [t.frequencies() for t in enumerate_types(config.alphabet.size, config.n, cap=cap)]
-    )
+    freqs = type_counts(config.alphabet.size, config.n, cap=cap) / config.n
     pop = config.loss_table @ config.source.probs
     emp = config.loss_table @ freqs.T
     return pop, emp
@@ -265,12 +267,22 @@ def _risk_tables(config: ExperimentConfig, cap: int | None = None):
 
 def exact_expected_gen_error(config: ExperimentConfig, cap: int | None = None) -> float:
     """E[population risk - empirical risk] as an exact double sum over
-    count vectors and hypotheses."""
+    count vectors and hypotheses; exactly 0.0 when every kernel row is
+    the same."""
     p_types = exact_type_distribution(
         config.alphabet.size, config.n, config.source, cap=cap
     )
-    pop, emp = _risk_tables(config, cap=cap)
+    return _gen_error(config, p_types, cap=cap)
+
+
+def _gen_error(
+    config: ExperimentConfig, p_types: np.ndarray, cap: int | None = None
+) -> float:
     kernel = config.mechanism.kernel
+    if np.all(kernel == kernel[0]):
+        # E[empirical frequency] = source: the sum cancels, up to rounding
+        return 0.0
+    pop, emp = _risk_tables(config, cap=cap)
     per_type = kernel @ pop - np.einsum("tw,wt->t", kernel, emp)
     return float(p_types @ per_type)
 
@@ -282,40 +294,16 @@ class McResult:
     samples: int
 
 
-def _mc_chunk(
-    lo: int,
-    hi: int,
-    seed: int,
-    n: int,
-    source_probs: np.ndarray,
-    index_of: dict[tuple[int, ...], int],
-    kernel_cdf: np.ndarray,
-    pop: np.ndarray,
-    emp: np.ndarray,
-) -> tuple[float, float]:
-    """Partial sums (sum, sum of squares) for sample indices [lo, hi)."""
-    vals = np.empty(hi - lo)
-    w_max = kernel_cdf.shape[1] - 1
-    for i in range(lo, hi):
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        counts = gen.multinomial(n, source_probs)
-        t_idx = index_of[tuple(int(c) for c in counts)]
-        u = gen.random()
-        w = int(np.searchsorted(kernel_cdf[t_idx], u, side="right"))
-        if w > w_max:
-            w = w_max
-        vals[i - lo] = pop[w] - emp[w, t_idx]
-    return float(np.sum(vals)), float(np.sum(vals * vals))
-
-
 def mc_expected_gen_error(
     config: ExperimentConfig, workers: int = 1, cap: int | None = None
 ) -> McResult:
     """Monte-Carlo estimate of the expected generalization error.
 
-    Each sample index owns a Philox stream keyed (seed, index), and
-    partial sums are reduced in fixed chunk order, so the result is a
-    pure function of (seed, mc_samples) whatever the worker count.
+    Chunk j of _MC_CHUNK samples draws its count vectors (one multinomial
+    call), then its inverse-CDF uniforms, from one Philox stream keyed
+    (seed, j), and partial sums are reduced in chunk order: the result is
+    a pure function of (seed, mc_samples). workers must be >= 1 and has
+    no effect.
     """
     if config.mc_samples < 100:
         raise InputError(
@@ -325,24 +313,22 @@ def mc_expected_gen_error(
         raise InputError(f"worker count must be positive, got {workers}")
     pop, emp = _risk_tables(config, cap=cap)
     kernel_cdf = np.cumsum(config.mechanism.kernel, axis=1)
-    index_of = {
-        t.counts: i
-        for i, t in enumerate(enumerate_types(config.alphabet.size, config.n, cap=cap))
-    }
+    w_max = kernel_cdf.shape[1] - 1
     m = config.mc_samples
-    chunks = [(lo, min(lo + _MC_CHUNK, m)) for lo in range(0, m, _MC_CHUNK)]
-
-    def job(bounds: tuple[int, int]) -> tuple[float, float]:
-        return _mc_chunk(
-            bounds[0], bounds[1], config.seed, config.n,
-            config.source.probs, index_of, kernel_cdf, pop, emp,
-        )
-
-    if workers == 1:
-        partials = [job(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, chunks))
+    partials = []
+    for j, lo in enumerate(range(0, m, _MC_CHUNK)):
+        size = min(_MC_CHUNK, m - lo)
+        gen = np.random.Generator(np.random.Philox(key=[config.seed, j]))
+        t_idx = type_rank(gen.multinomial(config.n, config.source.probs, size=size))
+        u = gen.random(size)
+        w = np.empty(size, dtype=np.int64)
+        order = np.argsort(t_idx, kind="stable")
+        types, starts = np.unique(t_idx[order], return_index=True)
+        for t, drawn in zip(types.tolist(), np.split(order, starts[1:])):
+            w[drawn] = np.searchsorted(kernel_cdf[t], u[drawn], side="right")
+        np.minimum(w, w_max, out=w)
+        vals = pop[w] - emp[w, t_idx]
+        partials.append((float(np.sum(vals)), float(np.sum(vals * vals))))
 
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
@@ -432,12 +418,12 @@ def run_verification(
     privacy = config.mechanism.privacy
     m = config.alphabet.size
     n = config.n
-    mi = exact_mutual_information(config, cap=cap)
-    gen = exact_expected_gen_error(config, cap=cap)
+    p_types = exact_type_distribution(m, n, config.source, cap=cap)
+    mi = _mutual_information(config.mechanism.kernel, p_types)
+    gen = _gen_error(config, p_types, cap=cap)
     scale = sigma_sub_gaussian(config.loss_table) if sigma is None else float(sigma)
     gen_bound = gen_error_from_mi(scale, n, mi)
 
-    p_types = exact_type_distribution(m, n, config.source, cap=cap)
     values: dict[BoundId, float] = {}
     slack: dict[BoundId, float] = {}
 

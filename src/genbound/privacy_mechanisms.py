@@ -26,14 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence_core import KL_BLOCK_ROWS, kl_matrix
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .types_core import (
     check_cap,
-    enumerate_types,
+    distance_matrix,
     num_types,
+    type_counts,
 )
 
 __all__ = [
+    "KERNEL_CELL_BUDGET",
     "PrivacyKind",
     "PrivacyParams",
     "Mechanism",
@@ -155,6 +157,23 @@ def kl_stability_bound(privacy: PrivacyParams, k: int) -> float:
     return 0.5 * (k * privacy.value) ** 2
 
 
+# Largest T x T kernel the built-in mechanisms allocate: 25 million cells,
+# 200 MB per float64 array (T <= 5000), well inside a desk machine.
+KERNEL_CELL_BUDGET = 25_000_000
+
+
+def _square_kernel_size(alphabet_size: int, n: int, cap: int | None) -> int:
+    """T, after checking the type cap and that a T x T kernel stays
+    within KERNEL_CELL_BUDGET cells; called before allocating one."""
+    total = check_cap(alphabet_size, n, cap)
+    if total * total > KERNEL_CELL_BUDGET:
+        raise ResourceLimitError(
+            f"a kernel over T={total} count vectors has {total * total} cells, "
+            f"over the budget of {KERNEL_CELL_BUDGET} cells"
+        )
+    return total
+
+
 def exponential_mechanism_over_types(
     alphabet_size: int, n: int, epsilon: float, cap: int | None = None
 ) -> Mechanism:
@@ -166,10 +185,9 @@ def exponential_mechanism_over_types(
     """
     if not (0 < epsilon < math.inf):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    types = list(enumerate_types(alphabet_size, n, cap=cap))
-    counts = np.array([t.counts for t in types], dtype=float)
-    dist = np.abs(counts[:, None, :] - counts[None, :, :]).sum(axis=2) / 2.0
-    raw = np.exp(-epsilon * dist / 2.0)
+    _square_kernel_size(alphabet_size, n, cap)
+    counts = type_counts(alphabet_size, n, cap=cap)
+    raw = np.exp(-epsilon * distance_matrix(counts, counts) / 2.0)
     kernel = raw / raw.sum(axis=1, keepdims=True)
     return Mechanism(
         kernel,
@@ -182,7 +200,7 @@ def exponential_mechanism_over_types(
 
 def identity_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Mechanism:
     """Deterministic kernel mapping each count vector to its own index."""
-    total = check_cap(alphabet_size, n, cap)
+    total = _square_kernel_size(alphabet_size, n, cap)
     kernel = np.eye(total)
     return Mechanism(
         kernel,
@@ -195,7 +213,7 @@ def identity_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Me
 
 def uniform_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Mechanism:
     """Input-independent kernel: uniform over the count-vector indices."""
-    total = check_cap(alphabet_size, n, cap)
+    total = _square_kernel_size(alphabet_size, n, cap)
     kernel = np.full((total, total), 1.0 / total)
     return Mechanism(
         kernel,
@@ -256,20 +274,14 @@ def verify_kl_stability(
     """
     if mech.privacy.kind is PrivacyKind.NONE:
         raise InputError("mechanism declares no privacy guarantee to audit")
-    counts = np.array(
-        [t.counts for t in enumerate_types(mech.alphabet_size, mech.n, cap=cap)],
-        dtype=np.int64,
-    )
+    counts = type_counts(mech.alphabet_size, mech.n, cap=cap)
     kernel = mech.kernel
     total = counts.shape[0]
     worst: dict[int, tuple[float, tuple[int, int]]] = {}
     for lo in range(0, total, KL_BLOCK_ROWS):
         hi = min(lo + KL_BLOCK_ROWS, total)
         kl = kl_matrix(kernel[lo:hi], kernel)
-        dist = np.zeros((hi - lo, total), dtype=np.int64)
-        for a in range(counts.shape[1]):
-            dist += np.abs(counts[lo:hi, a, None] - counts[None, :, a])
-        dist //= 2
+        dist = distance_matrix(counts[lo:hi], counts)
         dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
         for k in np.unique(dist[dist > 0]).tolist():
             masked = np.where(dist == k, kl, -math.inf)

@@ -5,21 +5,23 @@ count vector (the empirical histogram). Every permutation-invariant
 algorithm sees only that summary, so the combinatorics of count vectors
 carry the whole analysis. This module provides:
 
-- exact counting and lexicographic enumeration of all count vectors,
+- exact counting of the count vectors, and all T of them as one
+  T x m array in lexicographic order, with its vectorised rank,
 - the replacement distance between same-length datasets (half the L1
-  gap between their counts),
+  gap between their counts), for one pair or between two arrays,
 - multinomial probabilities of count vectors under an i.i.d. source,
 - the sub-Gaussian scale of a bounded loss table.
 
-Counting is big-integer exact throughout; floats appear only at the
-probability and loss boundaries. Enumeration is guarded by a cap
-(default 10**7 vectors) overridable via the GENBOUND_TYPE_CAP
-environment variable or a per-call argument.
+Counting is big-integer exact, and the int64 arrays hold no value above
+T; floats appear only at the probability and loss boundaries.
+Enumeration is guarded by a cap (default 10**7 vectors) overridable via
+the GENBOUND_TYPE_CAP environment variable or a per-call argument.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import sys
@@ -42,6 +44,9 @@ __all__ = [
     "num_types",
     "num_types_upper_bound",
     "check_cap",
+    "type_counts",
+    "type_rank",
+    "distance_matrix",
     "enumerate_types",
     "type_index",
     "type_probability",
@@ -273,40 +278,75 @@ def check_cap(alphabet_size: int, n: int, cap: int | None = None) -> int:
     return total
 
 
+def type_counts(alphabet_size: int, n: int, cap: int | None = None) -> np.ndarray:
+    """Every count vector as a row of a read-only T x m int64 array, in
+    lexicographic order: the order kernel rows and serialized mechanism
+    files rely on. Stars and bars: bar positions taken in lexicographic
+    order give the counts in lexicographic order. The cap applies."""
+    total = check_cap(alphabet_size, n, cap)
+    k = alphabet_size - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n + k), k)),
+        dtype=np.int64, count=total * k,
+    ).reshape(total, k)
+    counts = np.diff(bars, axis=1, prepend=-1, append=n + k) - 1
+    counts.flags.writeable = False
+    return counts
+
+
+def type_rank(counts) -> np.ndarray:
+    """Lexicographic rank of each count vector (the last axis): the sum
+    over leading positions i of C(r_i + d_i - 1, d_i - 1) -
+    C(r_i - c_i + d_i - 1, d_i - 1), the vectors with a smaller count
+    there, for r_i counts left over d_i positions (hockey stick). No
+    binomial read exceeds the number of count vectors: int64 is exact."""
+    c = np.asarray(counts, dtype=np.int64)
+    if c.ndim < 1 or c.shape[-1] < 2 or np.any(c < 0):
+        raise InputError("count vectors need two or more non-negative counts")
+    m = c.shape[-1]
+    remaining = c.sum(axis=-1)
+    table = np.zeros((int(remaining.max(initial=0)) + m, m), dtype=np.int64)
+    table[:, 0] = 1
+    for y in range(1, m):
+        table[1:, y] = np.cumsum(table[:-1, y - 1])
+    rank = np.zeros(c.shape[:-1], dtype=np.int64)
+    for i in range(m - 1):
+        d = m - i
+        rank += table[remaining + d - 1, d - 1]
+        remaining = remaining - c[..., i]
+        rank -= table[remaining + d - 1, d - 1]
+    return rank
+
+
+def distance_matrix(a, b) -> np.ndarray:
+    """Replacement distance (half the L1 gap) between every row of a and
+    every row of b as an int64 array, accumulated one symbol at a time."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or np.unique(
+        np.concatenate([a.sum(axis=1), b.sum(axis=1)])
+    ).size > 1:
+        raise InputError("count arrays must share one alphabet and dataset length")
+    dist = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for j in range(a.shape[1]):
+        gap = a[:, j, None] - b[None, :, j]
+        dist += np.abs(gap, out=gap)
+    dist //= 2
+    return dist
+
+
 def enumerate_types(
     alphabet_size: int, n: int, cap: int | None = None
 ) -> Iterator[CountVector]:
-    """Yield every count vector in lexicographic order.
-
-    The order is a public contract: kernel row indices and serialized
-    mechanism files both rely on it. Refuses to start when the exact
-    count exceeds the cap.
-    """
-    check_cap(alphabet_size, n, cap)
-
-    def rec(prefix: tuple[int, ...], remaining: int, dims: int) -> Iterator[tuple[int, ...]]:
-        if dims == 1:
-            yield prefix + (remaining,)
-            return
-        for head in range(remaining + 1):
-            yield from rec(prefix + (head,), remaining - head, dims - 1)
-
-    for counts in rec((), n, alphabet_size):
-        yield CountVector(counts)
+    """Yield every count vector in lexicographic order (the rows of
+    type_counts as CountVector objects)."""
+    for row in type_counts(alphabet_size, n, cap).tolist():
+        yield CountVector(tuple(row))
 
 
 def type_index(s: CountVector) -> int:
     """Rank of a count vector in the lexicographic enumeration order."""
-    rank = 0
-    remaining = s.n
-    dims = s.alphabet_size
-    for c in s.counts[:-1]:
-        # vectors with a smaller value at this position, any tail
-        for v in range(c):
-            rank += math.comb(remaining - v + dims - 2, dims - 2)
-        remaining -= c
-        dims -= 1
-    return rank
+    return int(type_rank(s.counts))
 
 
 def type_probability(s: CountVector, source: SourceDistribution) -> float:

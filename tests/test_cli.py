@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import genbound
+import genbound.privacy_mechanisms
 from genbound.cli import main
 from genbound.privacy_mechanisms import (
     Mechanism,
@@ -288,6 +289,13 @@ class TestInputContract:
         config = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
         result = runner.invoke(main, ["verify-mi", "--config", config])
         assert_input_error(result)
+
+    def test_kernel_over_cell_budget(self, runner, monkeypatch):
+        monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
+        result = runner.invoke(main, ["stability", "--alphabet-size", "2",
+                                      "--n", "4", "--epsilon", "0.5"])
+        assert_input_error(result)
+        assert "T=5" in result.stderr and "24" in result.stderr
 
     def test_non_numeric_cover_source(self, runner):
         result = runner.invoke(main, ["cover", "--alphabet-size", "2",

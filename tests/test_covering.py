@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genbound.covering
 from genbound.covering import (
     CoverKind,
+    CoverSpec,
     build_full_grid_cover,
     build_simplex_grid_cover,
     build_typical_cover,
@@ -27,8 +29,38 @@ from genbound.types_core import (
     CountVector,
     SourceDistribution,
     dataset_distance,
+    enumerate_types,
     num_types,
+    type_probability,
 )
+
+
+def scalar_is_typical(s, source, epsilon):
+    """Reference typicality test: one symbol at a time."""
+    for c, p in zip(s.counts, source.probs):
+        if p == 0.0:
+            if c != 0:
+                return False
+        elif abs(c / s.n - p) > epsilon:
+            return False
+    return True
+
+
+def scalar_verify_cover(cover, source=None):
+    """Reference cover check: every count vector against every center,
+    the first vector at a new worst distance kept as the witness."""
+    centers = [c.counts for c in cover.centers]
+    worst, achieved, checked = None, 0, 0
+    for s in enumerate_types(cover.alphabet_size, cover.n):
+        if cover.kind is CoverKind.TYPICAL_GRID and not scalar_is_typical(
+            s, source, cover.typical_epsilon
+        ):
+            continue
+        checked += 1
+        best = min(sum(abs(a - b) for a, b in zip(s.counts, c)) // 2 for c in centers)
+        if best > achieved:
+            achieved, worst = best, s
+    return achieved, checked, worst
 
 
 def test_simplex_count_known_values():
@@ -139,6 +171,46 @@ def test_is_typical_zero_probability_symbol():
     src = SourceDistribution([1.0, 0.0])
     assert is_typical(CountVector((8, 0)), src, 0.1)
     assert not is_typical(CountVector((7, 1)), src, 0.9)
+
+
+@pytest.mark.parametrize("probs", [
+    (0.5, 0.5, 0.0), (0.2, 0.3, 0.5), (1.0, 0.0, 0.0), (0.37, 0.13, 0.5),
+])
+def test_typicality_mask_matches_scalar_loop(probs):
+    src = SourceDistribution(probs)
+    for eps in (0.05, typical_epsilon(12), 0.25, 1.0):
+        flags = [is_typical(s, src, eps) for s in enumerate_types(3, 12)]
+        assert flags == [scalar_is_typical(s, src, eps) for s in enumerate_types(3, 12)]
+        assert typical_mass(src, 12, eps) == math.fsum(
+            type_probability(s, src)
+            for s in enumerate_types(3, 12) if scalar_is_typical(s, src, eps)
+        )
+
+
+@pytest.mark.parametrize("build, source", [
+    (lambda: build_full_grid_cover(3, 20, 4), None),
+    (lambda: build_full_grid_cover(2, 30, 7), None),
+    (lambda: build_simplex_grid_cover(4, 10, 3), None),
+    (lambda: build_simplex_grid_cover(3, 8, 9), None),  # every vector a center
+    # corner centers: the witness, (4, 4, 4), is the 51st count vector
+    (lambda: CoverSpec(tuple(CountVector(c) for c in ((0, 0, 12), (12, 0, 0), (0, 12, 0))),
+                       1, 12.0, CoverKind.FULL_GRID), None),
+    (lambda: build_typical_cover(SourceDistribution([0.2, 0.3, 0.5]), 40, 5),
+     SourceDistribution([0.2, 0.3, 0.5])),
+    (lambda: build_typical_cover(SourceDistribution([0.6, 0.4, 0.0]), 30, 3),
+     SourceDistribution([0.6, 0.4, 0.0])),
+], ids=["full-m3", "full-m2", "simplex-m4", "simplex-all", "corners", "typical",
+        "typical-zero"])
+def test_verify_cover_matches_scalar_loop(monkeypatch, build, source):
+    cover = build()
+    achieved, checked, worst = scalar_verify_cover(cover, source)
+    # small blocks: the worst vector and its ties fall in different blocks
+    for block_rows in (7, 256):
+        monkeypatch.setattr(genbound.covering, "VERIFY_BLOCK_ROWS", block_rows)
+        check = verify_cover(cover, source=source)
+        assert check.achieved_radius == achieved
+        assert check.checked_vectors == checked
+        assert check.worst == worst
 
 
 def test_typical_mass_whole_simplex():

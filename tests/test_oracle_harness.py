@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import genbound.oracle_harness
 from genbound.bounds_catalog import BoundId
 from genbound.divergence_core import (
     MixtureSpec,
@@ -87,6 +88,36 @@ def test_input_independent_mechanism_has_zero_mi():
         loss_table=default_loss_table(2, 6), seed=0, mc_samples=100,
     )
     assert exact_mutual_information(config) == 0.0
+
+
+def test_input_independent_kernel_reads_exactly_zero():
+    # p_types @ kernel misses the constant row by ~1e-18 here, which the
+    # KL sum turns into a spurious 8.9e-16 nats and the bound into 1.7e-9
+    config = ExperimentConfig(
+        alphabet=Alphabet(2), n=150, source=SourceDistribution([0.37, 0.63]),
+        mechanism=Mechanism(uniform_mechanism(2, 150).kernel, 2, 150,
+                            PrivacyParams.mu_gdp(0.2)),
+        loss_table=default_loss_table(2, 150), seed=0, mc_samples=100,
+    )
+    assert exact_mutual_information(config) == 0.0
+    assert exact_expected_gen_error(config) == 0.0
+    report = run_verification(config)
+    assert report.exact_mi == 0.0 and report.exact_gen_error == 0.0
+    assert report.bound_values[BoundId.GEN_SUB_GAUSSIAN] == 0.0
+    assert report.all_pass
+
+
+def test_run_verification_builds_one_type_distribution(make_config, monkeypatch):
+    config = make_config(alphabet_size=3, n=6, epsilon=0.5)
+    calls = []
+
+    def counting(s, source):
+        calls.append(s)
+        return type_probability(s, source)
+
+    monkeypatch.setattr(genbound.oracle_harness, "type_probability", counting)
+    run_verification(config)
+    assert len(calls) == num_types(3, 6)
 
 
 def test_mi_never_exceeds_output_entropy_cap(make_config):
@@ -215,6 +246,18 @@ def test_mc_deterministic_across_worker_counts(make_config):
     three = mc_expected_gen_error(config, workers=3)
     assert one.estimate == three.estimate
     assert one.standard_error == three.standard_error
+
+
+@pytest.mark.parametrize("samples", [100, 4097])
+def test_mc_partial_chunks(make_config, samples):
+    # 100 is less than one chunk; 4097 is one full chunk plus one sample
+    config = make_config(alphabet_size=3, n=6, epsilon=0.5, mc_samples=samples)
+    one = mc_expected_gen_error(config, workers=1)
+    assert mc_expected_gen_error(config, workers=1) == one
+    assert mc_expected_gen_error(config, workers=4) == one
+    assert one.samples == samples
+    exact = exact_expected_gen_error(config)
+    assert abs(one.estimate - exact) <= 4 * one.standard_error
 
 
 def test_mc_sample_floor(make_config):

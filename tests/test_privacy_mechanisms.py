@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import genbound.privacy_mechanisms
 from genbound.divergence_core import kl_divergence
-from genbound.errors import InputError
+from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import random_mechanism
 from genbound.privacy_mechanisms import (
     Mechanism,
@@ -98,6 +99,32 @@ def test_exponential_mechanism_rows_are_distributions():
     assert mech.kernel.shape == (num_types(3, 5), num_types(3, 5))
     np.testing.assert_allclose(mech.kernel.sum(axis=1), 1.0, atol=1e-12)
     assert mech.privacy.kind is PrivacyKind.EPS_DP
+
+
+@pytest.mark.parametrize("m, n, eps", [(3, 20, 0.5), (4, 8, 0.7), (2, 150, 0.3)])
+def test_exponential_kernel_matches_tensor_formula(m, n, eps):
+    # reference: the T x T x m float distance tensor, bit for bit
+    counts = np.array([s.counts for s in enumerate_types(m, n)], dtype=float)
+    dist = np.abs(counts[:, None, :] - counts[None, :, :]).sum(axis=2) / 2.0
+    raw = np.exp(-eps * dist / 2.0)
+    np.testing.assert_array_equal(
+        exponential_mechanism_over_types(m, n, eps).kernel,
+        raw / raw.sum(axis=1, keepdims=True),
+    )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exponential_mechanism_over_types(2, 4, 0.5),
+    lambda: identity_mechanism(2, 4),
+    lambda: uniform_mechanism(2, 4),
+], ids=["exponential", "identity", "uniform"])
+def test_square_kernels_respect_the_cell_budget(monkeypatch, build):
+    # T = 5 count vectors: a 25-cell kernel
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 25)
+    assert build().kernel.shape == (5, 5)
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
+    with pytest.raises(ResourceLimitError, match="T=5 .* budget of 24 cells"):
+        build()
 
 
 def test_exponential_mechanism_is_eps_dp_pointwise():

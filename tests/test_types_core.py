@@ -17,6 +17,7 @@ from genbound.types_core import (
     SourceDistribution,
     check_cap,
     dataset_distance,
+    distance_matrix,
     enumerate_types,
     load_loss_csv,
     load_source_csv,
@@ -24,9 +25,11 @@ from genbound.types_core import (
     num_types_upper_bound,
     sigma_sub_gaussian,
     type_enumeration_cap,
+    type_counts,
     type_index,
     type_of,
     type_probability,
+    type_rank,
 )
 
 count_vectors = st.integers(2, 4).flatmap(
@@ -194,6 +197,91 @@ def test_enumerate_types_matches_count_and_order():
     assert all(s.n == 4 for s in types)
     for i, s in enumerate(types):
         assert type_index(s) == i
+
+
+def recursive_types(m, n):
+    """Reference enumerator: the recursive lexicographic generator."""
+
+    def rec(prefix, remaining, dims):
+        if dims == 1:
+            yield prefix + (remaining,)
+            return
+        for head in range(remaining + 1):
+            yield from rec(prefix + (head,), remaining - head, dims - 1)
+
+    return list(rec((), n, m))
+
+
+def scalar_rank(counts):
+    """Reference rank: count the vectors with a smaller head, position by
+    position."""
+    rank, remaining, dims = 0, sum(counts), len(counts)
+    for c in counts[:-1]:
+        for v in range(c):
+            rank += math.comb(remaining - v + dims - 2, dims - 2)
+        remaining -= c
+        dims -= 1
+    return rank
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_type_counts_match_recursive_enumerator(m):
+    for n in range(1, 9):
+        counts = type_counts(m, n)
+        total = num_types(m, n)
+        assert counts.dtype == np.int64 and counts.shape == (total, m)
+        assert [tuple(row) for row in counts.tolist()] == recursive_types(m, n)
+        np.testing.assert_array_equal(type_rank(counts), np.arange(total))
+
+
+@given(st.integers(2, 6), st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_type_counts_property(m, n):
+    counts = type_counts(m, n)
+    assert [tuple(row) for row in counts.tolist()] == recursive_types(m, n)
+    np.testing.assert_array_equal(type_rank(counts), np.arange(num_types(m, n)))
+    assert [s.counts for s in enumerate_types(m, n)] == recursive_types(m, n)
+
+
+def test_type_counts_read_only_and_capped():
+    counts = type_counts(3, 4)
+    with pytest.raises(ValueError):
+        counts[0, 0] = 1
+    with pytest.raises(ResourceLimitError):
+        type_counts(4, 100, cap=10)
+
+
+@given(st.lists(count_vectors.filter(lambda s: s.alphabet_size == 3),
+                min_size=1, max_size=6))
+def test_type_rank_matches_scalar_loop(vectors):
+    # one call ranks vectors of different lengths, row by row
+    ranks = type_rank([s.counts for s in vectors])
+    assert ranks.tolist() == [scalar_rank(s.counts) for s in vectors]
+    assert [type_index(s) for s in vectors] == ranks.tolist()
+
+
+def test_type_rank_rejects_bad_counts():
+    with pytest.raises(InputError):
+        type_rank([[2, -1]])
+    with pytest.raises(InputError):
+        type_rank([[4]])
+
+
+@given(st.integers(2, 4), st.integers(1, 7))
+@settings(max_examples=30, deadline=None)
+def test_distance_matrix_matches_dataset_distance(m, n):
+    types = list(enumerate_types(m, n))
+    dist = distance_matrix(type_counts(m, n), type_counts(m, n)[::-1])
+    assert dist.dtype == np.int64
+    expected = [[dataset_distance(a, b) for b in types[::-1]] for a in types]
+    assert dist.tolist() == expected
+
+
+def test_distance_matrix_rejects_mismatched_lattices():
+    with pytest.raises(InputError):
+        distance_matrix([[2, 1]], [[2, 2]])
+    with pytest.raises(InputError):
+        distance_matrix([[2, 1]], [[1, 1, 1]])
 
 
 def test_enumeration_cap_enforced():
