@@ -10,6 +10,10 @@ MI-to-generalization and a PAC-Bayes high-probability variant).
 A BoundReport is self-describing: value, applicability, the regime that
 produced it, and whether it is asymptotic-only. Asymptotic-only reports
 are never used in certification and never compete in best_bound.
+
+PrivacyKind and PrivacyParams, the privacy declaration every bound and
+mechanism reads, are defined here so this module needs nothing beyond
+the standard library; privacy_mechanisms re-exports them.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError
-from .privacy_mechanisms import PrivacyKind, PrivacyParams
 
 __all__ = [
+    "PrivacyKind",
+    "PrivacyParams",
     "BoundId",
     "BoundReport",
     "CatalogEntry",
@@ -38,6 +43,43 @@ __all__ = [
     "best_bound",
     "catalog_entries",
 ]
+
+
+class PrivacyKind(enum.Enum):
+    EPS_DP = "eps_dp"
+    MU_GDP = "mu_gdp"
+    NONE = "none"
+
+
+@dataclass(frozen=True)
+class PrivacyParams:
+    """A privacy guarantee: kind plus its positive parameter (or none)."""
+
+    kind: PrivacyKind
+    value: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind is PrivacyKind.NONE:
+            if self.value is not None:
+                raise InputError("privacy kind 'none' takes no parameter")
+        else:
+            if self.value is None or not (0 < self.value < math.inf):
+                raise InputError(
+                    f"privacy parameter must be positive and finite, "
+                    f"got {self.value!r}"
+                )
+
+    @classmethod
+    def eps_dp(cls, epsilon: float) -> "PrivacyParams":
+        return cls(PrivacyKind.EPS_DP, float(epsilon))
+
+    @classmethod
+    def mu_gdp(cls, mu: float) -> "PrivacyParams":
+        return cls(PrivacyKind.MU_GDP, float(mu))
+
+    @classmethod
+    def none(cls) -> "PrivacyParams":
+        return cls(PrivacyKind.NONE, None)
 
 
 class BoundId(enum.Enum):

@@ -9,6 +9,10 @@ row always, and LF line endings.
 
 Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
 (including an exceeded enumeration cap, which the message names).
+
+Only the closed-form layer is imported here; each subcommand that needs
+numpy imports its layers in its own body, so bounds and catalog start
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -24,35 +28,15 @@ import click
 
 from .bounds_catalog import (
     BoundId,
+    PrivacyKind,
+    PrivacyParams,
     kl_candidates,
     asymptotic_report,
     catalog_entries,
     gen_error_from_mi,
     pac_bayes_gen_bound,
 )
-from .covering import (
-    CoverKind,
-    build_full_grid_cover,
-    build_simplex_grid_cover,
-    build_typical_cover,
-    verify_cover,
-)
 from .errors import InputError, ResourceLimitError
-from .oracle_harness import (
-    SLACK_TOL,
-    exact_expected_gen_error,
-    load_experiment_config,
-    mc_expected_gen_error,
-    run_verification,
-)
-from .privacy_mechanisms import (
-    PrivacyKind,
-    PrivacyParams,
-    exponential_mechanism_over_types,
-    load_mechanism_csv,
-    verify_kl_stability,
-)
-from .types_core import SourceDistribution
 
 __all__ = ["main"]
 
@@ -95,9 +79,13 @@ def _jsonl_text(records: list[dict]) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(output, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write --output {output}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 def _translate_errors(fn):
@@ -188,8 +176,8 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
 @click.option("--alphabet-size", type=int, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--t", type=int, required=True, help="Grid parameter.")
-@click.option("--kind", type=click.Choice([k.value for k in CoverKind]),
-              required=True)
+@click.option("--kind", required=True,
+              type=click.Choice(["full_grid", "simplex_grid", "typical_grid"]))
 @click.option("--source", "source_text", type=str, default=None,
               help="Comma-separated probabilities (typical covers; "
                    "default uniform).")
@@ -197,6 +185,15 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
 @_translate_errors
 def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
     """Build one cover and verify its certified radius exhaustively."""
+    from .covering import (
+        CoverKind,
+        build_full_grid_cover,
+        build_simplex_grid_cover,
+        build_typical_cover,
+        verify_cover,
+    )
+    from .types_core import SourceDistribution
+
     kind_enum = CoverKind(kind)
     source = None
     if kind_enum is CoverKind.TYPICAL_GRID:
@@ -242,6 +239,12 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
 @_translate_errors
 def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
     """Audit a mechanism's KL stability at every replacement distance."""
+    from .privacy_mechanisms import (
+        exponential_mechanism_over_types,
+        load_mechanism_csv,
+        verify_kl_stability,
+    )
+
     if (epsilon is None) == (mechanism_path is None):
         raise click.UsageError("pass exactly one of --epsilon or --mechanism")
     if epsilon is not None:
@@ -265,7 +268,7 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
         sys.exit(1)
 
 
-def _verification_records(report) -> list[dict]:
+def _verification_records(report, slack_tol: float) -> list[dict]:
     records = []
     for bid, value in report.bound_values.items():
         slack = report.per_bound_slack[bid]
@@ -274,7 +277,7 @@ def _verification_records(report) -> list[dict]:
             "bound_value": value,
             "comparison_value": value - slack,
             "slack": slack,
-            "pass": bool(slack >= -SLACK_TOL),
+            "pass": bool(slack >= -slack_tol),
             "exact_mi": report.exact_mi,
             "exact_gen_error": report.exact_gen_error,
             "sigma": report.sigma,
@@ -292,9 +295,11 @@ def _verification_records(report) -> list[dict]:
 @_translate_errors
 def verify_mi_cmd(config_path, fmt, output) -> None:
     """Certify every applicable bound against exact quantities."""
+    from .oracle_harness import SLACK_TOL, load_experiment_config, run_verification
+
     config, sigma_override = load_experiment_config(config_path)
     report = run_verification(config, sigma=sigma_override)
-    records = _verification_records(report)
+    records = _verification_records(report, SLACK_TOL)
     if fmt == "csv":
         header = ["bound_id", "bound_value", "comparison_value", "slack",
                   "pass", "exact_mi", "exact_gen_error", "sigma", "all_pass"]
@@ -320,6 +325,12 @@ def verify_mi_cmd(config_path, fmt, output) -> None:
 @_translate_errors
 def simulate_cmd(config_path, workers, fmt, output) -> None:
     """Monte-Carlo estimate of the generalization error vs. the exact value."""
+    from .oracle_harness import (
+        exact_expected_gen_error,
+        load_experiment_config,
+        mc_expected_gen_error,
+    )
+
     config, _ = load_experiment_config(config_path)
     result = mc_expected_gen_error(config, workers=workers)
     exact = exact_expected_gen_error(config)

@@ -35,6 +35,7 @@ from .errors import InputError
 from .privacy_mechanisms import (
     Mechanism,
     PrivacyParams,
+    check_kernel_cells,
     exponential_mechanism_over_types,
     identity_mechanism,
     load_mechanism_csv,
@@ -154,6 +155,7 @@ def random_mechanism(
     if hypothesis_count < 1:
         raise InputError(f"hypothesis count must be positive, got {hypothesis_count}")
     total = check_cap(alphabet_size, n, cap)
+    check_kernel_cells(total, hypothesis_count)
     rng = np.random.default_rng(seed)
     kernel = rng.dirichlet(np.ones(hypothesis_count), size=total)
     return Mechanism(

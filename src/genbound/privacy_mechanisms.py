@@ -1,8 +1,10 @@
-"""Privacy parameters, concrete private kernels, and KL stability audits.
+"""Concrete private kernels and KL stability audits.
 
 A mechanism here is a row-stochastic kernel from count vectors to a
 finite hypothesis set; row order is the lexicographic count-vector
 order, which is a public contract shared with the serialization format.
+PrivacyKind and PrivacyParams are defined in bounds_catalog and
+re-exported here.
 
 Privacy translates into KL stability between neighboring inputs:
 
@@ -18,13 +20,13 @@ exposes.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds_catalog import PrivacyKind, PrivacyParams
 from .divergence_core import KL_BLOCK_ROWS, kl_matrix
 from .errors import InputError, ResourceLimitError
 from .types_core import (
@@ -36,6 +38,7 @@ from .types_core import (
 
 __all__ = [
     "KERNEL_CELL_BUDGET",
+    "check_kernel_cells",
     "PrivacyKind",
     "PrivacyParams",
     "Mechanism",
@@ -51,43 +54,6 @@ __all__ = [
     "save_mechanism_csv",
     "load_mechanism_csv",
 ]
-
-
-class PrivacyKind(enum.Enum):
-    EPS_DP = "eps_dp"
-    MU_GDP = "mu_gdp"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """A privacy guarantee: kind plus its positive parameter (or none)."""
-
-    kind: PrivacyKind
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is PrivacyKind.NONE:
-            if self.value is not None:
-                raise InputError("privacy kind 'none' takes no parameter")
-        else:
-            if self.value is None or not (0 < self.value < math.inf):
-                raise InputError(
-                    f"privacy parameter must be positive and finite, "
-                    f"got {self.value!r}"
-                )
-
-    @classmethod
-    def eps_dp(cls, epsilon: float) -> "PrivacyParams":
-        return cls(PrivacyKind.EPS_DP, float(epsilon))
-
-    @classmethod
-    def mu_gdp(cls, mu: float) -> "PrivacyParams":
-        return cls(PrivacyKind.MU_GDP, float(mu))
-
-    @classmethod
-    def none(cls) -> "PrivacyParams":
-        return cls(PrivacyKind.NONE, None)
 
 
 class Mechanism:
@@ -157,20 +123,28 @@ def kl_stability_bound(privacy: PrivacyParams, k: int) -> float:
     return 0.5 * (k * privacy.value) ** 2
 
 
-# Largest T x T kernel the built-in mechanisms allocate: 25 million cells,
-# 200 MB per float64 array (T <= 5000), well inside a desk machine.
+# Largest kernel the package allocates: 25 million cells, 200 MB per
+# float64 array (a T x T kernel with T <= 5000), well inside a desk machine.
 KERNEL_CELL_BUDGET = 25_000_000
+
+
+def check_kernel_cells(total: int, hypothesis_count: int) -> None:
+    """Refuse a T x hypotheses kernel over KERNEL_CELL_BUDGET cells with
+    ResourceLimitError; called before allocating or reading one."""
+    cells = total * hypothesis_count
+    if cells > KERNEL_CELL_BUDGET:
+        raise ResourceLimitError(
+            f"a kernel over T={total} count vectors and {hypothesis_count} "
+            f"hypotheses has {cells} cells, over the budget of "
+            f"{KERNEL_CELL_BUDGET} cells"
+        )
 
 
 def _square_kernel_size(alphabet_size: int, n: int, cap: int | None) -> int:
     """T, after checking the type cap and that a T x T kernel stays
     within KERNEL_CELL_BUDGET cells; called before allocating one."""
     total = check_cap(alphabet_size, n, cap)
-    if total * total > KERNEL_CELL_BUDGET:
-        raise ResourceLimitError(
-            f"a kernel over T={total} count vectors has {total * total} cells, "
-            f"over the budget of {KERNEL_CELL_BUDGET} cells"
-        )
+    check_kernel_cells(total, total)
     return total
 
 
@@ -283,7 +257,7 @@ def verify_kl_stability(
         kl = kl_matrix(kernel[lo:hi], kernel)
         dist = distance_matrix(counts[lo:hi], counts)
         dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
-        for k in np.unique(dist[dist > 0]).tolist():
+        for k in np.flatnonzero(np.bincount(dist[dist > 0])).tolist():
             masked = np.where(dist == k, kl, -math.inf)
             flat = int(np.argmax(masked))
             val = float(masked.flat[flat])
@@ -365,6 +339,7 @@ def load_mechanism_csv(path: str) -> Mechanism:
         raise InputError(
             f"{meta_path}: alphabet_size, n and hypothesis_count must be integers"
         ) from None
+    check_kernel_cells(num_types(alphabet_size, n), width)
     kind = meta["privacy_kind"]
     if kind == PrivacyKind.NONE.value:
         privacy = PrivacyParams.none()

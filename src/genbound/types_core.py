@@ -323,9 +323,9 @@ def distance_matrix(a, b) -> np.ndarray:
     every row of b as an int64 array, accumulated one symbol at a time."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or np.unique(
-        np.concatenate([a.sum(axis=1), b.sum(axis=1)])
-    ).size > 1:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or (
+        (totals := np.concatenate([a.sum(axis=1), b.sum(axis=1)])) != totals[:1]
+    ).any():
         raise InputError("count arrays must share one alphabet and dataset length")
     dist = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
     for j in range(a.shape[1]):

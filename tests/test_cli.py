@@ -353,12 +353,69 @@ class TestInputContract:
                                       "--n", "4", "--epsilon", "inf"])
         assert_input_error(result)
 
+    def test_unwritable_output_path(self, runner, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        result = runner.invoke(main, ["catalog", "--output", str(target)])
+        assert_input_error(result)
+        assert str(target) in result.stderr
+
+
+RUN_AND_LIST_MODULES = """
+import contextlib, io, json, sys
+from genbound.cli import main
+rc = None
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(sys.argv[1:], prog_name="genbound")
+        except SystemExit as exc:
+            rc = exc.code
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def modules_after(*args, cwd=None):
+    """Exit code and sys.modules of a fresh interpreter that imports
+    genbound.cli and, given arguments, runs that subcommand."""
+    src = os.path.dirname(os.path.dirname(genbound.__file__))
+    out = subprocess.run([sys.executable, "-c", RUN_AND_LIST_MODULES, *args],
+                         capture_output=True, text=True, check=True, cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    record = json.loads(out)
+    return record["rc"], set(record["modules"])
+
 
 def test_cli_import_leaves_scipy_out():
-    code = ("import sys, genbound.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(genbound.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    _, modules = modules_after()
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["catalog"],
+    ["bounds", "--alphabet-size", "3", "--n", "20", "--epsilon", "0.5",
+     "--sigma", "0.5"],
+], ids=["import", "catalog", "bounds"])
+def test_closed_form_commands_leave_numpy_out(args):
+    rc, modules = modules_after(*args)
+    assert rc in (None, 0)
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
+      "--kind", "typical_grid"],
+     {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma"}),
+    (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
+      "--kind", "full_grid"],
+     {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma"}),
+    (["stability", "--alphabet-size", "3", "--n", "8", "--epsilon", "0.5"],
+     {"genbound.covering", "genbound.oracle_harness", "numpy.ma"}),
+    (["verify-mi", "--config", "exp.cfg"], {"numpy.ma"}),
+], ids=["cover-typical", "cover-full", "stability", "verify-mi"])
+def test_array_commands_load_only_their_layers(tmp_path, args, absent):
+    write_config(tmp_path, GOOD_CONFIG)
+    rc, modules = modules_after(*args, cwd=tmp_path)
+    assert rc == 0
+    assert "numpy" in modules
+    assert not modules & absent

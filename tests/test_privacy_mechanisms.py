@@ -127,6 +127,31 @@ def test_square_kernels_respect_the_cell_budget(monkeypatch, build):
         build()
 
 
+def test_loaded_kernel_is_checked_against_the_budget_before_any_row(
+    monkeypatch, tmp_path
+):
+    path = tmp_path / "mech.csv"
+    save_mechanism_csv(exponential_mechanism_over_types(2, 4, 0.5), str(path))
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 25)
+    assert load_mechanism_csv(str(path)).kernel.shape == (5, 5)
+    # unparseable rows: only a check made before reading them can pass
+    path.write_text("x\n" * 5)
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
+    with pytest.raises(ResourceLimitError,
+                       match="T=5 .* 5 hypotheses .* budget of 24 cells"):
+        load_mechanism_csv(str(path))
+
+
+def test_random_mechanism_respects_the_cell_budget(monkeypatch):
+    # T = 5 count vectors by 4 hypotheses: a 20-cell kernel
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 20)
+    assert random_mechanism(2, 4, 4, seed=1).kernel.shape == (5, 4)
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 19)
+    with pytest.raises(ResourceLimitError,
+                       match="T=5 .* 4 hypotheses .* budget of 19 cells"):
+        random_mechanism(2, 4, 4, seed=1)
+
+
 def test_exponential_mechanism_is_eps_dp_pointwise():
     eps = 0.9
     mech = exponential_mechanism_over_types(2, 8, eps)
