@@ -264,13 +264,11 @@ def is_typical(s: CountVector, source: SourceDistribution, epsilon: float) -> bo
     return bool(_typical_mask(np.array(s.counts), source.probs, epsilon))
 
 
-def typical_mass(
-    source: SourceDistribution, n: int, epsilon: float, cap: int | None = None
-) -> float:
+def typical_mass(source: SourceDistribution, n: int, epsilon: float) -> float:
     """Exact probability of the typical set: sum of multinomial masses
     over typical count vectors. Enumerates all count vectors, so the
     type-enumeration cap applies."""
-    counts = type_counts(source.alphabet_size, n, cap=cap)
+    counts = type_counts(source.alphabet_size, n)
     typical = counts[_typical_mask(counts, source.probs, epsilon)]
     return float(math.fsum(
         type_probability(CountVector(tuple(row)), source) for row in typical.tolist()
@@ -394,9 +392,7 @@ VERIFY_BLOCK_ROWS = 256
 
 
 def verify_cover(
-    cover: CoverSpec,
-    source: SourceDistribution | None = None,
-    cap: int | None = None,
+    cover: CoverSpec, source: SourceDistribution | None = None
 ) -> CoverVerification:
     """Exhaustively check that every relevant count vector lies within the
     certified radius of some center.
@@ -415,7 +411,7 @@ def verify_cover(
                 f"cover over {cover.alphabet_size}"
             )
 
-    counts = type_counts(cover.alphabet_size, cover.n, cap=cap)
+    counts = type_counts(cover.alphabet_size, cover.n)
     if cover.kind is CoverKind.TYPICAL_GRID:
         counts = counts[_typical_mask(counts, source.probs, cover.typical_epsilon)]
     centers = np.array([c.counts for c in cover.centers], dtype=np.int64)

@@ -135,11 +135,11 @@ class ExperimentConfig:
         self.mc_samples = int(mc_samples)
 
 
-def default_loss_table(alphabet_size: int, n: int, cap: int | None = None) -> np.ndarray:
+def default_loss_table(alphabet_size: int, n: int) -> np.ndarray:
     """Loss 1 - (frequency of symbol a under hypothesis w), where the
     hypothesis set is the count-vector set itself. Values lie in [0, 1],
     so the table is at most 1/2-sub-Gaussian."""
-    return 1.0 - type_counts(alphabet_size, n, cap=cap) / n
+    return 1.0 - type_counts(alphabet_size, n) / n
 
 
 def random_mechanism(
@@ -148,13 +148,12 @@ def random_mechanism(
     hypothesis_count: int,
     seed: int,
     privacy: PrivacyParams | None = None,
-    cap: int | None = None,
 ) -> Mechanism:
     """Arbitrary mechanism fixture: rows drawn i.i.d. symmetric
     Dirichlet(1), seeded. Declares no privacy unless told otherwise."""
     if hypothesis_count < 1:
         raise InputError(f"hypothesis count must be positive, got {hypothesis_count}")
-    total = check_cap(alphabet_size, n, cap)
+    total = check_cap(alphabet_size, n)
     check_kernel_cells(total, hypothesis_count)
     rng = np.random.default_rng(seed)
     kernel = rng.dirichlet(np.ones(hypothesis_count), size=total)
@@ -168,22 +167,20 @@ def random_mechanism(
 
 
 def exact_type_distribution(
-    alphabet_size: int, n: int, source: SourceDistribution, cap: int | None = None
+    alphabet_size: int, n: int, source: SourceDistribution
 ) -> np.ndarray:
     """Probability of each count vector, in lexicographic order."""
     return np.array([
         type_probability(CountVector(tuple(row)), source)
-        for row in type_counts(alphabet_size, n, cap=cap).tolist()
+        for row in type_counts(alphabet_size, n).tolist()
     ])
 
 
-def exact_mutual_information(config: ExperimentConfig, cap: int | None = None) -> float:
+def exact_mutual_information(config: ExperimentConfig) -> float:
     """I(S; W) as a finite sum: the type-weighted KL of each kernel row
     against the exact output marginal. Exactly 0.0 when every kernel row
     is the same, i.e. the output ignores the input."""
-    p_types = exact_type_distribution(
-        config.alphabet.size, config.n, config.source, cap=cap
-    )
+    p_types = exact_type_distribution(config.alphabet.size, config.n, config.source)
     return _mutual_information(config.mechanism.kernel, p_types)
 
 
@@ -229,7 +226,7 @@ def _cover_rows(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
 
 
 def per_dataset_kl_to_cover_mixture(
-    config: ExperimentConfig, cover: CoverSpec, cap: int | None = None
+    config: ExperimentConfig, cover: CoverSpec
 ) -> list[PerDatasetKl]:
     """For every count vector: KL of its kernel row against the uniform
     mixture of the cover centers' rows, plus the log-sum-exp and
@@ -241,12 +238,13 @@ def per_dataset_kl_to_cover_mixture(
     """
     center_rows = _cover_rows(config, cover)
     kernel = config.mechanism.kernel
+    check_kernel_cells(kernel.shape[0], center_rows.shape[0])
     log_w = -math.log(center_rows.shape[0])
     component = kl_matrix(kernel, center_rows)
     exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
     bound_logsumexp = -logsumexp(-component, axis=1) - log_w
     bound_min = np.min(component, axis=1) - log_w
-    counts = type_counts(config.alphabet.size, config.n, cap=cap)
+    counts = type_counts(config.alphabet.size, config.n)
     return [
         PerDatasetKl(
             count_vector=CountVector(tuple(row)),
@@ -258,33 +256,29 @@ def per_dataset_kl_to_cover_mixture(
     ]
 
 
-def _risk_tables(config: ExperimentConfig, cap: int | None = None):
+def _risk_tables(config: ExperimentConfig):
     """Population risk per hypothesis and empirical risk per (hypothesis,
     count vector), both exact."""
-    freqs = type_counts(config.alphabet.size, config.n, cap=cap) / config.n
+    freqs = type_counts(config.alphabet.size, config.n) / config.n
     pop = config.loss_table @ config.source.probs
     emp = config.loss_table @ freqs.T
     return pop, emp
 
 
-def exact_expected_gen_error(config: ExperimentConfig, cap: int | None = None) -> float:
+def exact_expected_gen_error(config: ExperimentConfig) -> float:
     """E[population risk - empirical risk] as an exact double sum over
     count vectors and hypotheses; exactly 0.0 when every kernel row is
     the same."""
-    p_types = exact_type_distribution(
-        config.alphabet.size, config.n, config.source, cap=cap
-    )
-    return _gen_error(config, p_types, cap=cap)
+    p_types = exact_type_distribution(config.alphabet.size, config.n, config.source)
+    return _gen_error(config, p_types)
 
 
-def _gen_error(
-    config: ExperimentConfig, p_types: np.ndarray, cap: int | None = None
-) -> float:
+def _gen_error(config: ExperimentConfig, p_types: np.ndarray) -> float:
     kernel = config.mechanism.kernel
     if np.all(kernel == kernel[0]):
         # E[empirical frequency] = source: the sum cancels, up to rounding
         return 0.0
-    pop, emp = _risk_tables(config, cap=cap)
+    pop, emp = _risk_tables(config)
     per_type = kernel @ pop - np.einsum("tw,wt->t", kernel, emp)
     return float(p_types @ per_type)
 
@@ -296,9 +290,7 @@ class McResult:
     samples: int
 
 
-def mc_expected_gen_error(
-    config: ExperimentConfig, workers: int = 1, cap: int | None = None
-) -> McResult:
+def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResult:
     """Monte-Carlo estimate of the expected generalization error.
 
     Chunk j of _MC_CHUNK samples draws its count vectors (one multinomial
@@ -313,7 +305,7 @@ def mc_expected_gen_error(
         )
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers}")
-    pop, emp = _risk_tables(config, cap=cap)
+    pop, emp = _risk_tables(config)
     kernel_cdf = np.cumsum(config.mechanism.kernel, axis=1)
     w_max = kernel_cdf.shape[1] - 1
     m = config.mc_samples
@@ -323,12 +315,7 @@ def mc_expected_gen_error(
         gen = np.random.Generator(np.random.Philox(key=[config.seed, j]))
         t_idx = type_rank(gen.multinomial(config.n, config.source.probs, size=size))
         u = gen.random(size)
-        w = np.empty(size, dtype=np.int64)
-        order = np.argsort(t_idx, kind="stable")
-        types, starts = np.unique(t_idx[order], return_index=True)
-        for t, drawn in zip(types.tolist(), np.split(order, starts[1:])):
-            w[drawn] = np.searchsorted(kernel_cdf[t], u[drawn], side="right")
-        np.minimum(w, w_max, out=w)
+        w = np.minimum(_inverse_cdf(kernel_cdf, t_idx, u), w_max)
         vals = pop[w] - emp[w, t_idx]
         partials.append((float(np.sum(vals)), float(np.sum(vals * vals))))
 
@@ -341,6 +328,22 @@ def mc_expected_gen_error(
         standard_error=math.sqrt(variance / m),
         samples=m,
     )
+
+
+def _inverse_cdf(kernel_cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(kernel_cdf[r], u, side="right") for every (r, u) pair
+    at once: a branchless bisection over the flattened rows that grows w
+    by powers of two while the CDF entry before it is <= u."""
+    width = kernel_cdf.shape[1]
+    flat = kernel_cdf.ravel()
+    row_start = rows * width - 1
+    w = np.zeros(u.shape, dtype=np.int64)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        trial = np.minimum(w + step, width)
+        w = np.where(flat[row_start + trial] <= u, trial, w)
+        step >>= 1
+    return w
 
 
 _COUNT_BASED = {
@@ -405,9 +408,7 @@ class VerificationReport:
 
 
 def run_verification(
-    config: ExperimentConfig,
-    sigma: float | None = None,
-    cap: int | None = None,
+    config: ExperimentConfig, sigma: float | None = None
 ) -> VerificationReport:
     """Evaluate every applicable bound and measure its slack.
 
@@ -420,9 +421,9 @@ def run_verification(
     privacy = config.mechanism.privacy
     m = config.alphabet.size
     n = config.n
-    p_types = exact_type_distribution(m, n, config.source, cap=cap)
+    p_types = exact_type_distribution(m, n, config.source)
     mi = _mutual_information(config.mechanism.kernel, p_types)
-    gen = _gen_error(config, p_types, cap=cap)
+    gen = _gen_error(config, p_types)
     scale = sigma_sub_gaussian(config.loss_table) if sigma is None else float(sigma)
     gen_bound = gen_error_from_mi(scale, n, mi)
 

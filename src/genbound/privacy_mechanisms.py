@@ -140,16 +140,16 @@ def check_kernel_cells(total: int, hypothesis_count: int) -> None:
         )
 
 
-def _square_kernel_size(alphabet_size: int, n: int, cap: int | None) -> int:
+def _square_kernel_size(alphabet_size: int, n: int) -> int:
     """T, after checking the type cap and that a T x T kernel stays
     within KERNEL_CELL_BUDGET cells; called before allocating one."""
-    total = check_cap(alphabet_size, n, cap)
+    total = check_cap(alphabet_size, n)
     check_kernel_cells(total, total)
     return total
 
 
 def exponential_mechanism_over_types(
-    alphabet_size: int, n: int, epsilon: float, cap: int | None = None
+    alphabet_size: int, n: int, epsilon: float
 ) -> Mechanism:
     """Exponential mechanism selecting a count vector near the input's.
 
@@ -159,8 +159,8 @@ def exponential_mechanism_over_types(
     """
     if not (0 < epsilon < math.inf):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    _square_kernel_size(alphabet_size, n, cap)
-    counts = type_counts(alphabet_size, n, cap=cap)
+    _square_kernel_size(alphabet_size, n)
+    counts = type_counts(alphabet_size, n)
     raw = np.exp(-epsilon * distance_matrix(counts, counts) / 2.0)
     kernel = raw / raw.sum(axis=1, keepdims=True)
     return Mechanism(
@@ -172,9 +172,9 @@ def exponential_mechanism_over_types(
     )
 
 
-def identity_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Mechanism:
+def identity_mechanism(alphabet_size: int, n: int) -> Mechanism:
     """Deterministic kernel mapping each count vector to its own index."""
-    total = _square_kernel_size(alphabet_size, n, cap)
+    total = _square_kernel_size(alphabet_size, n)
     kernel = np.eye(total)
     return Mechanism(
         kernel,
@@ -185,9 +185,9 @@ def identity_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Me
     )
 
 
-def uniform_mechanism(alphabet_size: int, n: int, cap: int | None = None) -> Mechanism:
+def uniform_mechanism(alphabet_size: int, n: int) -> Mechanism:
     """Input-independent kernel: uniform over the count-vector indices."""
-    total = _square_kernel_size(alphabet_size, n, cap)
+    total = _square_kernel_size(alphabet_size, n)
     kernel = np.full((total, total), 1.0 / total)
     return Mechanism(
         kernel,
@@ -232,9 +232,7 @@ class StabilityReport:
     passed: bool
 
 
-def verify_kl_stability(
-    mech: Mechanism, tol: float = 1e-9, cap: int | None = None
-) -> StabilityReport:
+def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     """Measure the worst KL between kernel rows at every distance and
     compare against the declared privacy's stability envelope.
 
@@ -248,7 +246,7 @@ def verify_kl_stability(
     """
     if mech.privacy.kind is PrivacyKind.NONE:
         raise InputError("mechanism declares no privacy guarantee to audit")
-    counts = type_counts(mech.alphabet_size, mech.n, cap=cap)
+    counts = type_counts(mech.alphabet_size, mech.n)
     kernel = mech.kernel
     total = counts.shape[0]
     worst: dict[int, tuple[float, tuple[int, int]]] = {}

@@ -14,8 +14,8 @@ carry the whole analysis. This module provides:
 
 Counting is big-integer exact, and the int64 arrays hold no value above
 T; floats appear only at the probability and loss boundaries.
-Enumeration is guarded by a cap (default 10**7 vectors) overridable via
-the GENBOUND_TYPE_CAP environment variable or a per-call argument.
+Enumeration is guarded by one cap (default 10**7 vectors), set by the
+GENBOUND_TYPE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -261,29 +261,29 @@ def num_types_upper_bound(alphabet_size: int, n: int) -> int:
     return (n + 1) ** (alphabet_size - 1)
 
 
-def check_cap(alphabet_size: int, n: int, cap: int | None = None) -> int:
+def check_cap(alphabet_size: int, n: int) -> int:
     """Number of count vectors, after checking that the lattice is valid
     (alphabet size >= 2, n >= 1) and that enumerating it stays within
-    the cap (the current type_enumeration_cap when None)."""
+    type_enumeration_cap()."""
     if alphabet_size < 2:
         raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
     total = num_types(alphabet_size, n)
-    limit = type_enumeration_cap() if cap is None else int(cap)
+    limit = type_enumeration_cap()
     if total > limit:
         raise ResourceLimitError(
             f"enumerating {total} count vectors (alphabet size {alphabet_size}, "
             f"n={n}) exceeds the enumeration cap of {limit}; raise "
-            f"{TYPE_CAP_ENV_VAR} or pass a larger cap to override"
+            f"{TYPE_CAP_ENV_VAR} to override"
         )
     return total
 
 
-def type_counts(alphabet_size: int, n: int, cap: int | None = None) -> np.ndarray:
+def type_counts(alphabet_size: int, n: int) -> np.ndarray:
     """Every count vector as a row of a read-only T x m int64 array, in
     lexicographic order: the order kernel rows and serialized mechanism
     files rely on. Stars and bars: bar positions taken in lexicographic
     order give the counts in lexicographic order. The cap applies."""
-    total = check_cap(alphabet_size, n, cap)
+    total = check_cap(alphabet_size, n)
     k = alphabet_size - 1
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n + k), k)),
@@ -335,12 +335,10 @@ def distance_matrix(a, b) -> np.ndarray:
     return dist
 
 
-def enumerate_types(
-    alphabet_size: int, n: int, cap: int | None = None
-) -> Iterator[CountVector]:
+def enumerate_types(alphabet_size: int, n: int) -> Iterator[CountVector]:
     """Yield every count vector in lexicographic order (the rows of
     type_counts as CountVector objects)."""
-    for row in type_counts(alphabet_size, n, cap).tolist():
+    for row in type_counts(alphabet_size, n).tolist():
         yield CountVector(tuple(row))
 
 

@@ -353,6 +353,23 @@ class TestInputContract:
                                       "--n", "4", "--epsilon", "inf"])
         assert_input_error(result)
 
+    @pytest.mark.parametrize("args", [
+        ["cover", "--alphabet-size", "2", "--n", "8", "--t", "3",
+         "--kind", "full_grid"],
+        ["stability", "--alphabet-size", "2", "--n", "8", "--epsilon", "0.5"],
+        ["verify-mi", "--config"],
+        ["simulate", "--config"],
+    ], ids=lambda args: args[0])
+    def test_type_cap_reaches_every_enumerating_command(
+        self, runner, tmp_path, monkeypatch, args
+    ):
+        if args[-1] == "--config":
+            args = [*args, write_config(tmp_path, GOOD_CONFIG)]
+        monkeypatch.setenv("GENBOUND_TYPE_CAP", "8")  # n = 8: T = 9
+        result = runner.invoke(main, args)
+        assert_input_error(result)
+        assert "GENBOUND_TYPE_CAP" in result.stderr
+
     def test_unwritable_output_path(self, runner, tmp_path):
         target = tmp_path / "missing" / "report.txt"
         result = runner.invoke(main, ["catalog", "--output", str(target)])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import genbound.oracle_harness
+import genbound.privacy_mechanisms
 from genbound.bounds_catalog import BoundId
+from genbound.covering import build_full_grid_cover, typical_mass, verify_cover
 from genbound.divergence_core import (
     MixtureSpec,
     kl_divergence,
@@ -16,7 +18,7 @@ from genbound.divergence_core import (
     mixture_kl_bound_logsumexp,
     mixture_kl_bound_min,
 )
-from genbound.errors import InputError
+from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import (
     ExperimentConfig,
     cover_for_bound,
@@ -38,6 +40,7 @@ from genbound.privacy_mechanisms import (
     identity_mechanism,
     save_mechanism_csv,
     uniform_mechanism,
+    verify_kl_stability,
 )
 from genbound.types_core import (
     Alphabet,
@@ -219,6 +222,52 @@ def test_per_dataset_kl_rejects_mismatched_cover(make_config):
         per_dataset_kl_to_cover_mixture(config, other)
 
 
+def test_per_dataset_kl_respects_the_cell_budget(make_config, monkeypatch):
+    # T = 5 count vectors against the 5 centers of the type-count cover
+    config = make_config(alphabet_size=2, n=4)
+    cover = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, 4)
+    assert len(cover.centers) == 5
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 25)
+    assert len(per_dataset_kl_to_cover_mixture(config, cover)) == 5
+    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
+    with pytest.raises(ResourceLimitError,
+                       match="T=5 .* 5 hypotheses .* budget of 24 cells"):
+        per_dataset_kl_to_cover_mixture(config, cover)
+
+
+@pytest.mark.parametrize("call", [
+    lambda config, cover: exact_mutual_information(config),
+    lambda config, cover: exact_expected_gen_error(config),
+    lambda config, cover: mc_expected_gen_error(config),
+    lambda config, cover: run_verification(config),
+    lambda config, cover: verify_cover(cover),
+    lambda config, cover: typical_mass(config.source, 4, 0.2),
+    lambda config, cover: verify_kl_stability(config.mechanism),
+    lambda config, cover: exponential_mechanism_over_types(2, 4, 0.5),
+    lambda config, cover: identity_mechanism(2, 4),
+    lambda config, cover: uniform_mechanism(2, 4),
+    lambda config, cover: random_mechanism(2, 4, 3, seed=1),
+    lambda config, cover: default_loss_table(2, 4),
+], ids=[
+    "exact_mutual_information", "exact_expected_gen_error",
+    "mc_expected_gen_error", "run_verification", "verify_cover",
+    "typical_mass", "verify_kl_stability", "exponential_mechanism",
+    "identity_mechanism", "uniform_mechanism", "random_mechanism",
+    "default_loss_table",
+])
+def test_type_cap_reaches_every_enumerating_entry_point(
+    make_config, monkeypatch, call
+):
+    # T = 5 count vectors: the cap admits the lattice at 5, refuses it at 4
+    config = make_config(alphabet_size=2, n=4)
+    cover = build_full_grid_cover(2, 4, 2)
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "5")
+    call(config, cover)
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "4")
+    with pytest.raises(ResourceLimitError, match="raise GENBOUND_TYPE_CAP to override"):
+        call(config, cover)
+
+
 def test_exact_gen_error_identity_hand_case():
     # identity mechanism, frequency loss 1 - freq_w[z]: the exact
     # expected generalization error is E||freq||^2 - ||p||^2
@@ -258,6 +307,40 @@ def test_mc_partial_chunks(make_config, samples):
     assert one.samples == samples
     exact = exact_expected_gen_error(config)
     assert abs(one.estimate - exact) <= 4 * one.standard_error
+
+
+def searchsorted_per_type(kernel_cdf, t_idx, u):
+    """Reference inverse-CDF lookup: sort the samples by drawn type and
+    search each type's CDF row once."""
+    w = np.empty(len(u), dtype=np.int64)
+    order = np.argsort(t_idx, kind="stable")
+    types, starts = np.unique(t_idx[order], return_index=True)
+    for t, drawn in zip(types.tolist(), np.split(order, starts[1:])):
+        w[drawn] = np.searchsorted(kernel_cdf[t], u[drawn], side="right")
+    return w
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 33])
+def test_inverse_cdf_matches_per_type_searchsorted(width):
+    rng = np.random.default_rng(width)
+    kernel = rng.dirichlet(np.ones(width), size=6)
+    # zero-probability hypotheses leave flat CDF steps, leading and trailing too
+    kernel[1, : width // 2] = 0.0
+    kernel[2, width // 2:] = 0.0
+    kernel[3, ::2] = 0.0
+    kernel[kernel.sum(axis=1) == 0, 0] = 1.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    kernel_cdf = np.cumsum(kernel, axis=1)
+    # every CDF entry, its float neighbours, the ends and random draws
+    entries = kernel_cdf.ravel()
+    u = np.concatenate([
+        entries, np.nextafter(entries, 0.0), np.nextafter(entries, 2.0),
+        [0.0, 1.0, np.nextafter(1.0, 0.0)], rng.random(200),
+    ])
+    rows = rng.integers(0, kernel.shape[0], size=u.size)
+    rows[: 3 * entries.size] = np.tile(np.repeat(np.arange(6), width), 3)
+    got = genbound.oracle_harness._inverse_cdf(kernel_cdf, rows, u)
+    np.testing.assert_array_equal(got, searchsorted_per_type(kernel_cdf, rows, u))
 
 
 def test_mc_sample_floor(make_config):

@@ -243,12 +243,13 @@ def test_type_counts_property(m, n):
     assert [s.counts for s in enumerate_types(m, n)] == recursive_types(m, n)
 
 
-def test_type_counts_read_only_and_capped():
+def test_type_counts_read_only_and_capped(monkeypatch):
     counts = type_counts(3, 4)
     with pytest.raises(ValueError):
         counts[0, 0] = 1
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "10")
     with pytest.raises(ResourceLimitError):
-        type_counts(4, 100, cap=10)
+        type_counts(4, 100)
 
 
 @given(st.lists(count_vectors.filter(lambda s: s.alphabet_size == 3),
@@ -284,9 +285,10 @@ def test_distance_matrix_rejects_mismatched_lattices():
         distance_matrix([[2, 1]], [[1, 1, 1]])
 
 
-def test_enumeration_cap_enforced():
+def test_enumeration_cap_enforced(monkeypatch):
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "10")
     with pytest.raises(ResourceLimitError) as err:
-        list(enumerate_types(4, 100, cap=10))
+        list(enumerate_types(4, 100))
     assert "GENBOUND_TYPE_CAP" in str(err.value)
 
 
@@ -358,10 +360,11 @@ def test_type_probability_keeps_relative_accuracy(counts, probs):
     assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
 
 
-def test_check_cap_counts_and_guards():
+def test_check_cap_counts_and_guards(monkeypatch):
     assert check_cap(3, 4) == num_types(3, 4)
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "10")
     with pytest.raises(ResourceLimitError):
-        check_cap(4, 100, cap=10)
+        check_cap(4, 100)
     with pytest.raises(InputError):
         check_cap(1, 5)
 
