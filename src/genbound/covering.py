@@ -22,6 +22,9 @@ one unit wider and takes that center (the upper-middle atom), so the
 per-coordinate error never exceeds (floor(cell length) + 1) / 2.
 
 Everything here is deterministic: same inputs, same centers, same order.
+Full and simplex grids share one builder, and cell bounds are exact
+integer arithmetic, so neither `cover` nor `verify-mi` loads the
+fractions or decimal modules.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -148,10 +150,9 @@ def simplex_hypercube_count_upper(k: int, t: int) -> float:
 
 
 def _cell_atom_range(length: int, t: int, j: int) -> tuple[int, int]:
-    """Integer atoms inside cell j of [0, length] split into t equal cells."""
-    lo = Fraction(j * length, t)
-    hi = Fraction((j + 1) * length, t)
-    return math.ceil(lo), math.floor(hi)
+    """Integer atoms inside cell j of [0, length] split into t equal cells:
+    ceil(j*length/t) to floor((j+1)*length/t), in exact integer arithmetic."""
+    return -(-j * length // t), (j + 1) * length // t
 
 
 def _cell_center(length: int, t: int, j: int) -> int:
@@ -196,44 +197,38 @@ def _check_grid_args(alphabet_size: int, n: int, t: int) -> None:
         )
 
 
+def _grid_cover(alphabet_size: int, n: int, t: int, kind: CoverKind) -> CoverSpec:
+    """One center per grid cell, in cell-index order: every cell for the
+    full grid, only cells whose indices sum to at most t - 1 for the
+    simplex grid. Centers are patched to valid count vectors and
+    deduplicated."""
+    _check_grid_args(alphabet_size, n, t)
+    per_dim = [_cell_center(n, t, j) for j in range(t)]
+    seen: dict[tuple[int, ...], None] = {}
+    for idx in product(range(t), repeat=alphabet_size - 1):
+        if kind is CoverKind.FULL_GRID or sum(idx) <= t - 1:
+            seen.setdefault(_patch_sum([per_dim[j] for j in idx], n), None)
+    centers = tuple(CountVector(c) for c in seen)
+    return CoverSpec(centers, t, _grid_radius(alphabet_size, n, t), kind)
+
+
 def build_full_grid_cover(alphabet_size: int, n: int, t: int) -> CoverSpec:
     """Cover all count vectors with one center per grid cell.
 
     Cells are the t**(m-1) products of per-coordinate intervals over the
-    free coordinates; centers are patched to valid count vectors and
-    deduplicated. Certified radius: (n/(2t) + 1/2)(m - 1), which also
+    free coordinates. Certified radius: (n/(2t) + 1/2)(m - 1), which also
     stays below (n/t)(m - 1).
     """
-    _check_grid_args(alphabet_size, n, t)
-    k = alphabet_size - 1
-    per_dim = [_cell_center(n, t, j) for j in range(t)]
-    seen: dict[tuple[int, ...], None] = {}
-    for combo in product(per_dim, repeat=k):
-        seen.setdefault(_patch_sum(list(combo), n), None)
-    centers = tuple(CountVector(c) for c in seen)
-    return CoverSpec(centers, t, _grid_radius(alphabet_size, n, t), CoverKind.FULL_GRID)
+    return _grid_cover(alphabet_size, n, t, CoverKind.FULL_GRID)
 
 
 def build_simplex_grid_cover(alphabet_size: int, n: int, t: int) -> CoverSpec:
     """Full-grid construction restricted to cells meeting the feasible region.
 
     Keeps exactly the cells whose index tuples sum to at most t - 1, i.e.
-    S_{m-1}(t) cells, then patches and deduplicates as the full grid does.
-    Same certified radius as the full grid at the same t.
+    S_{m-1}(t) cells. Same certified radius as the full grid at the same t.
     """
-    _check_grid_args(alphabet_size, n, t)
-    k = alphabet_size - 1
-    per_dim = [_cell_center(n, t, j) for j in range(t)]
-    seen: dict[tuple[int, ...], None] = {}
-    for idx in product(range(t), repeat=k):
-        if sum(idx) > t - 1:
-            continue
-        combo = [per_dim[j] for j in idx]
-        seen.setdefault(_patch_sum(combo, n), None)
-    centers = tuple(CountVector(c) for c in seen)
-    return CoverSpec(
-        centers, t, _grid_radius(alphabet_size, n, t), CoverKind.SIMPLEX_GRID
-    )
+    return _grid_cover(alphabet_size, n, t, CoverKind.SIMPLEX_GRID)
 
 
 def typical_epsilon(n: int) -> float:

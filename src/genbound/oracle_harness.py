@@ -29,7 +29,13 @@ from typing import Mapping
 import numpy as np
 
 from .bounds_catalog import BoundId, gen_error_from_mi, kl_candidates
-from .covering import CoverSpec, build_simplex_grid_cover, build_full_grid_cover, optimal_grid_parameter
+from .covering import (
+    CoverKind,
+    CoverSpec,
+    build_full_grid_cover,
+    build_simplex_grid_cover,
+    optimal_grid_parameter,
+)
 from .divergence_core import kl_matrix, logsumexp
 from .errors import InputError
 from .privacy_mechanisms import (
@@ -238,7 +244,7 @@ def per_dataset_kl_to_cover_mixture(
     """
     center_rows = _cover_rows(config, cover)
     kernel = config.mechanism.kernel
-    check_kernel_cells(kernel.shape[0], center_rows.shape[0])
+    check_kernel_cells(kernel.shape[0], center_rows.shape[0], "cover centers")
     log_w = -math.log(center_rows.shape[0])
     component = kl_matrix(kernel, center_rows)
     exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
@@ -346,51 +352,40 @@ def _inverse_cdf(kernel_cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.
     return w
 
 
-_COUNT_BASED = {
-    BoundId.TYPE_COUNT,
-    BoundId.DP_GRID,
-    BoundId.GDP_GRID,
-    BoundId.DP_SIMPLEX_LOW,
-    BoundId.DP_SIMPLEX_MID,
-    BoundId.GDP_SIMPLEX_LOW,
-    BoundId.GDP_SIMPLEX_MID,
-    BoundId.SIMPLEX_ANY,
-}
-
-_TYPICAL_IDS = {
-    BoundId.DP_TYPICAL_LOW,
-    BoundId.DP_TYPICAL_HIGH,
-    BoundId.GDP_TYPICAL_LOW,
-    BoundId.GDP_TYPICAL_HIGH,
+# The cover each count-based bound dominates the mixture KL of: its grid
+# kind and its grid parameter rule, which is None for t = n + 1 (one
+# center per count vector), a fixed t, or the regime whose
+# optimal_grid_parameter sets t.
+_COVER_OF: dict[BoundId, tuple[CoverKind, int | str | None]] = {
+    BoundId.TYPE_COUNT: (CoverKind.SIMPLEX_GRID, None),
+    BoundId.DP_GRID: (CoverKind.FULL_GRID, "dp_full"),
+    BoundId.GDP_GRID: (CoverKind.FULL_GRID, "gdp_full"),
+    BoundId.DP_SIMPLEX_LOW: (CoverKind.SIMPLEX_GRID, 1),
+    BoundId.DP_SIMPLEX_MID: (CoverKind.SIMPLEX_GRID, "dp_full"),
+    BoundId.GDP_SIMPLEX_LOW: (CoverKind.SIMPLEX_GRID, 1),
+    BoundId.GDP_SIMPLEX_MID: (CoverKind.SIMPLEX_GRID, "gdp_full"),
+    BoundId.SIMPLEX_ANY: (CoverKind.SIMPLEX_GRID, None),
 }
 
 
 def cover_for_bound(
     bound_id: BoundId, privacy: PrivacyParams, alphabet_size: int, n: int
 ) -> CoverSpec:
-    """The cover whose mixture the given count-based bound dominates.
-
-    Type-count and the algorithm-free simplex branch use the one-center-
-    per-count-vector cover (t = n + 1); the privacy branches use their
-    regime's optimal grid parameter.
-    """
-    if bound_id in (BoundId.TYPE_COUNT, BoundId.SIMPLEX_ANY):
-        return build_simplex_grid_cover(alphabet_size, n, n + 1)
-    if bound_id is BoundId.DP_GRID:
-        t = optimal_grid_parameter("dp_full", privacy.value, alphabet_size, n).t
+    """The cover whose mixture the given count-based bound dominates."""
+    if bound_id not in _COVER_OF:
+        raise InputError(f"no cover construction for bound {bound_id.value!r}")
+    kind, rule = _COVER_OF[bound_id]
+    if rule is None:
+        t = n + 1
+    elif isinstance(rule, str):
+        t = optimal_grid_parameter(rule, privacy.value, alphabet_size, n).t
+    else:
+        t = rule
+    # the builder is looked up at call time, so a wrapper bound over the
+    # module-level name (a tracing span, say) sees every call
+    if kind is CoverKind.FULL_GRID:
         return build_full_grid_cover(alphabet_size, n, t)
-    if bound_id is BoundId.GDP_GRID:
-        t = optimal_grid_parameter("gdp_full", privacy.value, alphabet_size, n).t
-        return build_full_grid_cover(alphabet_size, n, t)
-    if bound_id in (BoundId.DP_SIMPLEX_LOW, BoundId.GDP_SIMPLEX_LOW):
-        return build_simplex_grid_cover(alphabet_size, n, 1)
-    if bound_id is BoundId.DP_SIMPLEX_MID:
-        t = optimal_grid_parameter("dp_full", privacy.value, alphabet_size, n).t
-        return build_simplex_grid_cover(alphabet_size, n, t)
-    if bound_id is BoundId.GDP_SIMPLEX_MID:
-        t = optimal_grid_parameter("gdp_full", privacy.value, alphabet_size, n).t
-        return build_simplex_grid_cover(alphabet_size, n, t)
-    raise InputError(f"no cover construction for bound {bound_id.value!r}")
+    return build_simplex_grid_cover(alphabet_size, n, t)
 
 
 @dataclass(frozen=True)
@@ -412,11 +407,11 @@ def run_verification(
 ) -> VerificationReport:
     """Evaluate every applicable bound and measure its slack.
 
-    Count-based branches are compared against the expectation of the
-    per-dataset KL to their own cover mixture; typical branches against
-    the exact mutual information; the sub-Gaussian conversion against
-    the exact expected generalization error. all_pass requires every
-    slack to clear -1e-9.
+    Branches with a cover in _COVER_OF are compared against the
+    expectation of the per-dataset KL to their cover mixture; the others
+    (the typical branches) against the exact mutual information; the
+    sub-Gaussian conversion against the exact expected generalization
+    error. all_pass requires every slack to clear -1e-9.
     """
     privacy = config.mechanism.privacy
     m = config.alphabet.size
@@ -434,15 +429,13 @@ def run_verification(
         if not report.applicable:
             continue
         values[report.bound_id] = report.value
-        if report.bound_id in _COUNT_BASED:
+        if report.bound_id in _COVER_OF:
             cover = cover_for_bound(report.bound_id, privacy, m, n)
             mixture = _cover_rows(config, cover).mean(axis=0)
             expectation = _expected_kl(p_types, config.mechanism.kernel, mixture)
             slack[report.bound_id] = report.value - expectation
-        elif report.bound_id in _TYPICAL_IDS:
+        else:
             slack[report.bound_id] = report.value - mi
-        else:  # pragma: no cover - every candidate is one of the above
-            raise InputError(f"unclassified bound {report.bound_id.value!r}")
 
     values[BoundId.GEN_SUB_GAUSSIAN] = gen_bound
     slack[BoundId.GEN_SUB_GAUSSIAN] = gen_bound - abs(gen)

@@ -128,14 +128,15 @@ def kl_stability_bound(privacy: PrivacyParams, k: int) -> float:
 KERNEL_CELL_BUDGET = 25_000_000
 
 
-def check_kernel_cells(total: int, hypothesis_count: int) -> None:
-    """Refuse a T x hypotheses kernel over KERNEL_CELL_BUDGET cells with
-    ResourceLimitError; called before allocating or reading one."""
-    cells = total * hypothesis_count
+def check_kernel_cells(total: int, width: int, columns: str = "hypotheses") -> None:
+    """Refuse a T x width array over KERNEL_CELL_BUDGET cells with
+    ResourceLimitError; called before allocating or reading one. columns
+    names what the width counts: a kernel's hypotheses by default."""
+    cells = total * width
     if cells > KERNEL_CELL_BUDGET:
         raise ResourceLimitError(
-            f"a kernel over T={total} count vectors and {hypothesis_count} "
-            f"hypotheses has {cells} cells, over the budget of "
+            f"a kernel over T={total} count vectors and {width} "
+            f"{columns} has {cells} cells, over the budget of "
             f"{KERNEL_CELL_BUDGET} cells"
         )
 
@@ -237,7 +238,8 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     compare against the declared privacy's stability envelope.
 
     Covers all ordered row pairs (KL is asymmetric), KL_BLOCK_ROWS rows
-    at a time, so memory stays O(KL_BLOCK_ROWS x count vectors). A
+    at a time with one scatter-max by distance per block, so memory
+    stays O(KL_BLOCK_ROWS x count vectors). A
     distance passes when its worst observed KL stays within bound + tol.
     Its witness is the first pair in row-major order that attains the
     worst value; on exactly tied pairs that is judged on kl_matrix
@@ -249,26 +251,29 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     counts = type_counts(mech.alphabet_size, mech.n)
     kernel = mech.kernel
     total = counts.shape[0]
-    worst: dict[int, tuple[float, tuple[int, int]]] = {}
+    # worst KL so far at each distance 0..n, and its pair's flat T x T index
+    max_kl = np.full(mech.n + 1, -math.inf)
+    witness = np.zeros(mech.n + 1, dtype=np.int64)
     for lo in range(0, total, KL_BLOCK_ROWS):
         hi = min(lo + KL_BLOCK_ROWS, total)
-        kl = kl_matrix(kernel[lo:hi], kernel)
-        dist = distance_matrix(counts[lo:hi], counts)
-        dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
-        for k in np.flatnonzero(np.bincount(dist[dist > 0])).tolist():
-            masked = np.where(dist == k, kl, -math.inf)
-            flat = int(np.argmax(masked))
-            val = float(masked.flat[flat])
-            if k not in worst or val > worst[k][0]:
-                worst[k] = (val, (lo + flat // total, flat % total))
+        kl = kl_matrix(kernel[lo:hi], kernel).ravel()
+        dist = distance_matrix(counts[lo:hi], counts).ravel()
+        block_max = np.full(mech.n + 1, -math.inf)
+        np.maximum.at(block_max, dist, kl)
+        hits = np.flatnonzero(kl == block_max[dist])
+        first = np.full(mech.n + 1, kl.size)
+        np.minimum.at(first, dist[hits], hits)
+        better = block_max > max_kl  # strict: an earlier block keeps a tie
+        max_kl[better] = block_max[better]
+        witness[better] = lo * total + first[better]
     rows = []
-    for k in sorted(worst):
-        max_kl, pair = worst[k]
-        bound = kl_stability_bound(mech.privacy, k)
+    # with m >= 2 symbols every distance 1..n occurs; 0 is only i == j
+    for k in range(1, mech.n + 1):
+        worst, bound = float(max_kl[k]), kl_stability_bound(mech.privacy, k)
         rows.append(
             StabilityRow(
-                k=k, max_kl=max_kl, bound=bound,
-                passed=max_kl <= bound + tol, worst_pair=pair,
+                k=k, max_kl=worst, bound=bound, passed=worst <= bound + tol,
+                worst_pair=divmod(int(witness[k]), total),
             )
         )
     return StabilityReport(rows=tuple(rows), passed=all(r.passed for r in rows))

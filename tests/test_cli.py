@@ -422,13 +422,15 @@ def test_closed_form_commands_leave_numpy_out(args):
 @pytest.mark.parametrize("args, absent", [
     (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
       "--kind", "typical_grid"],
-     {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma"}),
+     {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma",
+      "fractions", "decimal"}),
     (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
       "--kind", "full_grid"],
-     {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma"}),
+     {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma",
+      "fractions", "decimal"}),
     (["stability", "--alphabet-size", "3", "--n", "8", "--epsilon", "0.5"],
      {"genbound.covering", "genbound.oracle_harness", "numpy.ma"}),
-    (["verify-mi", "--config", "exp.cfg"], {"numpy.ma"}),
+    (["verify-mi", "--config", "exp.cfg"], {"numpy.ma", "fractions", "decimal"}),
 ], ids=["cover-typical", "cover-full", "stability", "verify-mi"])
 def test_array_commands_load_only_their_layers(tmp_path, args, absent):
     write_config(tmp_path, GOOD_CONFIG)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -144,6 +145,58 @@ def test_grid_covers_verify_exhaustively(m, n, data):
         check = verify_cover(cover)
         assert check.verified, (m, n, t, build.__name__, check.worst)
         assert check.checked_vectors == num_types(m, n)
+
+
+def fraction_cell_atom_range(length, t, j):
+    """Reference cell rule in exact rational arithmetic."""
+    return (math.ceil(Fraction(j * length, t)),
+            math.floor(Fraction((j + 1) * length, t)))
+
+
+def reference_grid_centers(alphabet_size, n, t, simplex):
+    """Reference grid builders, one loop each: the full grid walks the
+    product of per-cell centers, the simplex grid the product of cell
+    indices whose sum is at most t - 1."""
+    per_dim = []
+    for j in range(t):
+        lo, hi = fraction_cell_atom_range(n, t, j)
+        atoms = hi - lo + 1
+        per_dim.append(lo + atoms // 2 if atoms % 2 == 0 else lo + (atoms - 1) // 2)
+    seen = {}
+    if simplex:
+        for idx in itertools.product(range(t), repeat=alphabet_size - 1):
+            if sum(idx) > t - 1:
+                continue
+            combo = [per_dim[j] for j in idx]
+            seen.setdefault(genbound.covering._patch_sum(combo, n), None)
+    else:
+        for combo in itertools.product(per_dim, repeat=alphabet_size - 1):
+            seen.setdefault(genbound.covering._patch_sum(list(combo), n), None)
+    return tuple(CountVector(c) for c in seen)
+
+
+def test_cell_atom_range_matches_fraction_rule():
+    # t past length + 1 leaves empty cells (hi < lo), which the rule
+    # must report the same way
+    for length in range(61):
+        for t in range(1, 2 * length + 3):
+            for j in range(t):
+                assert (genbound.covering._cell_atom_range(length, t, j)
+                        == fraction_cell_atom_range(length, t, j)), (length, t, j)
+
+
+@pytest.mark.parametrize("m, n_max", [(2, 12), (3, 9), (4, 6)])
+def test_grid_builders_match_reference_loops(m, n_max):
+    for n in range(1, n_max + 1):
+        for t in range(1, n + 2):
+            radius = (n / (2.0 * t) + 0.5) * (m - 1)
+            for build, simplex in ((build_full_grid_cover, False),
+                                   (build_simplex_grid_cover, True)):
+                cover = build(m, n, t)
+                assert cover.centers == reference_grid_centers(m, n, t, simplex), (
+                    m, n, t, build.__name__)
+                assert cover.t == t
+                assert cover.certified_radius == radius
 
 
 def test_centers_are_valid_types():

@@ -10,7 +10,13 @@ import pytest
 import genbound.oracle_harness
 import genbound.privacy_mechanisms
 from genbound.bounds_catalog import BoundId
-from genbound.covering import build_full_grid_cover, typical_mass, verify_cover
+from genbound.covering import (
+    build_full_grid_cover,
+    build_simplex_grid_cover,
+    optimal_grid_parameter,
+    typical_mass,
+    verify_cover,
+)
 from genbound.divergence_core import (
     MixtureSpec,
     kl_divergence,
@@ -231,7 +237,7 @@ def test_per_dataset_kl_respects_the_cell_budget(make_config, monkeypatch):
     assert len(per_dataset_kl_to_cover_mixture(config, cover)) == 5
     monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
     with pytest.raises(ResourceLimitError,
-                       match="T=5 .* 5 hypotheses .* budget of 24 cells"):
+                       match="T=5 .* 5 cover centers .* budget of 24 cells"):
         per_dataset_kl_to_cover_mixture(config, cover)
 
 
@@ -393,6 +399,52 @@ def test_cover_for_bound_routes():
 
     with pytest.raises(InputError):
         cover_for_bound(BoundId.GEN_SUB_GAUSSIAN, dp, 2, 6)
+
+
+def reference_cover_for_bound(bound_id, privacy, alphabet_size, n):
+    """Reference routing: one branch per count-based bound."""
+    if bound_id in (BoundId.TYPE_COUNT, BoundId.SIMPLEX_ANY):
+        return build_simplex_grid_cover(alphabet_size, n, n + 1)
+    if bound_id is BoundId.DP_GRID:
+        t = optimal_grid_parameter("dp_full", privacy.value, alphabet_size, n).t
+        return build_full_grid_cover(alphabet_size, n, t)
+    if bound_id is BoundId.GDP_GRID:
+        t = optimal_grid_parameter("gdp_full", privacy.value, alphabet_size, n).t
+        return build_full_grid_cover(alphabet_size, n, t)
+    if bound_id in (BoundId.DP_SIMPLEX_LOW, BoundId.GDP_SIMPLEX_LOW):
+        return build_simplex_grid_cover(alphabet_size, n, 1)
+    if bound_id is BoundId.DP_SIMPLEX_MID:
+        t = optimal_grid_parameter("dp_full", privacy.value, alphabet_size, n).t
+        return build_simplex_grid_cover(alphabet_size, n, t)
+    if bound_id is BoundId.GDP_SIMPLEX_MID:
+        t = optimal_grid_parameter("gdp_full", privacy.value, alphabet_size, n).t
+        return build_simplex_grid_cover(alphabet_size, n, t)
+    raise InputError(f"no cover construction for bound {bound_id.value!r}")
+
+
+def cover_outcome(route, *args):
+    """The cover a routing returns, or the type of what it raises (a
+    grid rule given no privacy parameter compares None with 0)."""
+    try:
+        cover = route(*args)
+    except (InputError, TypeError) as exc:
+        return type(exc)
+    return cover.kind, cover.t, cover.certified_radius, cover.centers
+
+
+@pytest.mark.parametrize("privacy", [
+    PrivacyParams.eps_dp(0.5), PrivacyParams.mu_gdp(0.7), PrivacyParams.none(),
+], ids=["eps", "mu", "none"])
+@pytest.mark.parametrize("m, n", [(2, 6), (3, 5), (4, 3)])
+def test_cover_for_bound_matches_reference_routing(privacy, m, n):
+    for bound_id in BoundId:
+        assert (cover_outcome(cover_for_bound, bound_id, privacy, m, n)
+                == cover_outcome(reference_cover_for_bound, bound_id, privacy, m, n)
+                ), bound_id
+    for bound_id in (BoundId.DP_TYPICAL_LOW, BoundId.DP_TYPICAL_HIGH,
+                     BoundId.GDP_TYPICAL_LOW, BoundId.GDP_TYPICAL_HIGH):
+        with pytest.raises(InputError, match="no cover construction"):
+            cover_for_bound(bound_id, privacy, m, n)
 
 
 def test_run_verification_passes_reference_suite():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genbound.privacy_mechanisms
-from genbound.divergence_core import kl_divergence
+from genbound.divergence_core import KL_BLOCK_ROWS, kl_divergence, kl_matrix
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import random_mechanism
 from genbound.privacy_mechanisms import (
@@ -27,7 +27,13 @@ from genbound.privacy_mechanisms import (
     uniform_mechanism,
     verify_kl_stability,
 )
-from genbound.types_core import dataset_distance, enumerate_types, num_types
+from genbound.types_core import (
+    dataset_distance,
+    distance_matrix,
+    enumerate_types,
+    num_types,
+    type_counts,
+)
 
 
 class TestPrivacyParams:
@@ -220,6 +226,48 @@ def test_audit_spans_several_row_blocks():
         assert abs(row.max_kl - reference[row.k][0]) <= 1e-12
         assert abs(kl_divergence(mech.kernel[i], mech.kernel[j])
                    - reference[row.k][0]) <= 1e-12
+
+
+def per_distance_stability_worst(mech):
+    """Reference blocked audit: one masked argmax per distance per block
+    over the same kl_matrix and distance_matrix values, merged with a
+    strict > so an earlier block keeps a tie."""
+    counts = type_counts(mech.alphabet_size, mech.n)
+    total = counts.shape[0]
+    worst = {}
+    for lo in range(0, total, KL_BLOCK_ROWS):
+        hi = min(lo + KL_BLOCK_ROWS, total)
+        kl = kl_matrix(mech.kernel[lo:hi], mech.kernel)
+        dist = distance_matrix(counts[lo:hi], counts)
+        dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
+        for k in np.flatnonzero(np.bincount(dist[dist > 0])).tolist():
+            masked = np.where(dist == k, kl, -math.inf)
+            flat = int(np.argmax(masked))
+            val = float(masked.flat[flat])
+            if k not in worst or val > worst[k][0]:
+                worst[k] = (val, (lo + flat // total, flat % total))
+    return worst
+
+
+@pytest.mark.parametrize("mech", [
+    exponential_mechanism_over_types(2, 299, 0.5),
+    exponential_mechanism_over_types(3, 22, 0.9),
+    random_mechanism(2, 299, 3, seed=8, privacy=PrivacyParams.eps_dp(2.0)),
+    Mechanism(uniform_mechanism(2, 299).kernel, 2, 299, PrivacyParams.eps_dp(0.1)),
+    Mechanism(identity_mechanism(2, 299).kernel, 2, 299, PrivacyParams.mu_gdp(1.0)),
+    Mechanism(identity_mechanism(3, 6).kernel, 3, 6, PrivacyParams.mu_gdp(1.0)),
+], ids=["exp-m2n299", "exp-m3n22", "random-m2n299", "uniform-ties",
+        "identity-inf-m2n299", "identity-inf-m3n6"])
+def test_audit_matches_per_distance_reference_bitwise(mech):
+    # T > KL_BLOCK_ROWS except for the last case; the uniform kernel ties
+    # every pair at 0.0 and the identity kernel every pair at +inf
+    reference = per_distance_stability_worst(mech)
+    report = verify_kl_stability(mech)
+    assert [row.k for row in report.rows] == sorted(reference)
+    for row in report.rows:
+        assert row.max_kl == reference[row.k][0]
+        assert row.worst_pair == reference[row.k][1]
+        assert row.passed == (row.max_kl <= row.bound + 1e-9)
 
 
 def test_audit_catches_a_false_claim():
