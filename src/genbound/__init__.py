@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # `import genbound` loads no layer, and numpy only once a name needs it.
 _EXPORTS = {
     "types_core": (
-        "Alphabet", "CountVector", "SourceDistribution", "dataset_distance",
+        "CountVector", "SourceDistribution", "dataset_distance",
         "enumerate_types", "num_types", "num_types_upper_bound",
         "sigma_sub_gaussian", "type_of", "type_probability",
     ),

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -118,7 +117,6 @@ class BoundReport:
     applicable: bool
     regime_note: str
     asymptotic_only: bool = False
-    parameters: Mapping[str, float | int | str] = field(default_factory=dict)
 
 
 def _check_mn(alphabet_size: int, n: int) -> int:
@@ -138,7 +136,6 @@ def kl_bound_simple(alphabet_size: int, n: int) -> BoundReport:
         k * math.log(n + 1.0),
         applicable=True,
         regime_note="universal; no conditions",
-        parameters={"alphabet_size": alphabet_size, "n": n},
     )
 
 
@@ -159,7 +156,6 @@ def kl_bound_cover_dp(epsilon: float, alphabet_size: int, n: int) -> BoundReport
         k * math.log1p(math.e * epsilon * n),
         applicable=applicable,
         regime_note=note,
-        parameters={"epsilon": epsilon, "alphabet_size": alphabet_size, "n": n},
     )
 
 
@@ -181,7 +177,6 @@ def kl_bound_cover_gdp(mu: float, alphabet_size: int, n: int) -> BoundReport:
         0.5 * k * math.log1p(math.e * k * mu * mu * n * n),
         applicable=applicable,
         regime_note=note,
-        parameters={"mu": mu, "alphabet_size": alphabet_size, "n": n},
     )
 
 
@@ -200,16 +195,13 @@ def kl_bound_refined(
     """
     k = _check_mn(alphabet_size, n)
     correction = _half_log_2pik(k)
-    params: dict[str, float | int | str] = {"alphabet_size": alphabet_size, "n": n}
 
     if privacy.kind is PrivacyKind.EPS_DP:
         eps = privacy.value
-        params["epsilon"] = eps
         if eps <= 1.0 / n:
             value = k * (1.0 + eps * n) - correction
             return BoundReport(
-                BoundId.DP_SIMPLEX_LOW, value, True,
-                "single-cell cover; eps <= 1/n", parameters=params,
+                BoundId.DP_SIMPLEX_LOW, value, True, "single-cell cover; eps <= 1/n"
             )
         if eps <= 1.0:
             value = (
@@ -219,17 +211,16 @@ def kl_bound_refined(
             )
             return BoundReport(
                 BoundId.DP_SIMPLEX_MID, value, True,
-                "simplex grid at t ~ eps*n; 1/n < eps <= 1", parameters=params,
+                "simplex grid at t ~ eps*n; 1/n < eps <= 1",
             )
     elif privacy.kind is PrivacyKind.MU_GDP:
         mu = privacy.value
-        params["mu"] = mu
         root_k = math.sqrt(k)
         if mu <= 1.0 / (n * root_k):
             value = k * (1.0 + k * mu * mu * n * n / 2.0) - correction
             return BoundReport(
                 BoundId.GDP_SIMPLEX_LOW, value, True,
-                "single-cell cover; mu <= 1/(n*sqrt(m-1))", parameters=params,
+                "single-cell cover; mu <= 1/(n*sqrt(m-1))",
             )
         if mu <= 1.0 / root_k:
             value = (
@@ -241,13 +232,12 @@ def kl_bound_refined(
                 BoundId.GDP_SIMPLEX_MID, value, True,
                 "simplex grid at t ~ sqrt(m-1)*mu*n; "
                 "1/(n*sqrt(m-1)) < mu <= 1/sqrt(m-1)",
-                parameters=params,
             )
 
     value = k * math.log1p(n / k) + k - correction
     return BoundReport(
         BoundId.SIMPLEX_ANY, value, True,
-        "one cell per count vector; valid for any algorithm", parameters=params,
+        "one cell per count vector; valid for any algorithm",
     )
 
 
@@ -267,37 +257,30 @@ def mi_bound_typical(
         raise InputError("typical-set bound requires a privacy guarantee")
     root = math.sqrt(n * math.log(n))
     note_suffix = "; first-moment (mutual-information) bound only"
-    params: dict[str, float | int | str] = {"alphabet_size": m, "n": n}
 
     if privacy.kind is PrivacyKind.EPS_DP:
         eps = privacy.value
-        params["epsilon"] = eps
         tail = 2.0 * m * eps / n
         if eps <= 2.0:
             value = m * math.log1p(math.e * eps * root) + tail
             return BoundReport(
-                BoundId.DP_TYPICAL_LOW, value, True,
-                "eps <= 2" + note_suffix, parameters=params,
+                BoundId.DP_TYPICAL_LOW, value, True, "eps <= 2" + note_suffix
             )
         value = m * math.log1p(2.0 * root) + tail
         return BoundReport(
-            BoundId.DP_TYPICAL_HIGH, value, True,
-            "eps > 2" + note_suffix, parameters=params,
+            BoundId.DP_TYPICAL_HIGH, value, True, "eps > 2" + note_suffix
         )
 
     mu = privacy.value
-    params["mu"] = mu
     tail = m * mu * mu
     if mu <= 2.0 / math.sqrt(m):
         value = 0.5 * m * math.log1p(math.e * m * mu * mu * n * math.log(n)) + tail
         return BoundReport(
-            BoundId.GDP_TYPICAL_LOW, value, True,
-            "mu <= 2/sqrt(m)" + note_suffix, parameters=params,
+            BoundId.GDP_TYPICAL_LOW, value, True, "mu <= 2/sqrt(m)" + note_suffix
         )
     value = m * math.log1p(2.0 * root) + tail
     return BoundReport(
-        BoundId.GDP_TYPICAL_HIGH, value, True,
-        "mu > 2/sqrt(m)" + note_suffix, parameters=params,
+        BoundId.GDP_TYPICAL_HIGH, value, True, "mu > 2/sqrt(m)" + note_suffix
     )
 
 
@@ -353,7 +336,6 @@ def asymptotic_report(
             BoundId.GEN_TYPE_COUNT, exact, applicable=True,
             regime_note="exact at finite n (conversion of type_count); loss units",
             asymptotic_only=True,
-            parameters={"sigma": sigma, "alphabet_size": m, "n": n},
         )
     )
 
@@ -368,7 +350,6 @@ def asymptotic_report(
         BoundReport(
             BoundId.GEN_PRIVATE_ASYMPTOTIC, private, applicable=False,
             regime_note=note, asymptotic_only=True,
-            parameters={"sigma": sigma, "gamma": gamma, "alphabet_size": m, "n": n},
         )
     )
 
@@ -383,7 +364,6 @@ def asymptotic_report(
         BoundReport(
             BoundId.GEN_GRID_ASYMPTOTIC, composed, applicable=False,
             regime_note=note2, asymptotic_only=True,
-            parameters={"sigma": sigma, "gamma": gamma, "alphabet_size": m, "n": n},
         )
     )
 
@@ -393,7 +373,6 @@ def asymptotic_report(
             BoundId.MULTINOMIAL_ENTROPY, entropy, applicable=False,
             regime_note="large-n entropy approximation; nats, report only",
             asymptotic_only=True,
-            parameters={"alphabet_size": m, "n": n},
         )
     )
     return reports
@@ -443,13 +422,6 @@ def best_bound(
             f"smallest generalization bound among {len(candidates)} applicable "
             f"branches; source value {best.value!r} nats"
         ),
-        parameters={
-            "sigma": sigma,
-            "alphabet_size": alphabet_size,
-            "n": n,
-            "source_nats": best.value,
-            "candidates": len(candidates),
-        },
     )
 
 

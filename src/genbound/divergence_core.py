@@ -14,8 +14,9 @@ responsibilities over -KL scores attain the middle expression, which is
 what optimal_responsibilities returns.
 
 kl_matrix evaluates KL(P_i || Q_j) for every row pair at once as
-H_i - P_i @ log(Q_j), with the same conventions as kl_divergence. The
-scalar kl_divergence and the mixture_kl_bound_* functions stay the
+H_i - P_i @ log(Q_j), with the same conventions as kl_divergence;
+kl_row_blocks yields the same values a block of rows of P at a time.
+The scalar kl_divergence and the mixture_kl_bound_* functions stay the
 pair-at-a-time reference the matrix form is tested against.
 
 Inputs are validated, never clipped or smoothed.
@@ -24,7 +25,7 @@ Inputs are validated, never clipped or smoothed.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "MixtureSpec",
     "kl_divergence",
     "kl_matrix",
+    "kl_row_blocks",
     "logsumexp",
     "mixture_distribution",
     "mixture_kl_bound_logsumexp",
@@ -70,9 +72,6 @@ class DiscreteDistribution:
     @property
     def size(self) -> int:
         return int(self.probs.size)
-
-    def to_csv_row(self) -> list[str]:
-        return [repr(float(x)) for x in self.probs]
 
     def __repr__(self) -> str:
         return f"DiscreteDistribution({self.probs.tolist()})"
@@ -150,9 +149,50 @@ def kl_divergence(
     return float(np.sum(ps * np.log(ps / qa[mask])))
 
 
-# Rows of P per block in kl_matrix: its temporaries are KL_BLOCK_ROWS x
-# len(Q) arrays, whatever the number of rows.
+# Rows of P per block in kl_row_blocks: its temporaries are KL_BLOCK_ROWS
+# x len(Q) arrays, whatever the number of rows.
 KL_BLOCK_ROWS = 256
+
+
+def _kl_operands(P, Q) -> tuple[np.ndarray, np.ndarray]:
+    pa = np.asarray(P, dtype=float)
+    qa = np.asarray(Q, dtype=float)
+    if pa.ndim != 2 or qa.ndim != 2 or pa.shape[1] != qa.shape[1]:
+        raise InputError(
+            f"a KL matrix needs two 2-D arrays with equal row length, "
+            f"got {pa.shape} and {qa.shape}"
+        )
+    return pa, qa
+
+
+def kl_row_blocks(
+    P: "Sequence[Sequence[float]] | np.ndarray",
+    Q: "Sequence[Sequence[float]] | np.ndarray",
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first_row, block) for each KL_BLOCK_ROWS rows of P, where
+    block[i, j] = KL(P[first_row + i] || Q_j) as in kl_matrix. log(Q), Q's
+    support mask and its row ids are computed once, not once per block."""
+    pa, qa = _kl_operands(P, Q)
+    # masked logs: zeros contribute 0 to the products and never make nan
+    log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
+    # support mask: only columns where some row of Q is zero can give +inf
+    zero_cols = np.flatnonzero((qa <= 0).any(axis=0))
+    q_zero = (qa[:, zero_cols] <= 0).astype(float)
+    # identical rows cancel exactly in the scalar sum, not in H - cross
+    row_ids: dict[bytes, int] = {}
+    q_ids = np.array([row_ids.setdefault(r.tobytes(), len(row_ids)) for r in qa])
+    for lo in range(0, pa.shape[0], KL_BLOCK_ROWS):
+        p = pa[lo:lo + KL_BLOCK_ROWS]
+        log_p = np.log(p, where=p > 0, out=np.zeros_like(p))
+        block = p @ log_q.T
+        np.subtract(np.einsum("ij,ij->i", p, log_p)[:, None], block, out=block)
+        if zero_cols.size:
+            off_support = (p[:, zero_cols] > 0).astype(float) @ q_zero.T > 0
+            block[off_support] = math.inf
+        p_ids = np.array([row_ids.get(r.tobytes(), -1) for r in p])
+        block[p_ids[:, None] == q_ids[None, :]] = 0.0
+        yield lo, block
+        del block  # freed before the next block if the caller let it go
 
 
 def kl_matrix(
@@ -164,37 +204,14 @@ def kl_matrix(
     Follows kl_divergence exactly: 0 * log 0 = 0, +inf where P_i puts
     mass on a zero of Q_j, and 0.0 for identical rows. Other entries
     agree with kl_divergence to rounding (the two differ in summation
-    order). Rows are evaluated KL_BLOCK_ROWS at a time, so memory beyond
-    the result is O(KL_BLOCK_ROWS * len(Q)).
+    order). The result is filled from kl_row_blocks, so memory beyond
+    it is one block, O(KL_BLOCK_ROWS * len(Q)).
     """
-    pa = np.asarray(P, dtype=float)
-    qa = np.asarray(Q, dtype=float)
-    if pa.ndim != 2 or qa.ndim != 2 or pa.shape[1] != qa.shape[1]:
-        raise InputError(
-            f"kl_matrix needs two 2-D arrays with equal row length, "
-            f"got {pa.shape} and {qa.shape}"
-        )
-    # masked logs: zeros contribute 0 to the products and never make nan
-    log_p = np.log(pa, where=pa > 0, out=np.zeros_like(pa))
-    log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
-    neg_entropy = np.einsum("ij,ij->i", pa, log_p)
-    # support mask: only columns where some row of Q is zero can give +inf
-    zero_cols = np.flatnonzero((qa <= 0).any(axis=0))
-    q_zero = (qa[:, zero_cols] <= 0).astype(float)
-    # identical rows cancel exactly in the scalar sum, not in H - cross
-    row_ids: dict[bytes, int] = {}
-    p_ids = np.array([row_ids.setdefault(r.tobytes(), len(row_ids)) for r in pa])
-    q_ids = np.array([row_ids.setdefault(r.tobytes(), len(row_ids)) for r in qa])
-
+    pa, qa = _kl_operands(P, Q)
     out = np.empty((pa.shape[0], qa.shape[0]))
-    for lo in range(0, pa.shape[0], KL_BLOCK_ROWS):
-        hi = min(lo + KL_BLOCK_ROWS, pa.shape[0])
-        block = out[lo:hi]
-        np.subtract(neg_entropy[lo:hi, None], pa[lo:hi] @ log_q.T, out=block)
-        if zero_cols.size:
-            off_support = (pa[lo:hi, zero_cols] > 0).astype(float) @ q_zero.T > 0
-            block[off_support] = math.inf
-        block[p_ids[lo:hi, None] == q_ids[None, :]] = 0.0
+    for lo, block in kl_row_blocks(pa, qa):
+        out[lo:lo + block.shape[0]] = block
+        del block  # so kl_row_blocks can free it before the next block
     return out
 
 

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bounds_catalog import BoundId, gen_error_from_mi, kl_candidates
+from .bounds_catalog import BoundId, PrivacyKind, gen_error_from_mi, kl_candidates
 from .covering import (
     CoverKind,
     CoverSpec,
@@ -48,7 +48,6 @@ from .privacy_mechanisms import (
     uniform_mechanism,
 )
 from .types_core import (
-    Alphabet,
     CountVector,
     SourceDistribution,
     check_cap,
@@ -84,45 +83,33 @@ _MC_CHUNK = 4096
 class ExperimentConfig:
     """A complete, checkable experiment: source, mechanism, loss, seed.
 
-    The kernel must have one row per count vector and the loss table one
-    row per hypothesis; both are validated here so downstream code can
-    assume shapes line up.
+    The alphabet size and dataset length are the mechanism's. The source
+    must be over that alphabet and the loss table have one row per
+    hypothesis and one column per symbol; both are validated here so
+    downstream code can assume shapes line up.
     """
 
-    __slots__ = (
-        "alphabet", "n", "source", "mechanism", "loss_table", "seed", "mc_samples",
-    )
+    __slots__ = ("source", "mechanism", "loss_table", "seed", "mc_samples")
 
     def __init__(
         self,
-        alphabet: Alphabet,
-        n: int,
         source: SourceDistribution,
         mechanism: Mechanism,
         loss_table: np.ndarray,
         seed: int,
         mc_samples: int,
     ) -> None:
-        if n < 1:
-            raise InputError(f"dataset length must be positive, got {n}")
-        if source.alphabet_size != alphabet.size:
+        m = mechanism.alphabet_size
+        if source.alphabet_size != m:
             raise InputError(
                 f"source over {source.alphabet_size} symbols does not match "
-                f"alphabet of size {alphabet.size}"
-            )
-        if mechanism.alphabet_size != alphabet.size or mechanism.n != n:
-            raise InputError(
-                f"mechanism built for alphabet size {mechanism.alphabet_size}, "
-                f"n={mechanism.n}; experiment uses {alphabet.size}, n={n}"
+                f"the mechanism's alphabet of size {m}"
             )
         table = np.asarray(loss_table, dtype=float)
-        if table.ndim != 2 or table.shape != (
-            mechanism.hypothesis_count,
-            alphabet.size,
-        ):
+        if table.shape != (mechanism.hypothesis_count, m):
             raise InputError(
                 f"loss table shape {table.shape} does not match "
-                f"({mechanism.hypothesis_count}, {alphabet.size})"
+                f"({mechanism.hypothesis_count}, {m})"
             )
         if not np.all(np.isfinite(table)):
             raise InputError("loss table entries must be finite")
@@ -132,13 +119,19 @@ class ExperimentConfig:
             raise InputError(f"mc_samples must be positive, got {mc_samples}")
         table = table.copy()
         table.flags.writeable = False
-        self.alphabet = alphabet
-        self.n = int(n)
         self.source = source
         self.mechanism = mechanism
         self.loss_table = table
         self.seed = int(seed)
         self.mc_samples = int(mc_samples)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.mechanism.alphabet_size
+
+    @property
+    def n(self) -> int:
+        return self.mechanism.n
 
 
 def default_loss_table(alphabet_size: int, n: int) -> np.ndarray:
@@ -186,7 +179,7 @@ def exact_mutual_information(config: ExperimentConfig) -> float:
     """I(S; W) as a finite sum: the type-weighted KL of each kernel row
     against the exact output marginal. Exactly 0.0 when every kernel row
     is the same, i.e. the output ignores the input."""
-    p_types = exact_type_distribution(config.alphabet.size, config.n, config.source)
+    p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
     return _mutual_information(config.mechanism.kernel, p_types)
 
 
@@ -220,13 +213,10 @@ def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) ->
 
 def _cover_rows(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
     """Kernel rows of the cover centers, one per center."""
-    if (
-        cover.alphabet_size != config.alphabet.size
-        or cover.n != config.n
-    ):
+    if (cover.alphabet_size, cover.n) != (config.alphabet_size, config.n):
         raise InputError(
             f"cover built for alphabet size {cover.alphabet_size}, n={cover.n}; "
-            f"experiment uses {config.alphabet.size}, n={config.n}"
+            f"experiment uses {config.alphabet_size}, n={config.n}"
         )
     return config.mechanism.kernel[type_rank([c.counts for c in cover.centers])]
 
@@ -250,7 +240,7 @@ def per_dataset_kl_to_cover_mixture(
     exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
     bound_logsumexp = -logsumexp(-component, axis=1) - log_w
     bound_min = np.min(component, axis=1) - log_w
-    counts = type_counts(config.alphabet.size, config.n)
+    counts = type_counts(config.alphabet_size, config.n)
     return [
         PerDatasetKl(
             count_vector=CountVector(tuple(row)),
@@ -265,7 +255,7 @@ def per_dataset_kl_to_cover_mixture(
 def _risk_tables(config: ExperimentConfig):
     """Population risk per hypothesis and empirical risk per (hypothesis,
     count vector), both exact."""
-    freqs = type_counts(config.alphabet.size, config.n) / config.n
+    freqs = type_counts(config.alphabet_size, config.n) / config.n
     pop = config.loss_table @ config.source.probs
     emp = config.loss_table @ freqs.T
     return pop, emp
@@ -275,7 +265,7 @@ def exact_expected_gen_error(config: ExperimentConfig) -> float:
     """E[population risk - empirical risk] as an exact double sum over
     count vectors and hypotheses; exactly 0.0 when every kernel row is
     the same."""
-    p_types = exact_type_distribution(config.alphabet.size, config.n, config.source)
+    p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
     return _gen_error(config, p_types)
 
 
@@ -355,7 +345,7 @@ def _inverse_cdf(kernel_cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.
 # The cover each count-based bound dominates the mixture KL of: its grid
 # kind and its grid parameter rule, which is None for t = n + 1 (one
 # center per count vector), a fixed t, or the regime whose
-# optimal_grid_parameter sets t.
+# optimal_grid_parameter sets t from the privacy kind in _RULE_KIND.
 _COVER_OF: dict[BoundId, tuple[CoverKind, int | str | None]] = {
     BoundId.TYPE_COUNT: (CoverKind.SIMPLEX_GRID, None),
     BoundId.DP_GRID: (CoverKind.FULL_GRID, "dp_full"),
@@ -366,18 +356,26 @@ _COVER_OF: dict[BoundId, tuple[CoverKind, int | str | None]] = {
     BoundId.GDP_SIMPLEX_MID: (CoverKind.SIMPLEX_GRID, "gdp_full"),
     BoundId.SIMPLEX_ANY: (CoverKind.SIMPLEX_GRID, None),
 }
+_RULE_KIND = {"dp_full": PrivacyKind.EPS_DP, "gdp_full": PrivacyKind.MU_GDP}
 
 
 def cover_for_bound(
     bound_id: BoundId, privacy: PrivacyParams, alphabet_size: int, n: int
 ) -> CoverSpec:
-    """The cover whose mixture the given count-based bound dominates."""
+    """The cover whose mixture the given count-based bound dominates. A
+    bound whose grid parameter follows a privacy regime needs a
+    declaration of that regime's kind."""
     if bound_id not in _COVER_OF:
         raise InputError(f"no cover construction for bound {bound_id.value!r}")
     kind, rule = _COVER_OF[bound_id]
     if rule is None:
         t = n + 1
     elif isinstance(rule, str):
+        if privacy.kind is not _RULE_KIND[rule]:
+            raise InputError(
+                f"bound {bound_id.value!r} needs a {_RULE_KIND[rule].value} "
+                f"declaration, got {privacy.kind.value}"
+            )
         t = optimal_grid_parameter(rule, privacy.value, alphabet_size, n).t
     else:
         t = rule
@@ -414,8 +412,7 @@ def run_verification(
     error. all_pass requires every slack to clear -1e-9.
     """
     privacy = config.mechanism.privacy
-    m = config.alphabet.size
-    n = config.n
+    m, n = config.alphabet_size, config.n
     p_types = exact_type_distribution(m, n, config.source)
     mi = _mutual_information(config.mechanism.kernel, p_types)
     gen = _gen_error(config, p_types)
@@ -461,11 +458,7 @@ def reference_configs() -> dict[str, ExperimentConfig]:
     mechanism on a skewed source, and a non-private identity mechanism.
     """
     configs: dict[str, ExperimentConfig] = {}
-
-    a2 = Alphabet(2)
     configs["exp-eps0.5-uniform"] = ExperimentConfig(
-        alphabet=a2,
-        n=8,
         source=SourceDistribution.uniform(2),
         mechanism=exponential_mechanism_over_types(2, 8, 0.5),
         loss_table=default_loss_table(2, 8),
@@ -473,18 +466,13 @@ def reference_configs() -> dict[str, ExperimentConfig]:
         mc_samples=100_000,
     )
     configs["exp-eps1-skewed"] = ExperimentConfig(
-        alphabet=a2,
-        n=12,
         source=SourceDistribution([0.3, 0.7]),
         mechanism=exponential_mechanism_over_types(2, 12, 1.0),
         loss_table=default_loss_table(2, 12),
         seed=31337,
         mc_samples=100_000,
     )
-    a3 = Alphabet(3)
     configs["identity-3symbols"] = ExperimentConfig(
-        alphabet=a3,
-        n=6,
         source=SourceDistribution([0.2, 0.3, 0.5]),
         mechanism=identity_mechanism(3, 6),
         loss_table=default_loss_table(3, 6),
@@ -595,8 +583,6 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
 
     sigma_override = _finite_value(path, raw, "sigma") if "sigma" in raw else None
     config = ExperimentConfig(
-        alphabet=Alphabet(size),
-        n=n,
         source=source,
         mechanism=mechanism,
         loss_table=default_loss_table(size, n),

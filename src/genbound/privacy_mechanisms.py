@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds_catalog import PrivacyKind, PrivacyParams
-from .divergence_core import KL_BLOCK_ROWS, kl_matrix
+from .divergence_core import kl_row_blocks
 from .errors import InputError, ResourceLimitError
 from .types_core import (
     check_cap,
@@ -237,10 +237,11 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     """Measure the worst KL between kernel rows at every distance and
     compare against the declared privacy's stability envelope.
 
-    Covers all ordered row pairs (KL is asymmetric), KL_BLOCK_ROWS rows
-    at a time with one scatter-max by distance per block, so memory
-    stays O(KL_BLOCK_ROWS x count vectors). A
-    distance passes when its worst observed KL stays within bound + tol.
+    Covers all ordered row pairs (KL is asymmetric), one kl_row_blocks
+    block at a time with one scatter-max by distance per block, so beyond
+    the kernel's log and row ids memory stays one block of KL values and
+    distances. A distance passes when its worst observed KL stays within
+    bound + tol.
     Its witness is the first pair in row-major order that attains the
     worst value; on exactly tied pairs that is judged on kl_matrix
     values, which can break a tie that kl_divergence's rounding would
@@ -254,10 +255,9 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     # worst KL so far at each distance 0..n, and its pair's flat T x T index
     max_kl = np.full(mech.n + 1, -math.inf)
     witness = np.zeros(mech.n + 1, dtype=np.int64)
-    for lo in range(0, total, KL_BLOCK_ROWS):
-        hi = min(lo + KL_BLOCK_ROWS, total)
-        kl = kl_matrix(kernel[lo:hi], kernel).ravel()
-        dist = distance_matrix(counts[lo:hi], counts).ravel()
+    for lo, block in kl_row_blocks(kernel, kernel):
+        kl = block.ravel()
+        dist = distance_matrix(counts[lo:lo + len(block)], counts).ravel()
         block_max = np.full(mech.n + 1, -math.inf)
         np.maximum.at(block_max, dist, kl)
         hits = np.flatnonzero(kl == block_max[dist])

@@ -20,7 +20,6 @@ GENBOUND_TYPE_CAP environment variable.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -35,7 +34,6 @@ from .errors import InputError, ResourceLimitError
 __all__ = [
     "DEFAULT_TYPE_CAP",
     "TYPE_CAP_ENV_VAR",
-    "Alphabet",
     "CountVector",
     "SourceDistribution",
     "type_enumeration_cap",
@@ -51,8 +49,6 @@ __all__ = [
     "type_index",
     "type_probability",
     "sigma_sub_gaussian",
-    "load_source_csv",
-    "load_loss_csv",
 ]
 
 DEFAULT_TYPE_CAP = 10_000_000
@@ -75,42 +71,12 @@ def type_enumeration_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite alphabet of at least two symbols.
-
-    Labels are optional display names; when omitted, symbols are named by
-    their indices. Labels must be unique so CSV headers stay unambiguous.
-    """
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise InputError(f"alphabet size must be at least 2, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.size:
-                raise InputError(
-                    f"expected {self.size} labels, got {len(labels)}"
-                )
-            if len(set(labels)) != len(labels):
-                raise InputError("alphabet labels must be unique")
-            object.__setattr__(self, "labels", labels)
-
-    def symbol_names(self) -> tuple[str, ...]:
-        if self.labels is not None:
-            return self.labels
-        return tuple(str(i) for i in range(self.size))
-
-
 @dataclass(frozen=True, order=True)
 class CountVector:
     """Histogram of a dataset: one non-negative count per symbol.
 
     Ordering is lexicographic on the counts, matching the public
-    enumeration order. Serializes as comma-separated integers.
+    enumeration order.
     """
 
     counts: tuple[int, ...]
@@ -137,18 +103,6 @@ class CountVector:
     def frequencies(self) -> np.ndarray:
         """Empirical distribution counts / n as a float array."""
         return np.asarray(self.counts, dtype=float) / self.n
-
-    def to_csv_field(self) -> str:
-        return ",".join(str(c) for c in self.counts)
-
-    @classmethod
-    def from_csv_field(cls, field: str) -> "CountVector":
-        parts = [p.strip() for p in field.split(",")]
-        try:
-            counts = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise InputError(f"count vector field is not integer-valued: {field!r}") from exc
-        return cls(counts)
 
 
 class SourceDistribution:
@@ -208,20 +162,22 @@ class SourceDistribution:
         )
 
 
-def type_of(sequence: Sequence[int], alphabet: Alphabet) -> CountVector:
+def type_of(sequence: Sequence[int], alphabet_size: int) -> CountVector:
     """Count vector of a symbol-index sequence.
 
-    Permutation-invariant by construction. Indices outside
-    [0, alphabet.size) are rejected.
+    Permutation-invariant by construction. An alphabet size below 2 and
+    indices outside [0, alphabet_size) are rejected.
     """
+    if alphabet_size < 2:
+        raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
     if len(sequence) == 0:
         raise InputError("cannot take the type of an empty sequence")
-    counts = [0] * alphabet.size
+    counts = [0] * alphabet_size
     for idx in sequence:
         i = int(idx)
-        if i != idx or not 0 <= i < alphabet.size:
+        if i != idx or not 0 <= i < alphabet_size:
             raise InputError(
-                f"symbol index {idx!r} outside alphabet of size {alphabet.size}"
+                f"symbol index {idx!r} outside alphabet of size {alphabet_size}"
             )
         counts[i] += 1
     return CountVector(tuple(counts))
@@ -400,42 +356,3 @@ def sigma_sub_gaussian(loss_table: np.ndarray) -> float:
         raise InputError("loss table entries must be finite")
     ranges = table.max(axis=1) - table.min(axis=1)
     return float(ranges.max() / 2.0)
-
-
-def load_source_csv(path: str) -> tuple[SourceDistribution, tuple[str, ...]]:
-    """Load a source distribution from CSV: header names symbols, one data row."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise InputError(f"{path}: expected a header row and one probability row")
-    header = tuple(h.strip() for h in rows[0])
-    data = rows[1]
-    if len(data) != len(header):
-        raise InputError(
-            f"{path}: probability row has {len(data)} fields, header has {len(header)}"
-        )
-    try:
-        probs = [float(x) for x in data]
-    except ValueError as exc:
-        raise InputError(f"{path}: non-numeric probability entry") from exc
-    return SourceDistribution(probs), header
-
-
-def load_loss_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Load a loss table from CSV: header names symbols, one row per hypothesis."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise InputError(f"{path}: expected a header row and at least one loss row")
-    header = tuple(h.strip() for h in rows[0])
-    table = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}: line {i} has {len(row)} fields, header has {len(header)}"
-            )
-        try:
-            table.append([float(x) for x in row])
-        except ValueError as exc:
-            raise InputError(f"{path}: non-numeric loss entry on line {i}") from exc
-    return np.asarray(table, dtype=float), header

@@ -4,7 +4,7 @@ import pytest
 
 from genbound.oracle_harness import ExperimentConfig, default_loss_table
 from genbound.privacy_mechanisms import exponential_mechanism_over_types
-from genbound.types_core import Alphabet, SourceDistribution
+from genbound.types_core import SourceDistribution
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def make_config():
         src = source or SourceDistribution.uniform(alphabet_size)
         mech = exponential_mechanism_over_types(alphabet_size, n, epsilon)
         return ExperimentConfig(
-            alphabet=Alphabet(alphabet_size), n=n, source=src, mechanism=mech,
+            source=src, mechanism=mech,
             loss_table=default_loss_table(alphabet_size, n),
             seed=seed, mc_samples=mc_samples,
         )

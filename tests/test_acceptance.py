@@ -57,7 +57,6 @@ from genbound.privacy_mechanisms import (
     verify_kl_stability,
 )
 from genbound.types_core import (
-    Alphabet,
     SourceDistribution,
     num_types,
     num_types_upper_bound,
@@ -128,7 +127,7 @@ def test_criterion_05_expected_kl_to_marginal_equals_information():
         probs = rng.dirichlet((2.0, 2.0))
         source = SourceDistribution(probs / math.fsum(probs.tolist()))
         config = ExperimentConfig(
-            alphabet=Alphabet(2), n=n, source=source, mechanism=mech,
+            source=source, mechanism=mech,
             loss_table=np.zeros((hypotheses, 2)), seed=0, mc_samples=100,
         )
         p_types = exact_type_distribution(2, n, source)
@@ -174,7 +173,7 @@ def test_criterion_07_universal_information_cap():
         probs = rng.dirichlet(np.ones(m))
         source = SourceDistribution(probs / math.fsum(probs.tolist()))
         config = ExperimentConfig(
-            alphabet=Alphabet(m), n=n, source=source, mechanism=mech,
+            source=source, mechanism=mech,
             loss_table=np.zeros((hypotheses, m)), seed=0, mc_samples=100,
         )
         mi = exact_mutual_information(config)
@@ -188,7 +187,6 @@ def test_criterion_08_cover_bounds_hold_per_dataset():
             for n in (8, 12):
                 mech = exponential_mechanism_over_types(m, n, eps)
                 config = ExperimentConfig(
-                    alphabet=Alphabet(m), n=n,
                     source=SourceDistribution.uniform(m), mechanism=mech,
                     loss_table=default_loss_table(m, n), seed=0, mc_samples=100,
                 )
@@ -212,7 +210,6 @@ def test_criterion_09_typical_bound_and_mass_floor():
             for n in (8, 12):
                 mech = exponential_mechanism_over_types(m, n, eps)
                 config = ExperimentConfig(
-                    alphabet=Alphabet(m), n=n,
                     source=SourceDistribution.uniform(m), mechanism=mech,
                     loss_table=default_loss_table(m, n), seed=0, mc_samples=100,
                 )

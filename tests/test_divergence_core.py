@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genbound.divergence_core import (
+    KL_BLOCK_ROWS,
     DiscreteDistribution,
     MixtureSpec,
     kl_divergence,
     kl_matrix,
+    kl_row_blocks,
     logsumexp,
     mixture_distribution,
     mixture_kl_bound_logsumexp,
@@ -81,11 +84,6 @@ def test_kl_non_negative(p, q):
 def test_distribution_rejects_unnormalized():
     with pytest.raises(InputError):
         DiscreteDistribution([0.5, 0.6])
-
-
-def test_distribution_csv_row_round_trips():
-    d = DiscreteDistribution([0.25, 0.75])
-    assert [float(x) for x in d.to_csv_row()] == [0.25, 0.75]
 
 
 def test_mixture_rejects_zero_weight():
@@ -215,6 +213,62 @@ def test_kl_matrix_shape_mismatch():
         kl_matrix([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
     with pytest.raises(InputError):
         kl_matrix([0.5, 0.5], [0.5, 0.5])
+
+
+def sparse_rows(rng, rows, width):
+    """Random distributions with about a third of their entries zero."""
+    raw = rng.dirichlet(np.ones(width), size=rows) * (rng.random((rows, width)) > 0.3)
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def block_cases():
+    rng = np.random.default_rng(8)
+    dense = rng.dirichlet(np.ones(5), size=600)
+    sparse = sparse_rows(rng, 700, 6)
+    repeated = np.repeat(rng.dirichlet(np.ones(4), size=3), 200, axis=0)
+    return {
+        "dense": (dense, rng.dirichlet(np.ones(5), size=40)),
+        "zeros": (sparse, sparse_rows(rng, 90, 6)),
+        "identical": (repeated, repeated[::7]),
+        "uniform": (np.full((300, 300), 1.0 / 300),) * 2,
+    }
+
+
+@pytest.mark.parametrize("case", list(block_cases()))
+def test_kl_row_blocks_concatenate_to_kl_matrix(case):
+    P, Q = block_cases()[case]
+    blocks = list(kl_row_blocks(P, Q))
+    assert [lo for lo, _ in blocks] == list(range(0, len(P), KL_BLOCK_ROWS))
+    stacked = np.concatenate([block for _, block in blocks])
+    matrix = kl_matrix(P, Q)
+    assert stacked.shape == matrix.shape == (len(P), len(Q))
+    assert stacked.tobytes() == matrix.tobytes()
+    if case == "zeros":
+        assert np.isinf(matrix).any()
+    if case in ("identical", "uniform"):
+        assert (matrix == 0.0).sum() >= len(P)
+
+
+def test_kl_matrix_of_no_rows():
+    Q = np.full((4, 3), 1.0 / 3)
+    assert list(kl_row_blocks(np.empty((0, 3)), Q)) == []
+    assert kl_matrix(np.empty((0, 3)), Q).shape == (0, 4)
+
+
+def test_kl_matrix_peak_memory_is_the_result_plus_one_block():
+    # P spans eight row blocks, so one block is an eighth of the result
+    rng = np.random.default_rng(9)
+    P = sparse_rows(rng, 8 * KL_BLOCK_ROWS, 4)
+    Q = sparse_rows(rng, 2048, 4)
+    tracemalloc.start()
+    try:
+        result = kl_matrix(P, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isinf(result).any()  # the support-mask path ran
+    assert peak < 1.5 * result.nbytes
 
 
 def test_logsumexp_values():

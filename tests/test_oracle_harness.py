@@ -41,6 +41,7 @@ from genbound.oracle_harness import (
 )
 from genbound.privacy_mechanisms import (
     Mechanism,
+    PrivacyKind,
     PrivacyParams,
     exponential_mechanism_over_types,
     identity_mechanism,
@@ -49,7 +50,6 @@ from genbound.privacy_mechanisms import (
     verify_kl_stability,
 )
 from genbound.types_core import (
-    Alphabet,
     SourceDistribution,
     enumerate_types,
     num_types,
@@ -63,11 +63,33 @@ def small_identity_config(alphabet_size=2, n=4, source=None, seed=5,
                           mc_samples=500):
     src = source or SourceDistribution.uniform(alphabet_size)
     return ExperimentConfig(
-        alphabet=Alphabet(alphabet_size), n=n, source=src,
+        source=src,
         mechanism=identity_mechanism(alphabet_size, n),
         loss_table=default_loss_table(alphabet_size, n),
         seed=seed, mc_samples=mc_samples,
     )
+
+
+def test_experiment_config_reads_alphabet_and_length_from_the_mechanism():
+    mech = exponential_mechanism_over_types(3, 5, 0.5)
+    config = ExperimentConfig(
+        SourceDistribution.uniform(3), mech, default_loss_table(3, 5),
+        seed=1, mc_samples=100,
+    )
+    assert (config.alphabet_size, config.n) == (3, 5)
+    with pytest.raises(AttributeError):
+        config.n = 6
+
+
+def test_experiment_config_rejects_other_alphabets_and_table_shapes():
+    mech = exponential_mechanism_over_types(3, 5, 0.5)
+    with pytest.raises(InputError, match="source over 2 symbols"):
+        ExperimentConfig(SourceDistribution.uniform(2), mech,
+                         default_loss_table(3, 5), seed=0, mc_samples=100)
+    for table in (default_loss_table(3, 4), np.zeros((num_types(3, 5), 2))):
+        with pytest.raises(InputError, match="loss table shape"):
+            ExperimentConfig(SourceDistribution.uniform(3), mech, table,
+                             seed=0, mc_samples=100)
 
 
 def test_type_distribution_sums_to_one():
@@ -92,7 +114,7 @@ def test_identity_mechanism_mi_is_type_entropy():
 
 def test_input_independent_mechanism_has_zero_mi():
     config = ExperimentConfig(
-        alphabet=Alphabet(2), n=6, source=SourceDistribution.uniform(2),
+        source=SourceDistribution.uniform(2),
         mechanism=uniform_mechanism(2, 6),
         loss_table=default_loss_table(2, 6), seed=0, mc_samples=100,
     )
@@ -103,7 +125,7 @@ def test_input_independent_kernel_reads_exactly_zero():
     # p_types @ kernel misses the constant row by ~1e-18 here, which the
     # KL sum turns into a spurious 8.9e-16 nats and the bound into 1.7e-9
     config = ExperimentConfig(
-        alphabet=Alphabet(2), n=150, source=SourceDistribution([0.37, 0.63]),
+        source=SourceDistribution([0.37, 0.63]),
         mechanism=Mechanism(uniform_mechanism(2, 150).kernel, 2, 150,
                             PrivacyParams.mu_gdp(0.2)),
         loss_table=default_loss_table(2, 150), seed=0, mc_samples=100,
@@ -203,7 +225,7 @@ def test_verification_comparisons_match_scalar_expectation(name):
     config = reference_configs()[name]
     report = run_verification(config)
     privacy = config.mechanism.privacy
-    m, n = config.alphabet.size, config.n
+    m, n = config.alphabet_size, config.n
     p_types = exact_type_distribution(m, n, config.source)
     kernel = config.mechanism.kernel
     for bid, value in report.bound_values.items():
@@ -402,32 +424,38 @@ def test_cover_for_bound_routes():
 
 
 def reference_cover_for_bound(bound_id, privacy, alphabet_size, n):
-    """Reference routing: one branch per count-based bound."""
+    """Reference routing: one branch per count-based bound. A grid rule
+    reads its parameter from a declaration of its own kind only."""
+
+    def rule_t(regime, kind):
+        if privacy.kind is not kind:
+            raise InputError(f"{regime} needs a {kind.value} declaration")
+        return optimal_grid_parameter(regime, privacy.value, alphabet_size, n).t
+
     if bound_id in (BoundId.TYPE_COUNT, BoundId.SIMPLEX_ANY):
         return build_simplex_grid_cover(alphabet_size, n, n + 1)
     if bound_id is BoundId.DP_GRID:
-        t = optimal_grid_parameter("dp_full", privacy.value, alphabet_size, n).t
+        t = rule_t("dp_full", PrivacyKind.EPS_DP)
         return build_full_grid_cover(alphabet_size, n, t)
     if bound_id is BoundId.GDP_GRID:
-        t = optimal_grid_parameter("gdp_full", privacy.value, alphabet_size, n).t
+        t = rule_t("gdp_full", PrivacyKind.MU_GDP)
         return build_full_grid_cover(alphabet_size, n, t)
     if bound_id in (BoundId.DP_SIMPLEX_LOW, BoundId.GDP_SIMPLEX_LOW):
         return build_simplex_grid_cover(alphabet_size, n, 1)
     if bound_id is BoundId.DP_SIMPLEX_MID:
-        t = optimal_grid_parameter("dp_full", privacy.value, alphabet_size, n).t
+        t = rule_t("dp_full", PrivacyKind.EPS_DP)
         return build_simplex_grid_cover(alphabet_size, n, t)
     if bound_id is BoundId.GDP_SIMPLEX_MID:
-        t = optimal_grid_parameter("gdp_full", privacy.value, alphabet_size, n).t
+        t = rule_t("gdp_full", PrivacyKind.MU_GDP)
         return build_simplex_grid_cover(alphabet_size, n, t)
     raise InputError(f"no cover construction for bound {bound_id.value!r}")
 
 
 def cover_outcome(route, *args):
-    """The cover a routing returns, or the type of what it raises (a
-    grid rule given no privacy parameter compares None with 0)."""
+    """The cover a routing returns, or the type of what it raises."""
     try:
         cover = route(*args)
-    except (InputError, TypeError) as exc:
+    except InputError as exc:
         return type(exc)
     return cover.kind, cover.t, cover.certified_radius, cover.centers
 
@@ -470,7 +498,7 @@ def test_run_verification_catches_false_declaration():
     mech = identity_mechanism(2, 5)
     liar = Mechanism(mech.kernel, 2, 5, PrivacyParams.eps_dp(0.5))
     config = ExperimentConfig(
-        alphabet=Alphabet(2), n=5, source=SourceDistribution.uniform(2),
+        source=SourceDistribution.uniform(2),
         mechanism=liar, loss_table=default_loss_table(2, 5),
         seed=0, mc_samples=100,
     )
@@ -502,7 +530,7 @@ class TestConfigLoader:
         path.write_text(self.good_text())
         config, sigma = load_experiment_config(str(path))
         assert sigma is None
-        assert config.alphabet.size == 2 and config.n == 8
+        assert config.alphabet_size == 2 and config.n == 8
         assert config.seed == 99 and config.mc_samples == 5000
         assert config.mechanism.privacy == PrivacyParams.eps_dp(0.5)
         np.testing.assert_allclose(config.source.probs, [0.4, 0.6])

@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 
 from genbound.errors import InputError, ResourceLimitError
 from genbound.types_core import (
-    Alphabet,
     CountVector,
     SourceDistribution,
     check_cap,
     dataset_distance,
     distance_matrix,
     enumerate_types,
-    load_loss_csv,
-    load_source_csv,
     num_types,
     num_types_upper_bound,
     sigma_sub_gaussian,
@@ -63,22 +60,6 @@ def paired_counts(max_symbols=4, max_count=12):
     ).map(fix_total).filter(lambda p: p[0].n >= 1)
 
 
-class TestAlphabet:
-    def test_size_floor(self):
-        with pytest.raises(InputError):
-            Alphabet(1)
-
-    def test_labels_must_match_size(self):
-        with pytest.raises(InputError):
-            Alphabet(2, labels=("a", "b", "c"))
-
-    def test_default_symbol_names(self):
-        assert Alphabet(3).symbol_names() == ("0", "1", "2")
-        assert Alphabet(2, labels=("heads", "tails")).symbol_names() == (
-            "heads", "tails",
-        )
-
-
 class TestCountVector:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
@@ -97,14 +78,6 @@ class TestCountVector:
         np.testing.assert_allclose(s.frequencies().sum(), 1.0)
         assert s.n == 8
         assert s.alphabet_size == 3
-
-    def test_csv_field_round_trip(self):
-        s = CountVector((0, 7, 3))
-        assert CountVector.from_csv_field(s.to_csv_field()) == s
-
-    def test_csv_field_rejects_junk(self):
-        with pytest.raises(InputError):
-            CountVector.from_csv_field("1;2")
 
 
 class TestSourceDistribution:
@@ -127,18 +100,23 @@ class TestSourceDistribution:
 
 
 def test_type_of_counts_symbols():
-    s = type_of([0, 1, 1, 2, 1], Alphabet(3))
+    s = type_of([0, 1, 1, 2, 1], 3)
     assert s == CountVector((1, 3, 1))
 
 
 def test_type_of_rejects_out_of_range():
     with pytest.raises(InputError):
-        type_of([0, 3], Alphabet(3))
+        type_of([0, 3], 3)
 
 
 def test_type_of_rejects_empty():
     with pytest.raises(InputError):
-        type_of([], Alphabet(2))
+        type_of([], 2)
+
+
+def test_type_of_rejects_alphabet_below_two():
+    with pytest.raises(InputError, match="at least 2"):
+        type_of([0, 0], 1)
 
 
 def test_distance_counts_replacements():
@@ -386,27 +364,3 @@ def test_sigma_rejects_bad_tables():
         sigma_sub_gaussian(np.array([1.0, 2.0]))
     with pytest.raises(InputError):
         sigma_sub_gaussian(np.array([[np.inf, 0.0]]))
-
-
-def test_source_csv_round_trip(tmp_path):
-    path = tmp_path / "source.csv"
-    path.write_text("z0,z1,z2\n0.2,0.3,0.5\n")
-    src, labels = load_source_csv(str(path))
-    assert labels == ("z0", "z1", "z2")
-    np.testing.assert_allclose(src.probs, [0.2, 0.3, 0.5])
-
-
-def test_loss_csv_round_trip(tmp_path):
-    path = tmp_path / "loss.csv"
-    path.write_text("z0,z1\n0.0,1.0\n1.0,0.0\n0.5,0.5\n")
-    table, labels = load_loss_csv(str(path))
-    assert labels == ("z0", "z1")
-    assert table.shape == (3, 2)
-    assert sigma_sub_gaussian(table) == 0.5
-
-
-def test_source_csv_rejects_bad_row(tmp_path):
-    path = tmp_path / "source.csv"
-    path.write_text("z0,z1\n0.9,0.2\n")
-    with pytest.raises(InputError):
-        load_source_csv(str(path))
