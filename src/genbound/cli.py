@@ -8,37 +8,138 @@ significant digits in scientific notation, lowercase booleans, a header
 row always, and LF line endings.
 
 Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
-(including an exceeded enumeration cap, which the message names).
+(including an exceeded enumeration cap, which the message names, and
+every usage error the option parser reports).
 
-Only the closed-form layer is imported here; each subcommand that needs
-numpy imports its layers in its own body, so bounds and catalog start
-without loading numpy.
+Options are parsed with the standard library's argparse. Each subcommand
+imports the layers it needs in its own body, so bounds and catalog start
+without loading numpy and cover never loads the closed-form catalog.
 """
 
 from __future__ import annotations
 
+import argparse
+import atexit
 import csv
 import functools
+import gc
 import io
 import json
 import math
+import os
 import sys
 
-import click
-
-from .bounds_catalog import (
-    BoundId,
-    PrivacyKind,
-    PrivacyParams,
-    kl_candidates,
-    asymptotic_report,
-    catalog_entries,
-    gen_error_from_mi,
-    pac_bayes_gen_bound,
-)
 from .errors import InputError, ResourceLimitError
 
 __all__ = ["main"]
+
+# A run is one command and then exit. Freezing the heap at exit keeps the
+# interpreter's final collection from walking every object numpy and the
+# layers created at import (tens of milliseconds); collection runs as
+# usual while a command works, and in-process callers are unaffected.
+atexit.register(gc.freeze)
+
+
+class UsageError(Exception):
+    """A combination of options the parser cannot check; reported like a
+    parse error (usage line, exit 2)."""
+
+
+class Command:
+    """One subcommand: its options and the function that runs it.
+
+    Dispatch reads `callback` when the command runs, so a function bound
+    to it later (a tracing wrapper, say) is the one called.
+    """
+
+    def __init__(self, name: str, callback, options: tuple) -> None:
+        self.name = name
+        self.callback = callback
+        self.options = options  # (flags, add_argument keywords) pairs
+        self.help = (callback.__doc__ or "").strip()
+
+
+class Group:
+    """The `genbound` program: a table of subcommands and their parser."""
+
+    def __init__(self, help: str) -> None:
+        self.help = help
+        self.commands: dict[str, Command] = {}
+
+    def command(self, name: str, *options: tuple):
+        def register(fn):
+            self.commands[name] = Command(name, fn, options)
+            return fn
+
+        return register
+
+    def parsers(self, prog: str) -> tuple[argparse.ArgumentParser, dict]:
+        """The program's parser and each subcommand's, by name."""
+        # --help only, no -h, and no abbreviated options: the flags are
+        # exactly the ones listed
+        common = {"add_help": False, "allow_abbrev": False}
+        parser = argparse.ArgumentParser(prog=prog, description=self.help, **common)
+        parser.add_argument("--help", action="help",
+                            help="Show this message and exit.")
+        sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                    required=True)
+        by_name = {}
+        for command in self.commands.values():
+            cmd_parser = by_name[command.name] = sub.add_parser(
+                command.name, help=command.help.splitlines()[0],
+                description=command.help, **common,
+            )
+            for flags, kwargs in command.options:
+                cmd_parser.add_argument(*flags, **kwargs)
+            cmd_parser.add_argument("--help", action="help",
+                                    help="Show this message and exit.")
+        return parser, by_name
+
+    def __call__(self, args: list[str] | None = None,
+                 prog_name: str | None = None,
+                 standalone_mode: bool = True) -> None:
+        """Parse `args` (default: the command line) and run the command.
+
+        Usage errors print to stderr and exit 2. In standalone mode a
+        successful run also ends with exit status 0; otherwise it returns.
+        """
+        parser, by_name = self.parsers(prog_name or "genbound")
+        namespace, extra = parser.parse_known_args(
+            sys.argv[1:] if args is None else args)
+        namespace = vars(namespace)
+        name = namespace.pop("command")
+        if extra:  # reported with the subcommand's usage, not the program's
+            by_name[name].error(f"unrecognized arguments: {' '.join(extra)}")
+        try:
+            self.commands[name].callback(**namespace)
+        except UsageError as exc:
+            by_name[name].error(str(exc))
+        if standalone_mode:
+            sys.exit(0)
+
+
+def option(*flags: str, **kwargs) -> tuple:
+    """One argparse option: flags plus `add_argument` keywords."""
+    return flags, kwargs
+
+
+def _input_file(path: str) -> str:
+    """An existing file, not a directory; checked before the command runs."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _output_file(path: str) -> str:
+    """A path to write to that is not a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+OUTPUT = option("--output", type=_output_file, default=None, metavar="FILE")
 
 
 def _fmt(value) -> str:
@@ -88,21 +189,27 @@ def _emit(text: str, output: str | None) -> None:
         fh.write(text)
 
 
+def _fail(message: str, code: int) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(code)
+
+
 def _translate_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (InputError, ResourceLimitError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+            _fail(f"error: {exc}", 2)
 
     return wrapper
 
 
-def _privacy_from_flags(epsilon: float | None, mu: float | None) -> PrivacyParams:
+def _privacy_from_flags(epsilon: float | None, mu: float | None):
+    from .bounds_catalog import PrivacyParams
+
     if epsilon is not None and mu is not None:
-        raise click.UsageError("--epsilon and --mu are mutually exclusive")
+        raise UsageError("--epsilon and --mu are mutually exclusive")
     if epsilon is not None:
         return PrivacyParams.eps_dp(epsilon)
     if mu is not None:
@@ -110,24 +217,33 @@ def _privacy_from_flags(epsilon: float | None, mu: float | None) -> PrivacyParam
     return PrivacyParams.none()
 
 
-@click.group()
-def main() -> None:
-    """Certified generalization bounds for finite-alphabet mechanisms."""
+main = Group("Certified generalization bounds for finite-alphabet mechanisms.")
 
 
-@main.command("bounds")
-@click.option("--alphabet-size", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--epsilon", type=float, default=None, help="eps-DP parameter.")
-@click.option("--mu", type=float, default=None, help="mu-GDP parameter.")
-@click.option("--sigma", type=float, required=True,
-              help="Sub-Gaussian scale of the loss.")
-@click.option("--beta", type=float, default=None,
-              help="Failure probability for an extra PAC-Bayes row.")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@main.command(
+    "bounds",
+    option("--alphabet-size", type=int, required=True),
+    option("--n", type=int, required=True),
+    option("--epsilon", type=float, default=None, help="eps-DP parameter."),
+    option("--mu", type=float, default=None, help="mu-GDP parameter."),
+    option("--sigma", type=float, required=True,
+           help="Sub-Gaussian scale of the loss."),
+    option("--beta", type=float, default=None,
+           help="Failure probability for an extra PAC-Bayes row."),
+    OUTPUT,
+)
 @_translate_errors
 def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
     """Evaluate every bound branch for one parameter point."""
+    from .bounds_catalog import (
+        BoundId,
+        PrivacyKind,
+        asymptotic_report,
+        gen_error_from_mi,
+        kl_candidates,
+        pac_bayes_gen_bound,
+    )
+
     privacy = _privacy_from_flags(epsilon, mu)
     rows = []
 
@@ -172,16 +288,17 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
     ), output)
 
 
-@main.command("cover")
-@click.option("--alphabet-size", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--t", type=int, required=True, help="Grid parameter.")
-@click.option("--kind", required=True,
-              type=click.Choice(["full_grid", "simplex_grid", "typical_grid"]))
-@click.option("--source", "source_text", type=str, default=None,
-              help="Comma-separated probabilities (typical covers; "
-                   "default uniform).")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@main.command(
+    "cover",
+    option("--alphabet-size", type=int, required=True),
+    option("--n", type=int, required=True),
+    option("--t", type=int, required=True, help="Grid parameter."),
+    option("--kind", required=True,
+           choices=["full_grid", "simplex_grid", "typical_grid"]),
+    option("--source", dest="source_text", default=None, metavar="SOURCE",
+           help="Comma-separated probabilities (typical covers; default uniform)."),
+    OUTPUT,
+)
 @_translate_errors
 def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
     """Build one cover and verify its certified radius exhaustively."""
@@ -220,36 +337,37 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
           cover.certified_radius, check.achieved_radius, check.verified]],
     ), output)
     if not check.verified:
-        click.echo(
+        _fail(
             f"cover verification failed: achieved radius {check.achieved_radius} "
-            f"exceeds certified {cover.certified_radius!r}", err=True,
+            f"exceeds certified {cover.certified_radius!r}", 1,
         )
-        sys.exit(1)
 
 
-@main.command("stability")
-@click.option("--alphabet-size", type=int, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--epsilon", type=float, default=None,
-              help="Audit the exponential mechanism at this eps.")
-@click.option("--mechanism", "mechanism_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Audit a saved kernel instead.")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@main.command(
+    "stability",
+    option("--alphabet-size", type=int, default=None),
+    option("--n", type=int, default=None),
+    option("--epsilon", type=float, default=None,
+           help="Audit the exponential mechanism at this eps."),
+    option("--mechanism", dest="mechanism_path", type=_input_file, default=None,
+           metavar="FILE", help="Audit a saved kernel instead."),
+    OUTPUT,
+)
 @_translate_errors
 def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
     """Audit a mechanism's KL stability at every replacement distance."""
+    if (epsilon is None) == (mechanism_path is None):
+        raise UsageError("pass exactly one of --epsilon or --mechanism")
+    if epsilon is not None and (alphabet_size is None or n is None):
+        raise UsageError("--epsilon requires --alphabet-size and --n")
     from .privacy_mechanisms import (
         exponential_mechanism_over_types,
         load_mechanism_csv,
         verify_kl_stability,
     )
+    from .types_core import type_counts
 
-    if (epsilon is None) == (mechanism_path is None):
-        raise click.UsageError("pass exactly one of --epsilon or --mechanism")
     if epsilon is not None:
-        if alphabet_size is None or n is None:
-            raise click.UsageError("--epsilon requires --alphabet-size and --n")
         mech = exponential_mechanism_over_types(alphabet_size, n, epsilon)
     else:
         mech = load_mechanism_csv(mechanism_path)
@@ -261,11 +379,13 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
     ), output)
     if not report.passed:
         worst = next(r for r in report.rows if not r.passed)
-        click.echo(
+        counts = type_counts(mech.alphabet_size, mech.n)
+        first, second = (tuple(counts[i].tolist()) for i in worst.worst_pair)
+        _fail(
             f"stability audit failed at distance {worst.k}: observed KL "
-            f"{worst.max_kl!r} exceeds bound {worst.bound!r}", err=True,
+            f"{worst.max_kl!r} exceeds bound {worst.bound!r} for count vectors "
+            f"{first} -> {second}", 1,
         )
-        sys.exit(1)
 
 
 def _verification_records(report, slack_tol: float) -> list[dict]:
@@ -286,12 +406,12 @@ def _verification_records(report, slack_tol: float) -> list[dict]:
     return records
 
 
-@main.command("verify-mi")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
-              default="csv")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+CONFIG = option("--config", dest="config_path", type=_input_file, required=True,
+                metavar="FILE")
+FORMAT = option("--format", dest="fmt", choices=["csv", "jsonl"], default="csv")
+
+
+@main.command("verify-mi", CONFIG, FORMAT, OUTPUT)
 @_translate_errors
 def verify_mi_cmd(config_path, fmt, output) -> None:
     """Certify every applicable bound against exact quantities."""
@@ -308,20 +428,17 @@ def verify_mi_cmd(config_path, fmt, output) -> None:
         text = _jsonl_text(records)
     _emit(text, output)
     if not report.all_pass:
-        click.echo(
-            "verification failed: " + ", ".join(report.violations), err=True,
-        )
-        sys.exit(1)
+        _fail("verification failed: " + ", ".join(report.violations), 1)
 
 
-@main.command("simulate")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Accepted (must be >= 1) and has no effect.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
-              default="csv")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@main.command(
+    "simulate",
+    CONFIG,
+    option("--workers", type=int, default=1,
+           help="Accepted (must be >= 1) and has no effect. [default: 1]"),
+    FORMAT,
+    OUTPUT,
+)
 @_translate_errors
 def simulate_cmd(config_path, workers, fmt, output) -> None:
     """Monte-Carlo estimate of the generalization error vs. the exact value."""
@@ -355,18 +472,18 @@ def simulate_cmd(config_path, workers, fmt, output) -> None:
         text = _jsonl_text([record])
     _emit(text, output)
     if not within:
-        click.echo(
+        _fail(
             f"simulation inconsistent with exact value: |{result.estimate!r} - "
-            f"{exact!r}| > 4 * {result.standard_error!r}", err=True,
+            f"{exact!r}| > 4 * {result.standard_error!r}", 1,
         )
-        sys.exit(1)
 
 
-@main.command("catalog")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@main.command("catalog", OUTPUT)
 @_translate_errors
 def catalog_cmd(output) -> None:
     """List every implemented bound branch with formula and regime."""
+    from .bounds_catalog import catalog_entries
+
     lines = [
         "Bound catalog: m = alphabet size, n = dataset length, eps/mu = privacy",
         "parameters, sigma = sub-Gaussian loss scale, gamma = unified privacy",

@@ -2,31 +2,66 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
-from click.testing import CliRunner
 
 import genbound
 import genbound.privacy_mechanisms
 from genbound.cli import main
+from genbound.divergence_core import kl_divergence
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyParams,
     exponential_mechanism_over_types,
     identity_mechanism,
+    kl_stability_bound,
     save_mechanism_csv,
 )
+from genbound.types_core import enumerate_types
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class Runner:
+    """Runs the CLI in this process with both streams captured."""
+
+    def invoke(self, cli, args) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(args, prog_name="genbound")
+            except SystemExit as exc:
+                exit_code = exc.code if isinstance(exc.code, int) else int(
+                    exc.code is not None)
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return Result(exit_code, out.getvalue(), err.getvalue(), exception)
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_config(tmp_path, text):
@@ -162,6 +197,28 @@ class TestStability:
         result = runner.invoke(main, ["stability", "--alphabet-size", "2",
                                       "--n", "6"])
         assert result.exit_code == 2
+
+    def test_failure_line_names_the_worst_pair(self, runner, tmp_path):
+        honest = identity_mechanism(2, 4)
+        liar = Mechanism(honest.kernel, 2, 4, PrivacyParams.eps_dp(1.0))
+        path = str(tmp_path / "liar.csv")
+        save_mechanism_csv(liar, path)
+        result = runner.invoke(main, ["stability", "--mechanism", path])
+        # brute force: the first ordered pair, row-major, with the largest
+        # KL at the first failing distance
+        k = next(int(line.split(",")[0]) for line in result.stdout.splitlines()
+                 if line.endswith(",false"))
+        types = list(enumerate_types(2, 4))
+        pairs = [(kl_divergence(honest.kernel[i], honest.kernel[j]), a, b)
+                 for i, a in enumerate(types) for j, b in enumerate(types)
+                 if sum(abs(x - y) for x, y in zip(a.counts, b.counts)) == 2 * k]
+        worst = max(kl for kl, _, _ in pairs)
+        _, a, b = next(p for p in pairs if p[0] == worst)
+        assert result.stderr == (
+            f"stability audit failed at distance {k}: observed KL {worst!r} "
+            f"exceeds bound {kl_stability_bound(liar.privacy, k)!r} "
+            f"for count vectors {a.counts} -> {b.counts}\n"
+        )
 
 
 class TestVerifyMi:
@@ -377,6 +434,138 @@ class TestInputContract:
         assert str(target) in result.stderr
 
 
+# Malformed command lines, one list per subcommand. CFG is a valid config
+# file, DIR a directory and MISSING a path that does not exist.
+USAGE_ERRORS = {
+    "bounds": [
+        ["--alphabet-size", "2", "--n", "10"],
+        ["--alphabet-size", "2", "--n", "10", "--sigma", "1", "--bogus", "1"],
+        ["--alpha", "3", "--n", "10", "--sigma", "1"],
+        ["--alphabet-size", "2", "--n", "2.5", "--sigma", "1"],
+        ["--alphabet-size", "2", "--n", "10", "--sigma", "1",
+         "--epsilon", "0.5", "--mu", "0.5"],
+        ["--alphabet-size", "2", "--n", "10", "--sigma", "1", "--output", "DIR"],
+    ],
+    "cover": [
+        ["--alphabet-size", "2", "--n", "8", "--t", "2"],
+        ["--alphabet-size", "2", "--n", "8", "--t", "2", "--kind", "full_grid",
+         "--bogus", "1"],
+        ["--alpha", "2", "--n", "8", "--t", "2", "--kind", "full_grid"],
+        ["--alphabet-size", "2", "--n", "8", "--t", "2", "--kind", "hex_grid"],
+        ["--alphabet-size", "2", "--n", "x", "--t", "2", "--kind", "full_grid"],
+        ["--alphabet-size", "2", "--n", "8", "--t", "2", "--kind", "full_grid",
+         "--epsilon", "0.5", "--mu", "0.5"],
+    ],
+    "stability": [
+        [],
+        ["--epsilon", "0.5"],
+        ["--alphabet-size", "2", "--n", "4", "--epsilon", "0.5", "--bogus", "1"],
+        ["--alpha", "2", "--n", "4", "--epsilon", "0.5"],
+        ["--alphabet-size", "2", "--n", "4.0", "--epsilon", "0.5"],
+        ["--mechanism", "MISSING"],
+        ["--mechanism", "DIR"],
+        ["--alphabet-size", "2", "--n", "4", "--epsilon", "0.5", "--mu", "0.5"],
+    ],
+    "verify-mi": [
+        [],
+        ["--config", "CFG", "--bogus", "1"],
+        ["--conf", "CFG"],
+        ["--config", "CFG", "--format", "xml"],
+        ["--config", "MISSING"],
+        ["--config", "DIR"],
+        ["--config", "CFG", "--epsilon", "0.5", "--mu", "0.5"],
+    ],
+    "simulate": [
+        [],
+        ["--config", "CFG", "--bogus", "1"],
+        ["--config", "CFG", "--work", "2"],
+        ["--config", "CFG", "--format", "xml"],
+        ["--config", "CFG", "--workers", "two"],
+        ["--config", "MISSING"],
+        ["--config", "DIR"],
+        ["--config", "CFG", "--epsilon", "0.5", "--mu", "0.5"],
+    ],
+    "catalog": [
+        ["--bogus", "1"],
+        ["--out", "catalog.txt"],
+        ["--output", "DIR"],
+        ["--epsilon", "0.5", "--mu", "0.5"],
+    ],
+}
+
+
+@pytest.mark.parametrize("args", [
+    [command, *flags] for command, cases in USAGE_ERRORS.items() for flags in cases
+], ids=lambda args: " ".join(args))
+def test_usage_error_exits_two_without_output(runner, tmp_path, args):
+    paths = {"CFG": write_config(tmp_path, GOOD_CONFIG), "DIR": str(tmp_path),
+             "MISSING": str(tmp_path / "no-such-file")}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_usage_errors_cover_every_command():
+    assert list(USAGE_ERRORS) == list(main.commands)
+
+
+HELP_NAMES = {
+    None: ["bounds", "cover", "stability", "verify-mi", "simulate", "catalog",
+           "--help"],
+    "bounds": ["--alphabet-size", "--n", "--epsilon", "--mu", "--sigma", "--beta",
+               "--output", "--help"],
+    "cover": ["--alphabet-size", "--n", "--t", "--kind", "--source", "--output",
+              "--help"],
+    "stability": ["--alphabet-size", "--n", "--epsilon", "--mechanism", "--output",
+                  "--help"],
+    "verify-mi": ["--config", "--format", "--output", "--help"],
+    "simulate": ["--config", "--workers", "--format", "--output", "--help"],
+    "catalog": ["--output", "--help"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_NAMES), ids=str)
+def test_help_names_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    for name in HELP_NAMES[command]:
+        assert re.search(rf"(^|\s){re.escape(name)}(\s|$)", result.stdout), name
+    if command:
+        flags = [f for fs, _ in main.commands[command].options for f in fs]
+        assert flags + ["--help"] == HELP_NAMES[command]
+
+
+def run_cli(*args, cwd=None):
+    """A fresh `python -m genbound.cli` process: exit code and stdout bytes."""
+    src = os.path.dirname(os.path.dirname(genbound.__file__))
+    proc = subprocess.run([sys.executable, "-m", "genbound.cli", *args],
+                          capture_output=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, proc.stdout
+
+
+def test_process_output_is_complete(runner, tmp_path):
+    """Output written before the exit-time heap freeze reaches its file or
+    pipe whole: byte-equal to an in-process run of the same command."""
+    bounds = ["bounds", "--alphabet-size", "3", "--n", "50", "--epsilon", "0.4",
+              "--sigma", "0.5", "--beta", "0.05", "--output"]
+    assert runner.invoke(main, bounds + [str(tmp_path / "a.csv")]).exit_code == 0
+    rc, stdout = run_cli(*bounds, str(tmp_path / "b.csv"))
+    assert (rc, stdout) == (0, b"")
+    expected = (tmp_path / "a.csv").read_bytes()
+    assert expected.endswith(b"\n")
+    assert expected.splitlines()[-1].startswith(b"pac_bayes_gen,")
+    assert (tmp_path / "b.csv").read_bytes() == expected
+
+    verify = ["verify-mi", "--config", write_config(tmp_path, GOOD_CONFIG)]
+    in_process = runner.invoke(main, verify)
+    assert in_process.exit_code == 0
+    assert run_cli(*verify) == (0, in_process.stdout.encode())
+
+
 RUN_AND_LIST_MODULES = """
 import contextlib, io, json, sys
 from genbound.cli import main
@@ -417,17 +606,18 @@ def test_closed_form_commands_leave_numpy_out(args):
     rc, modules = modules_after(*args)
     assert rc in (None, 0)
     assert "numpy" not in modules
+    assert "click" not in modules
 
 
 @pytest.mark.parametrize("args, absent", [
     (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
       "--kind", "typical_grid"],
      {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma",
-      "fractions", "decimal"}),
+      "fractions", "decimal", "genbound.bounds_catalog"}),
     (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
       "--kind", "full_grid"],
      {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma",
-      "fractions", "decimal"}),
+      "fractions", "decimal", "genbound.bounds_catalog"}),
     (["stability", "--alphabet-size", "3", "--n", "8", "--epsilon", "0.5"],
      {"genbound.covering", "genbound.oracle_harness", "numpy.ma"}),
     (["verify-mi", "--config", "exp.cfg"], {"numpy.ma", "fractions", "decimal"}),
@@ -437,4 +627,4 @@ def test_array_commands_load_only_their_layers(tmp_path, args, absent):
     rc, modules = modules_after(*args, cwd=tmp_path)
     assert rc == 0
     assert "numpy" in modules
-    assert not modules & absent
+    assert not modules & (absent | {"click"})

@@ -43,5 +43,6 @@ def test_privacy_params_is_one_object_everywhere():
 
 
 def test_cover_kind_choices_match_the_enum():
-    kind = next(p for p in main.commands["cover"].params if p.name == "kind")
-    assert list(kind.type.choices) == [k.value for k in CoverKind]
+    kind = next(kwargs for flags, kwargs in main.commands["cover"].options
+                if flags == ("--kind",))
+    assert list(kind["choices"]) == [k.value for k in CoverKind]
