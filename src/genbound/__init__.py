@@ -39,8 +39,11 @@ _EXPORTS = {
         "gaussian_mechanism_neighbor_kl", "gdp_param_noisy_sgd",
         "identity_mechanism", "kl_stability_bound", "verify_kl_stability",
     ),
+    "privacy": (
+        "PrivacyKind", "PrivacyParams",
+    ),
     "bounds_catalog": (
-        "BoundId", "BoundReport", "PrivacyKind", "PrivacyParams",
+        "BoundId", "BoundReport",
         "asymptotic_report", "best_bound", "catalog_entries",
         "gen_error_from_mi", "kl_bound_cover_dp", "kl_bound_cover_gdp",
         "kl_bound_refined", "kl_bound_simple", "mi_bound_typical",

@@ -11,18 +11,18 @@ A BoundReport is self-describing: value, applicability, the regime that
 produced it, and whether it is asymptotic-only. Asymptotic-only reports
 are never used in certification and never compete in best_bound.
 
-PrivacyKind and PrivacyParams, the privacy declaration every bound and
-mechanism reads, are defined here so this module needs nothing beyond
-the standard library; privacy_mechanisms re-exports them.
+The module needs nothing beyond the standard library. It re-exports
+PrivacyKind and PrivacyParams from genbound.privacy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import InputError
+from .privacy import PrivacyKind, PrivacyParams
+from .records import Record
 
 __all__ = [
     "PrivacyKind",
@@ -42,43 +42,6 @@ __all__ = [
     "best_bound",
     "catalog_entries",
 ]
-
-
-class PrivacyKind(enum.Enum):
-    EPS_DP = "eps_dp"
-    MU_GDP = "mu_gdp"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """A privacy guarantee: kind plus its positive parameter (or none)."""
-
-    kind: PrivacyKind
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is PrivacyKind.NONE:
-            if self.value is not None:
-                raise InputError("privacy kind 'none' takes no parameter")
-        else:
-            if self.value is None or not (0 < self.value < math.inf):
-                raise InputError(
-                    f"privacy parameter must be positive and finite, "
-                    f"got {self.value!r}"
-                )
-
-    @classmethod
-    def eps_dp(cls, epsilon: float) -> "PrivacyParams":
-        return cls(PrivacyKind.EPS_DP, float(epsilon))
-
-    @classmethod
-    def mu_gdp(cls, mu: float) -> "PrivacyParams":
-        return cls(PrivacyKind.MU_GDP, float(mu))
-
-    @classmethod
-    def none(cls) -> "PrivacyParams":
-        return cls(PrivacyKind.NONE, None)
 
 
 class BoundId(enum.Enum):
@@ -108,15 +71,15 @@ class BoundId(enum.Enum):
     PAC_BAYES_GEN = "pac_bayes_gen"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """One evaluated bound: value, applicability, and provenance of regime."""
 
-    bound_id: BoundId
-    value: float
-    applicable: bool
-    regime_note: str
-    asymptotic_only: bool = False
+    __slots__ = ("bound_id", "value", "applicable", "regime_note",
+                 "asymptotic_only")
+
+    def __init__(self, bound_id: BoundId, value: float, applicable: bool,
+                 regime_note: str, asymptotic_only: bool = False) -> None:
+        self._assign(bound_id, value, applicable, regime_note, asymptotic_only)
 
 
 def _check_mn(alphabet_size: int, n: int) -> int:
@@ -425,13 +388,14 @@ def best_bound(
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    bound_id: BoundId
-    formula: str
-    regime: str
-    unit: str
-    asymptotic: bool
+class CatalogEntry(Record):
+    """One formula branch as the catalog lists it."""
+
+    __slots__ = ("bound_id", "formula", "regime", "unit", "asymptotic")
+
+    def __init__(self, bound_id: BoundId, formula: str, regime: str, unit: str,
+                 asymptotic: bool) -> None:
+        self._assign(bound_id, formula, regime, unit, asymptotic)
 
 
 def catalog_entries() -> list[CatalogEntry]:

@@ -12,8 +12,16 @@ Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
 every usage error the option parser reports).
 
 Options are parsed with the standard library's argparse. Each subcommand
-imports the layers it needs in its own body, so bounds and catalog start
-without loading numpy and cover never loads the closed-form catalog.
+imports the layers it needs in its own body, and the layers import the
+ones they run, so a command loads (besides errors and records):
+
+- bounds, catalog: privacy and bounds_catalog, and no numpy;
+- cover: types_core and covering;
+- stability: privacy, types_core, privacy_mechanisms, divergence_core;
+- simulate: privacy, types_core, privacy_mechanisms, oracle_harness;
+- verify-mi: all seven layers.
+
+json is imported only to write --format jsonl.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ import csv
 import functools
 import gc
 import io
-import json
 import math
 import os
 import sys
@@ -163,6 +170,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _jsonl_text(records: list[dict]) -> str:
+    import json
+
     lines = []
     for record in records:
         clean = {}
@@ -206,7 +215,7 @@ def _translate_errors(fn):
 
 
 def _privacy_from_flags(epsilon: float | None, mu: float | None):
-    from .bounds_catalog import PrivacyParams
+    from .privacy import PrivacyParams
 
     if epsilon is not None and mu is not None:
         raise UsageError("--epsilon and --mu are mutually exclusive")
@@ -237,12 +246,12 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
     """Evaluate every bound branch for one parameter point."""
     from .bounds_catalog import (
         BoundId,
-        PrivacyKind,
         asymptotic_report,
         gen_error_from_mi,
         kl_candidates,
         pac_bayes_gen_bound,
     )
+    from .privacy import PrivacyKind
 
     privacy = _privacy_from_flags(epsilon, mu)
     rows = []

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import InputError
+from .records import Record
 from .types_core import (
     CountVector,
     SourceDistribution,
@@ -70,32 +70,30 @@ class CoverKind(enum.Enum):
     TYPICAL_GRID = "typical_grid"
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     """A finished cover: centers, grid parameter, and its analytic radius.
 
     typical_epsilon is 0 except for typical-grid covers, where it records
     the typicality threshold the cover was built against.
     """
 
-    centers: tuple[CountVector, ...]
-    t: int
-    certified_radius: float
-    kind: CoverKind
-    typical_epsilon: float = 0.0
+    __slots__ = ("centers", "t", "certified_radius", "kind", "typical_epsilon")
 
-    def __post_init__(self) -> None:
-        if len(self.centers) < 1:
+    def __init__(self, centers: tuple[CountVector, ...], t: int,
+                 certified_radius: float, kind: CoverKind,
+                 typical_epsilon: float = 0.0) -> None:
+        if len(centers) < 1:
             raise InputError("cover must have at least one center")
-        if len(set(self.centers)) != len(self.centers):
+        if len(set(centers)) != len(centers):
             raise InputError("cover centers must be duplicate-free")
-        n = self.centers[0].n
-        m = self.centers[0].alphabet_size
-        for c in self.centers:
+        n = centers[0].n
+        m = centers[0].alphabet_size
+        for c in centers:
             if c.n != n or c.alphabet_size != m:
                 raise InputError("cover centers must share one alphabet and length")
-        if self.t < 1:
-            raise InputError(f"grid parameter must be positive, got {self.t}")
+        if t < 1:
+            raise InputError(f"grid parameter must be positive, got {t}")
+        self._assign(centers, t, certified_radius, kind, typical_epsilon)
 
     @property
     def n(self) -> int:
@@ -106,24 +104,26 @@ class CoverSpec:
         return self.centers[0].alphabet_size
 
 
-@dataclass(frozen=True)
-class CoverVerification:
+class CoverVerification(Record):
     """Outcome of an exhaustive radius check."""
 
-    achieved_radius: int
-    certified_radius: float
-    verified: bool
-    checked_vectors: int
-    worst: CountVector | None
+    __slots__ = ("achieved_radius", "certified_radius", "verified",
+                 "checked_vectors", "worst")
+
+    def __init__(self, achieved_radius: int, certified_radius: float,
+                 verified: bool, checked_vectors: int,
+                 worst: CountVector | None) -> None:
+        self._assign(achieved_radius, certified_radius, verified,
+                     checked_vectors, worst)
 
 
-@dataclass(frozen=True)
-class GridParameter:
+class GridParameter(Record):
     """Chosen grid parameter plus how it was obtained."""
 
-    t: int
-    clamped: bool
-    raw_value: float
+    __slots__ = ("t", "clamped", "raw_value")
+
+    def __init__(self, t: int, clamped: bool, raw_value: float) -> None:
+        self._assign(t, clamped, raw_value)
 
 
 def simplex_hypercube_count(k: int, t: int) -> int:

@@ -23,30 +23,21 @@ order, so estimates depend on (seed, mc_samples) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .bounds_catalog import BoundId, PrivacyKind, gen_error_from_mi, kl_candidates
-from .covering import (
-    CoverKind,
-    CoverSpec,
-    build_full_grid_cover,
-    build_simplex_grid_cover,
-    optimal_grid_parameter,
-)
-from .divergence_core import kl_matrix, logsumexp
 from .errors import InputError
+from .privacy import PrivacyKind, PrivacyParams
 from .privacy_mechanisms import (
     Mechanism,
-    PrivacyParams,
     check_kernel_cells,
     exponential_mechanism_over_types,
     identity_mechanism,
     load_mechanism_csv,
     uniform_mechanism,
 )
+from .records import Record
 from .types_core import (
     CountVector,
     SourceDistribution,
@@ -56,6 +47,12 @@ from .types_core import (
     type_probability,
     type_rank,
 )
+
+# The closed-form catalog, the covers and the KL layer are imported by the
+# functions that use them, so Monte Carlo (simulate) loads none of them.
+if TYPE_CHECKING:
+    from .bounds_catalog import BoundId
+    from .covering import CoverSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -193,20 +190,22 @@ def _mutual_information(kernel: np.ndarray, p_types: np.ndarray) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class PerDatasetKl:
+class PerDatasetKl(Record):
     """Exact divergence of one input's output row against a cover mixture,
     with the two variational upper bounds."""
 
-    count_vector: CountVector
-    exact_kl: float
-    bound_logsumexp: float
-    bound_min: float
+    __slots__ = ("count_vector", "exact_kl", "bound_logsumexp", "bound_min")
+
+    def __init__(self, count_vector: CountVector, exact_kl: float,
+                 bound_logsumexp: float, bound_min: float) -> None:
+        self._assign(count_vector, exact_kl, bound_logsumexp, bound_min)
 
 
 def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) -> float:
     """sum_s P(s) * KL(kernel[s] || target) over count vectors of positive
     probability; O(T x hypotheses)."""
+    from .divergence_core import kl_matrix
+
     kls = kl_matrix(kernel, target[None, :])[:, 0]
     return math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
 
@@ -232,6 +231,8 @@ def per_dataset_kl_to_cover_mixture(
     mixture_kl_bound_logsumexp and mixture_kl_bound_min compute the same
     values one row at a time.
     """
+    from .divergence_core import kl_matrix, logsumexp
+
     center_rows = _cover_rows(config, cover)
     kernel = config.mechanism.kernel
     check_kernel_cells(kernel.shape[0], center_rows.shape[0], "cover centers")
@@ -279,11 +280,14 @@ def _gen_error(config: ExperimentConfig, p_types: np.ndarray) -> float:
     return float(p_types @ per_type)
 
 
-@dataclass(frozen=True)
-class McResult:
-    estimate: float
-    standard_error: float
-    samples: int
+class McResult(Record):
+    """A Monte-Carlo estimate, its standard error and its sample count."""
+
+    __slots__ = ("estimate", "standard_error", "samples")
+
+    def __init__(self, estimate: float, standard_error: float,
+                 samples: int) -> None:
+        self._assign(estimate, standard_error, samples)
 
 
 def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResult:
@@ -342,19 +346,21 @@ def _inverse_cdf(kernel_cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.
     return w
 
 
-# The cover each count-based bound dominates the mixture KL of: its grid
-# kind and its grid parameter rule, which is None for t = n + 1 (one
-# center per count vector), a fixed t, or the regime whose
-# optimal_grid_parameter sets t from the privacy kind in _RULE_KIND.
-_COVER_OF: dict[BoundId, tuple[CoverKind, int | str | None]] = {
-    BoundId.TYPE_COUNT: (CoverKind.SIMPLEX_GRID, None),
-    BoundId.DP_GRID: (CoverKind.FULL_GRID, "dp_full"),
-    BoundId.GDP_GRID: (CoverKind.FULL_GRID, "gdp_full"),
-    BoundId.DP_SIMPLEX_LOW: (CoverKind.SIMPLEX_GRID, 1),
-    BoundId.DP_SIMPLEX_MID: (CoverKind.SIMPLEX_GRID, "dp_full"),
-    BoundId.GDP_SIMPLEX_LOW: (CoverKind.SIMPLEX_GRID, 1),
-    BoundId.GDP_SIMPLEX_MID: (CoverKind.SIMPLEX_GRID, "gdp_full"),
-    BoundId.SIMPLEX_ANY: (CoverKind.SIMPLEX_GRID, None),
+# The cover each count-based bound dominates the mixture KL of, keyed by
+# BoundId value: its CoverKind value and its grid parameter rule, which is
+# None for t = n + 1 (one center per count vector), a fixed t, or the
+# regime whose optimal_grid_parameter sets t from the privacy kind in
+# _RULE_KIND. Plain strings, so the table needs neither the catalog nor
+# the covers loaded.
+_COVER_OF: dict[str, tuple[str, int | str | None]] = {
+    "type_count": ("simplex_grid", None),
+    "dp_grid": ("full_grid", "dp_full"),
+    "gdp_grid": ("full_grid", "gdp_full"),
+    "dp_simplex_low": ("simplex_grid", 1),
+    "dp_simplex_mid": ("simplex_grid", "dp_full"),
+    "gdp_simplex_low": ("simplex_grid", 1),
+    "gdp_simplex_mid": ("simplex_grid", "gdp_full"),
+    "simplex_any": ("simplex_grid", None),
 }
 _RULE_KIND = {"dp_full": PrivacyKind.EPS_DP, "gdp_full": PrivacyKind.MU_GDP}
 
@@ -365,9 +371,15 @@ def cover_for_bound(
     """The cover whose mixture the given count-based bound dominates. A
     bound whose grid parameter follows a privacy regime needs a
     declaration of that regime's kind."""
-    if bound_id not in _COVER_OF:
+    from .covering import (
+        build_full_grid_cover,
+        build_simplex_grid_cover,
+        optimal_grid_parameter,
+    )
+
+    if bound_id.value not in _COVER_OF:
         raise InputError(f"no cover construction for bound {bound_id.value!r}")
-    kind, rule = _COVER_OF[bound_id]
+    kind, rule = _COVER_OF[bound_id.value]
     if rule is None:
         t = n + 1
     elif isinstance(rule, str):
@@ -379,25 +391,25 @@ def cover_for_bound(
         t = optimal_grid_parameter(rule, privacy.value, alphabet_size, n).t
     else:
         t = rule
-    # the builder is looked up at call time, so a wrapper bound over the
-    # module-level name (a tracing span, say) sees every call
-    if kind is CoverKind.FULL_GRID:
+    # the builder is imported at call time, so a wrapper bound over the
+    # covering module's name (a tracing span, say) sees every call
+    if kind == "full_grid":
         return build_full_grid_cover(alphabet_size, n, t)
     return build_simplex_grid_cover(alphabet_size, n, t)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Everything a certification run measured, bound by bound."""
 
-    exact_mi: float
-    exact_gen_error: float
-    sigma: float
-    gen_bound: float
-    bound_values: Mapping[BoundId, float]
-    per_bound_slack: Mapping[BoundId, float]
-    violations: tuple[str, ...]
-    all_pass: bool
+    __slots__ = ("exact_mi", "exact_gen_error", "sigma", "gen_bound",
+                 "bound_values", "per_bound_slack", "violations", "all_pass")
+
+    def __init__(self, exact_mi: float, exact_gen_error: float, sigma: float,
+                 gen_bound: float, bound_values: Mapping[BoundId, float],
+                 per_bound_slack: Mapping[BoundId, float],
+                 violations: tuple[str, ...], all_pass: bool) -> None:
+        self._assign(exact_mi, exact_gen_error, sigma, gen_bound, bound_values,
+                     per_bound_slack, violations, all_pass)
 
 
 def run_verification(
@@ -411,6 +423,8 @@ def run_verification(
     sub-Gaussian conversion against the exact expected generalization
     error. all_pass requires every slack to clear -1e-9.
     """
+    from .bounds_catalog import BoundId, gen_error_from_mi, kl_candidates
+
     privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
     p_types = exact_type_distribution(m, n, config.source)
@@ -426,7 +440,7 @@ def run_verification(
         if not report.applicable:
             continue
         values[report.bound_id] = report.value
-        if report.bound_id in _COVER_OF:
+        if report.bound_id.value in _COVER_OF:
             cover = cover_for_bound(report.bound_id, privacy, m, n)
             mixture = _cover_rows(config, cover).mean(axis=0)
             expectation = _expected_kl(p_types, config.mechanism.kernel, mixture)

@@ -3,7 +3,7 @@
 A mechanism here is a row-stochastic kernel from count vectors to a
 finite hypothesis set; row order is the lexicographic count-vector
 order, which is a public contract shared with the serialization format.
-PrivacyKind and PrivacyParams are defined in bounds_catalog and
+PrivacyKind and PrivacyParams are defined in genbound.privacy and
 re-exported here.
 
 Privacy translates into KL stability between neighboring inputs:
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_catalog import PrivacyKind, PrivacyParams
-from .divergence_core import kl_row_blocks
 from .errors import InputError, ResourceLimitError
+from .privacy import PrivacyKind, PrivacyParams
+from .records import Record
 from .types_core import (
     check_cap,
     distance_matrix,
@@ -162,7 +161,12 @@ def exponential_mechanism_over_types(
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     _square_kernel_size(alphabet_size, n)
     counts = type_counts(alphabet_size, n)
-    raw = np.exp(-epsilon * distance_matrix(counts, counts) / 2.0)
+    # one weight per distance 0..n, read through the distance matrix: bit
+    # for bit exp over the whole T x T matrix, with n + 1 exps instead of
+    # T^2. At a huge eps, -eps * k overflows to -inf: the weight is 0.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-epsilon * np.arange(n + 1) / 2.0)
+    raw = weights[distance_matrix(counts, counts)]
     kernel = raw / raw.sum(axis=1, keepdims=True)
     return Mechanism(
         kernel,
@@ -216,21 +220,23 @@ def gaussian_mechanism_neighbor_kl(mu: float, k: int) -> float:
     return delta_sq / (2.0 * sigma_sq)
 
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(Record):
     """Audit result at one replacement distance."""
 
-    k: int
-    max_kl: float
-    bound: float
-    passed: bool
-    worst_pair: tuple[int, int]
+    __slots__ = ("k", "max_kl", "bound", "passed", "worst_pair")
+
+    def __init__(self, k: int, max_kl: float, bound: float, passed: bool,
+                 worst_pair: tuple[int, int]) -> None:
+        self._assign(k, max_kl, bound, passed, worst_pair)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    rows: tuple[StabilityRow, ...]
-    passed: bool
+class StabilityReport(Record):
+    """Audit results at every distance 1..n, and whether all passed."""
+
+    __slots__ = ("rows", "passed")
+
+    def __init__(self, rows: tuple[StabilityRow, ...], passed: bool) -> None:
+        self._assign(rows, passed)
 
 
 def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
@@ -247,6 +253,8 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     values, which can break a tie that kl_divergence's rounding would
     not (symmetric rows are the usual case).
     """
+    from .divergence_core import kl_row_blocks
+
     if mech.privacy.kind is PrivacyKind.NONE:
         raise InputError("mechanism declares no privacy guarantee to audit")
     counts = type_counts(mech.alphabet_size, mech.n)

@@ -20,16 +20,17 @@ GENBOUND_TYPE_CAP environment variable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
+from .records import Record
 
 __all__ = [
     "DEFAULT_TYPE_CAP",
@@ -71,18 +72,18 @@ def type_enumeration_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True, order=True)
-class CountVector:
+@functools.total_ordering
+class CountVector(Record):
     """Histogram of a dataset: one non-negative count per symbol.
 
     Ordering is lexicographic on the counts, matching the public
     enumeration order.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
 
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+    def __init__(self, counts: Iterable[int]) -> None:
+        counts = tuple(int(c) for c in counts)
         if len(counts) < 2:
             raise InputError("count vector needs at least two symbols")
         if any(c < 0 for c in counts):
@@ -90,6 +91,20 @@ class CountVector:
         if sum(counts) < 1:
             raise InputError("count vector must describe a non-empty dataset")
         object.__setattr__(self, "counts", counts)
+
+    # one field: compare and hash it directly, as covers hash every center
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.counts < other.counts
 
     @property
     def n(self) -> int:

@@ -264,6 +264,18 @@ class TestVerifyMi:
         result = runner.invoke(main, ["verify-mi", "--config", "no-such.cfg"])
         assert result.exit_code == 2
 
+    def test_huge_epsilon_certifies_without_warnings(self, tmp_path):
+        # -eps * k overflows to -inf: the kernel is the identity, and no
+        # RuntimeWarning reaches stderr
+        config = write_config(tmp_path, GOOD_CONFIG.replace(
+            "epsilon = 0.5", "epsilon = 1e308"))
+        src = os.path.dirname(os.path.dirname(genbound.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "genbound.cli", "verify-mi", "--config", config],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"bound_id,")
+
 
 class TestSimulate:
     def test_estimate_within_tolerance(self, runner, tmp_path):
@@ -567,7 +579,7 @@ def test_process_output_is_complete(runner, tmp_path):
 
 
 RUN_AND_LIST_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from genbound.cli import main
 rc = None
 if len(sys.argv) > 1:
@@ -576,7 +588,9 @@ if len(sys.argv) > 1:
             main(sys.argv[1:], prog_name="genbound")
         except SystemExit as exc:
             rc = exc.code
-print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"rc": rc, "modules": modules}))
 """
 
 
@@ -607,6 +621,42 @@ def test_closed_form_commands_leave_numpy_out(args):
     assert rc in (None, 0)
     assert "numpy" not in modules
     assert "click" not in modules
+
+
+_BASE = {"genbound", "genbound.cli", "genbound.errors", "genbound.records"}
+_CLOSED_FORM = _BASE | {"genbound.privacy", "genbound.bounds_catalog"}
+_SAMPLING = _BASE | {"genbound.privacy", "genbound.types_core",
+                     "genbound.privacy_mechanisms", "genbound.oracle_harness"}
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["catalog"], _CLOSED_FORM),
+    (["bounds", "--alphabet-size", "3", "--n", "20", "--epsilon", "0.5",
+      "--sigma", "0.5"], _CLOSED_FORM),
+    (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
+      "--kind", "simplex_grid"],
+     _BASE | {"genbound.covering", "genbound.types_core"}),
+    (["stability", "--alphabet-size", "3", "--n", "8", "--epsilon", "0.5"],
+     _BASE | {"genbound.privacy", "genbound.types_core",
+              "genbound.privacy_mechanisms", "genbound.divergence_core"}),
+    (["simulate", "--config", "exp.cfg"], _SAMPLING),
+    (["simulate", "--config", "exp.cfg", "--format", "jsonl"], _SAMPLING),
+    (["verify-mi", "--config", "exp.cfg"],
+     _SAMPLING | {"genbound.bounds_catalog", "genbound.covering",
+                  "genbound.divergence_core"}),
+], ids=["catalog", "bounds", "cover", "stability", "simulate", "simulate-jsonl",
+        "verify-mi"])
+def test_each_command_loads_exactly_its_layers(tmp_path, args, layers):
+    """The genbound modules a fresh process loads to run one command;
+    the record classes generate no code, so dataclasses stays out, and
+    json is loaded only to write jsonl."""
+    write_config(tmp_path, GOOD_CONFIG)
+    rc, modules = modules_after(*args, cwd=tmp_path)
+    assert rc == 0
+    assert {m for m in modules if m.split(".")[0] == "genbound"} == layers
+    assert "dataclasses" not in modules
+    assert ("json" in modules) == ("jsonl" in args)
+    assert ("numpy" in modules) == ("genbound.types_core" in layers)
 
 
 @pytest.mark.parametrize("args, absent", [

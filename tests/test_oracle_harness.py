@@ -11,6 +11,7 @@ import genbound.oracle_harness
 import genbound.privacy_mechanisms
 from genbound.bounds_catalog import BoundId
 from genbound.covering import (
+    CoverKind,
     build_full_grid_cover,
     build_simplex_grid_cover,
     optimal_grid_parameter,
@@ -182,6 +183,27 @@ def test_per_dataset_kl_rows(make_config):
     for row in rows:
         assert row.exact_kl <= row.bound_logsumexp + 1e-10
         assert row.bound_logsumexp <= row.bound_min + 1e-10
+
+
+def test_exactly_the_count_based_bounds_have_a_cover():
+    expected = {
+        BoundId.TYPE_COUNT: CoverKind.SIMPLEX_GRID,
+        BoundId.DP_GRID: CoverKind.FULL_GRID,
+        BoundId.GDP_GRID: CoverKind.FULL_GRID,
+        BoundId.DP_SIMPLEX_LOW: CoverKind.SIMPLEX_GRID,
+        BoundId.DP_SIMPLEX_MID: CoverKind.SIMPLEX_GRID,
+        BoundId.GDP_SIMPLEX_LOW: CoverKind.SIMPLEX_GRID,
+        BoundId.GDP_SIMPLEX_MID: CoverKind.SIMPLEX_GRID,
+        BoundId.SIMPLEX_ANY: CoverKind.SIMPLEX_GRID,
+    }
+    for bid in BoundId:
+        privacy = (PrivacyParams.mu_gdp(0.3) if bid.value.startswith("gdp")
+                   else PrivacyParams.eps_dp(0.5))
+        if bid in expected:
+            assert cover_for_bound(bid, privacy, 3, 6).kind is expected[bid]
+        else:
+            with pytest.raises(InputError, match="no cover construction"):
+                cover_for_bound(bid, privacy, 3, 6)
 
 
 @pytest.mark.parametrize("bound_id, privacy", [

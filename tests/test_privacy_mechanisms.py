@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,16 +108,21 @@ def test_exponential_mechanism_rows_are_distributions():
     assert mech.privacy.kind is PrivacyKind.EPS_DP
 
 
-@pytest.mark.parametrize("m, n, eps", [(3, 20, 0.5), (4, 8, 0.7), (2, 150, 0.3)])
+@pytest.mark.parametrize("m, n, eps", [
+    (3, 20, 0.5), (4, 8, 0.7), (2, 150, 0.3), (5, 6, 40.0), (3, 6, 1e308),
+])
 def test_exponential_kernel_matches_tensor_formula(m, n, eps):
-    # reference: the T x T x m float distance tensor, bit for bit
+    # reference: exp over the T x T x m float distance tensor, bit for bit.
+    # At eps = 1e308, -eps * k overflows to -inf (weight 0) for k >= 2,
+    # which the kernel must take without a RuntimeWarning.
     counts = np.array([s.counts for s in enumerate_types(m, n)], dtype=float)
     dist = np.abs(counts[:, None, :] - counts[None, :, :]).sum(axis=2) / 2.0
-    raw = np.exp(-eps * dist / 2.0)
-    np.testing.assert_array_equal(
-        exponential_mechanism_over_types(m, n, eps).kernel,
-        raw / raw.sum(axis=1, keepdims=True),
-    )
+    with np.errstate(over="ignore"):
+        raw = np.exp(-eps * dist / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = exponential_mechanism_over_types(m, n, eps).kernel
+    np.testing.assert_array_equal(kernel, raw / raw.sum(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("build", [
