@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 # `import genbound` loads no layer, and numpy only once a name needs it.
 _EXPORTS = {
     "types_core": (
-        "CountVector", "SourceDistribution", "dataset_distance",
-        "enumerate_types", "num_types", "num_types_upper_bound",
-        "sigma_sub_gaussian", "type_of", "type_probability",
+        "SourceDistribution", "num_types", "num_types_upper_bound",
+        "sigma_sub_gaussian", "type_probability",
     ),
     "divergence_core": (
         "DiscreteDistribution", "MixtureSpec", "kl_divergence", "kl_matrix",
@@ -30,7 +29,7 @@ _EXPORTS = {
     ),
     "covering": (
         "CoverKind", "CoverSpec", "build_full_grid_cover",
-        "build_simplex_grid_cover", "build_typical_cover", "is_typical",
+        "build_simplex_grid_cover", "build_typical_cover",
         "optimal_grid_parameter", "simplex_hypercube_count",
         "typical_epsilon", "typical_mass", "verify_cover",
     ),

@@ -348,7 +348,8 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
     if not check.verified:
         _fail(
             f"cover verification failed: achieved radius {check.achieved_radius} "
-            f"exceeds certified {cover.certified_radius!r}", 1,
+            f"exceeds certified {cover.certified_radius!r} at count vector "
+            f"{check.worst}", 1,
         )
 
 

@@ -21,10 +21,14 @@ atoms: odd m takes the central atom, even m behaves as if the cell were
 one unit wider and takes that center (the upper-middle atom), so the
 per-coordinate error never exceeds (floor(cell length) + 1) / 2.
 
-Everything here is deterministic: same inputs, same centers, same order.
-Full and simplex grids share one builder, and cell bounds are exact
-integer arithmetic, so neither `cover` nor `verify-mi` loads the
-fractions or decimal modules.
+A cover's centers are one read-only C x m int64 array, a count vector
+per row. Everything here is deterministic: same inputs, same centers,
+same order. Full and simplex grids share one builder, which makes every
+cell's center and its sum patch with numpy, all rows at once. Cell
+bounds are exact integer arithmetic, so neither `cover` nor `verify-mi`
+loads the fractions or decimal modules. Every builder checks its cell
+count (t**(m-1) full, C(t + m - 2, m - 1) simplex, t**m typical) against
+the enumeration cap before it builds anything.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ import numpy as np
 from .errors import InputError
 from .records import Record
 from .types_core import (
-    CountVector,
     SourceDistribution,
     distance_matrix,
+    enforce_cap,
     type_counts,
     type_probability,
 )
@@ -56,7 +60,6 @@ __all__ = [
     "build_full_grid_cover",
     "build_simplex_grid_cover",
     "typical_epsilon",
-    "is_typical",
     "typical_mass",
     "build_typical_cover",
     "optimal_grid_parameter",
@@ -73,46 +76,67 @@ class CoverKind(enum.Enum):
 class CoverSpec(Record):
     """A finished cover: centers, grid parameter, and its analytic radius.
 
-    typical_epsilon is 0 except for typical-grid covers, where it records
-    the typicality threshold the cover was built against.
+    centers is a read-only C x m int64 array, one count vector per row:
+    at least one row and two columns, non-negative, no row twice, and one
+    row sum (the dataset length n >= 1). typical_epsilon is 0 except for
+    typical-grid covers, where it records the typicality threshold the
+    cover was built against.
     """
 
     __slots__ = ("centers", "t", "certified_radius", "kind", "typical_epsilon")
 
-    def __init__(self, centers: tuple[CountVector, ...], t: int,
-                 certified_radius: float, kind: CoverKind,
+    def __init__(self, centers, t: int, certified_radius: float, kind: CoverKind,
                  typical_epsilon: float = 0.0) -> None:
-        if len(centers) < 1:
+        try:
+            centers = np.array(centers, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("cover centers must be equal-length rows of int64 "
+                             "counts") from None
+        if centers.ndim != 2 or centers.shape[0] < 1:
             raise InputError("cover must have at least one center")
-        if len(set(centers)) != len(centers):
+        if centers.shape[1] < 2:
+            raise InputError("count vectors need at least two symbols")
+        if (centers < 0).any():
+            raise InputError("cover centers must have non-negative counts")
+        sums = centers.sum(axis=1)
+        if (sums != sums[0]).any() or sums[0] < 1:
+            raise InputError("cover centers must share one alphabet and length")
+        if _first_distinct_rows(centers).size != centers.shape[0]:
             raise InputError("cover centers must be duplicate-free")
-        n = centers[0].n
-        m = centers[0].alphabet_size
-        for c in centers:
-            if c.n != n or c.alphabet_size != m:
-                raise InputError("cover centers must share one alphabet and length")
         if t < 1:
             raise InputError(f"grid parameter must be positive, got {t}")
+        centers.flags.writeable = False
         self._assign(centers, t, certified_radius, kind, typical_epsilon)
 
     @property
     def n(self) -> int:
-        return self.centers[0].n
+        return int(self.centers[0].sum())
 
     @property
     def alphabet_size(self) -> int:
-        return self.centers[0].alphabet_size
+        return self.centers.shape[1]
+
+
+def _first_distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, in row order.
+    Sorts rows directly, so no count is ranked and any n works."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ranked = rows[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 class CoverVerification(Record):
-    """Outcome of an exhaustive radius check."""
+    """Outcome of an exhaustive radius check; worst is the witness count
+    vector as a tuple, or None."""
 
     __slots__ = ("achieved_radius", "certified_radius", "verified",
                  "checked_vectors", "worst")
 
     def __init__(self, achieved_radius: int, certified_radius: float,
                  verified: bool, checked_vectors: int,
-                 worst: CountVector | None) -> None:
+                 worst: tuple[int, ...] | None) -> None:
         self._assign(achieved_radius, certified_radius, verified,
                      checked_vectors, worst)
 
@@ -167,19 +191,25 @@ def _cell_center(length: int, t: int, j: int) -> int:
     return lo + m // 2 if m % 2 == 0 else lo + (m - 1) // 2
 
 
-def _patch_sum(coords: list[int], n: int) -> tuple[int, ...]:
-    """Make the free coordinates feasible and append the pinned one.
+def _patch_sums(coords: np.ndarray, n: int) -> np.ndarray:
+    """Make each row of free coordinates feasible and append the pinned one.
 
-    If the free coordinates overshoot n, repeatedly decrement the largest
-    one; the pinned last coordinate absorbs whatever remains.
+    Per row: while the free coordinates overshoot n, decrement the largest
+    one, the first on ties; the pinned last coordinate absorbs whatever
+    remains. Done for all rows at once: the largest coordinates are cut
+    to the least level L with sum(max(x - L, 0)) <= overshoot, which is
+    max_j ceil((top-j sum - overshoot) / j), and the decrements still
+    owed come one each off the coordinates at L, first index first.
     """
-    overshoot = sum(coords) - n
-    patched = list(coords)
-    while overshoot > 0:
-        i = max(range(len(patched)), key=lambda a: patched[a])
-        patched[i] -= 1
-        overshoot -= 1
-    return tuple(patched) + (n - sum(patched),)
+    k = coords.shape[1]
+    over = np.maximum(coords.sum(axis=1) - n, 0)[:, None]
+    top = np.cumsum(-np.sort(-coords, axis=1), axis=1)
+    level = (-((over - top) // np.arange(1, k + 1))).max(axis=1, keepdims=True)
+    patched = np.minimum(coords, level)
+    owed = over - (coords - patched).sum(axis=1, keepdims=True)
+    at_level = coords >= level
+    patched -= at_level & (np.cumsum(at_level, axis=1) <= owed)
+    return np.column_stack([patched, n - patched.sum(axis=1)])
 
 
 def _grid_radius(alphabet_size: int, n: int, t: int) -> float:
@@ -191,6 +221,9 @@ def _check_grid_args(alphabet_size: int, n: int, t: int) -> None:
         raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
     if n < 1:
         raise InputError(f"dataset length must be positive, got {n}")
+    if (alphabet_size - 1) * n >= 2**63:
+        # the sum of the free coordinates must fit an int64
+        raise InputError(f"dataset length {n} is too large for int64 counts")
     if not 1 <= t <= n + 1:
         raise InputError(
             f"grid parameter must satisfy 1 <= t <= n + 1, got t={t} for n={n}"
@@ -201,15 +234,25 @@ def _grid_cover(alphabet_size: int, n: int, t: int, kind: CoverKind) -> CoverSpe
     """One center per grid cell, in cell-index order: every cell for the
     full grid, only cells whose indices sum to at most t - 1 for the
     simplex grid. Centers are patched to valid count vectors and
-    deduplicated."""
+    deduplicated, first occurrence kept. The cell count is checked
+    against the enumeration cap before anything is built."""
     _check_grid_args(alphabet_size, n, t)
-    per_dim = [_cell_center(n, t, j) for j in range(t)]
-    seen: dict[tuple[int, ...], None] = {}
-    for idx in product(range(t), repeat=alphabet_size - 1):
-        if kind is CoverKind.FULL_GRID or sum(idx) <= t - 1:
-            seen.setdefault(_patch_sum([per_dim[j] for j in idx], n), None)
-    centers = tuple(CountVector(c) for c in seen)
-    return CoverSpec(centers, t, _grid_radius(alphabet_size, n, t), kind)
+    k = alphabet_size - 1
+    # at t = 1 both grids are the one cell at the origin
+    simplex = kind is CoverKind.SIMPLEX_GRID and t > 1
+    cells = math.comb(t + k - 1, k) if simplex else t**k
+    enforce_cap(cells, f"building {cells} grid cells ({kind.value}, alphabet "
+                       f"size {alphabet_size}, t={t})")
+    if simplex:
+        # index tuples summing to at most t - 1, in product order: the
+        # count vectors of t - 1 over k + 1 parts, the last part dropped
+        idx = type_counts(k + 1, t - 1)[:, :k]
+    else:
+        idx = np.indices((t,) * k).reshape(k, -1).T
+    per_dim = np.array([_cell_center(n, t, j) for j in range(t)], dtype=np.int64)
+    centers = _patch_sums(per_dim[idx], n)
+    return CoverSpec(centers[_first_distinct_rows(centers)], t,
+                     _grid_radius(alphabet_size, n, t), kind)
 
 
 def build_full_grid_cover(alphabet_size: int, n: int, t: int) -> CoverSpec:
@@ -248,17 +291,6 @@ def _typical_mask(counts: np.ndarray, probs: np.ndarray, epsilon: float) -> np.n
     ).all(axis=-1)
 
 
-def is_typical(s: CountVector, source: SourceDistribution, epsilon: float) -> bool:
-    """Whether every empirical frequency is within epsilon of the source,
-    with zero-probability symbols unseen."""
-    if s.alphabet_size != source.alphabet_size:
-        raise InputError(
-            f"count vector over {s.alphabet_size} symbols does not match "
-            f"source over {source.alphabet_size}"
-        )
-    return bool(_typical_mask(np.array(s.counts), source.probs, epsilon))
-
-
 def typical_mass(source: SourceDistribution, n: int, epsilon: float) -> float:
     """Exact probability of the typical set: sum of multinomial masses
     over typical count vectors. Enumerates all count vectors, so the
@@ -266,7 +298,7 @@ def typical_mass(source: SourceDistribution, n: int, epsilon: float) -> float:
     counts = type_counts(source.alphabet_size, n)
     typical = counts[_typical_mask(counts, source.probs, epsilon)]
     return float(math.fsum(
-        type_probability(CountVector(tuple(row)), source) for row in typical.tolist()
+        type_probability(row, source) for row in typical.tolist()
     ))
 
 
@@ -305,6 +337,10 @@ def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec
             f"got t={t} for n={n}"
         )
     m = source.alphabet_size
+    enforce_cap(t**m, f"building {t**m} grid cells (typical_grid, alphabet "
+                      f"size {m}, t={t})")
+    # _typical_range tests every count from 0 to n, one array of n + 1
+    enforce_cap(n + 1, f"scanning {n + 1} counts for each symbol's typical range")
     ranges = [_typical_range(n, float(p), eps) for p in source.probs]
     per_dim: list[list[int]] = []
     for lo, hi in ranges:
@@ -333,9 +369,9 @@ def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec
             coords[i] -= 1
             deficit += 1
         seen.setdefault(tuple(coords), None)
-    centers = tuple(CountVector(c) for c in seen)
     radius = math.sqrt(n * math.log(n)) * m / t
-    return CoverSpec(centers, t, radius, CoverKind.TYPICAL_GRID, typical_epsilon=eps)
+    return CoverSpec(list(seen), t, radius, CoverKind.TYPICAL_GRID,
+                     typical_epsilon=eps)
 
 
 _FULL_REGIMES = {"dp_full", "gdp_full"}
@@ -409,16 +445,15 @@ def verify_cover(
     counts = type_counts(cover.alphabet_size, cover.n)
     if cover.kind is CoverKind.TYPICAL_GRID:
         counts = counts[_typical_mask(counts, source.probs, cover.typical_epsilon)]
-    centers = np.array([c.counts for c in cover.centers], dtype=np.int64)
-    worst: CountVector | None = None
+    worst: tuple[int, ...] | None = None
     achieved = 0
     for lo in range(0, counts.shape[0], VERIFY_BLOCK_ROWS):
         block = counts[lo:lo + VERIFY_BLOCK_ROWS]
-        best = distance_matrix(block, centers).min(axis=1)
+        best = distance_matrix(block, cover.centers).min(axis=1)
         i = int(np.argmax(best))
         if best[i] > achieved:
             achieved = int(best[i])
-            worst = CountVector(tuple(block[i].tolist()))
+            worst = tuple(block[i].tolist())
     return CoverVerification(
         achieved_radius=achieved,
         certified_radius=cover.certified_radius,

@@ -39,7 +39,6 @@ from .privacy_mechanisms import (
 )
 from .records import Record
 from .types_core import (
-    CountVector,
     SourceDistribution,
     check_cap,
     sigma_sub_gaussian,
@@ -167,7 +166,7 @@ def exact_type_distribution(
 ) -> np.ndarray:
     """Probability of each count vector, in lexicographic order."""
     return np.array([
-        type_probability(CountVector(tuple(row)), source)
+        type_probability(row, source)
         for row in type_counts(alphabet_size, n).tolist()
     ])
 
@@ -191,14 +190,16 @@ def _mutual_information(kernel: np.ndarray, p_types: np.ndarray) -> float:
 
 
 class PerDatasetKl(Record):
-    """Exact divergence of one input's output row against a cover mixture,
-    with the two variational upper bounds."""
+    """Exact divergence of every input's output row against a cover
+    mixture, with the two variational upper bounds: one column each.
+    counts is the T x m array of count vectors; row i of counts goes with
+    entry i of the three float arrays."""
 
-    __slots__ = ("count_vector", "exact_kl", "bound_logsumexp", "bound_min")
+    __slots__ = ("counts", "exact_kl", "bound_logsumexp", "bound_min")
 
-    def __init__(self, count_vector: CountVector, exact_kl: float,
-                 bound_logsumexp: float, bound_min: float) -> None:
-        self._assign(count_vector, exact_kl, bound_logsumexp, bound_min)
+    def __init__(self, counts: np.ndarray, exact_kl: np.ndarray,
+                 bound_logsumexp: np.ndarray, bound_min: np.ndarray) -> None:
+        self._assign(counts, exact_kl, bound_logsumexp, bound_min)
 
 
 def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) -> float:
@@ -217,12 +218,12 @@ def _cover_rows(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
             f"cover built for alphabet size {cover.alphabet_size}, n={cover.n}; "
             f"experiment uses {config.alphabet_size}, n={config.n}"
         )
-    return config.mechanism.kernel[type_rank([c.counts for c in cover.centers])]
+    return config.mechanism.kernel[type_rank(cover.centers)]
 
 
 def per_dataset_kl_to_cover_mixture(
     config: ExperimentConfig, cover: CoverSpec
-) -> list[PerDatasetKl]:
+) -> PerDatasetKl:
     """For every count vector: KL of its kernel row against the uniform
     mixture of the cover centers' rows, plus the log-sum-exp and
     single-component bounds on the same quantity.
@@ -241,16 +242,10 @@ def per_dataset_kl_to_cover_mixture(
     exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
     bound_logsumexp = -logsumexp(-component, axis=1) - log_w
     bound_min = np.min(component, axis=1) - log_w
-    counts = type_counts(config.alphabet_size, config.n)
-    return [
-        PerDatasetKl(
-            count_vector=CountVector(tuple(row)),
-            exact_kl=float(exact[i]),
-            bound_logsumexp=float(bound_logsumexp[i]),
-            bound_min=float(bound_min[i]),
-        )
-        for i, row in enumerate(counts.tolist())
-    ]
+    columns = [exact, bound_logsumexp, bound_min]
+    for column in columns:
+        column.flags.writeable = False
+    return PerDatasetKl(type_counts(config.alphabet_size, config.n), *columns)
 
 
 def _risk_tables(config: ExperimentConfig):
@@ -371,28 +366,36 @@ def cover_for_bound(
     """The cover whose mixture the given count-based bound dominates. A
     bound whose grid parameter follows a privacy regime needs a
     declaration of that regime's kind."""
-    from .covering import (
-        build_full_grid_cover,
-        build_simplex_grid_cover,
-        optimal_grid_parameter,
-    )
+    kind, t = _cover_grid(bound_id, privacy, alphabet_size, n)
+    return _build_cover(kind, t, alphabet_size, n)
+
+
+def _cover_grid(
+    bound_id: BoundId, privacy: PrivacyParams, alphabet_size: int, n: int
+) -> tuple[str, int]:
+    """The CoverKind value and grid parameter of cover_for_bound's cover."""
+    from .covering import optimal_grid_parameter
 
     if bound_id.value not in _COVER_OF:
         raise InputError(f"no cover construction for bound {bound_id.value!r}")
     kind, rule = _COVER_OF[bound_id.value]
     if rule is None:
-        t = n + 1
-    elif isinstance(rule, str):
+        return kind, n + 1
+    if isinstance(rule, str):
         if privacy.kind is not _RULE_KIND[rule]:
             raise InputError(
                 f"bound {bound_id.value!r} needs a {_RULE_KIND[rule].value} "
                 f"declaration, got {privacy.kind.value}"
             )
-        t = optimal_grid_parameter(rule, privacy.value, alphabet_size, n).t
-    else:
-        t = rule
+        return kind, optimal_grid_parameter(rule, privacy.value, alphabet_size, n).t
+    return kind, rule
+
+
+def _build_cover(kind: str, t: int, alphabet_size: int, n: int) -> CoverSpec:
     # the builder is imported at call time, so a wrapper bound over the
     # covering module's name (a tracing span, say) sees every call
+    from .covering import build_full_grid_cover, build_simplex_grid_cover
+
     if kind == "full_grid":
         return build_full_grid_cover(alphabet_size, n, t)
     return build_simplex_grid_cover(alphabet_size, n, t)
@@ -435,16 +438,22 @@ def run_verification(
 
     values: dict[BoundId, float] = {}
     slack: dict[BoundId, float] = {}
+    # bounds that share a cover (type_count and simplex_any both take the
+    # t = n + 1 simplex grid) share one build and one expectation
+    expectations: dict[tuple[str, int], float] = {}
 
     for report in kl_candidates(privacy, m, n):
         if not report.applicable:
             continue
         values[report.bound_id] = report.value
         if report.bound_id.value in _COVER_OF:
-            cover = cover_for_bound(report.bound_id, privacy, m, n)
-            mixture = _cover_rows(config, cover).mean(axis=0)
-            expectation = _expected_kl(p_types, config.mechanism.kernel, mixture)
-            slack[report.bound_id] = report.value - expectation
+            grid = _cover_grid(report.bound_id, privacy, m, n)
+            if grid not in expectations:
+                cover = _build_cover(*grid, m, n)
+                mixture = _cover_rows(config, cover).mean(axis=0)
+                expectations[grid] = _expected_kl(
+                    p_types, config.mechanism.kernel, mixture)
+            slack[report.bound_id] = report.value - expectations[grid]
         else:
             slack[report.bound_id] = report.value - mi
 

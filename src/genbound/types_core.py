@@ -3,51 +3,48 @@
 A dataset of n symbols drawn from a finite alphabet is summarized by its
 count vector (the empirical histogram). Every permutation-invariant
 algorithm sees only that summary, so the combinatorics of count vectors
-carry the whole analysis. This module provides:
+carry the whole analysis. A count vector is a row of int64 counts; a
+set of them is one array with a row each, and there is no count-vector
+class. This module provides:
 
 - exact counting of the count vectors, and all T of them as one
   T x m array in lexicographic order, with its vectorised rank,
 - the replacement distance between same-length datasets (half the L1
-  gap between their counts), for one pair or between two arrays,
+  gap between their counts) between every row of two arrays,
 - multinomial probabilities of count vectors under an i.i.d. source,
 - the sub-Gaussian scale of a bounded loss table.
 
 Counting is big-integer exact, and the int64 arrays hold no value above
 T; floats appear only at the probability and loss boundaries.
-Enumeration is guarded by one cap (default 10**7 vectors), set by the
+Enumeration, and any other work that grows like it (a grid cover's
+cells, say), is guarded by one cap (default 10**7 items), set by the
 GENBOUND_TYPE_CAP environment variable.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .records import Record
 
 __all__ = [
     "DEFAULT_TYPE_CAP",
     "TYPE_CAP_ENV_VAR",
-    "CountVector",
     "SourceDistribution",
     "type_enumeration_cap",
-    "type_of",
-    "dataset_distance",
     "num_types",
     "num_types_upper_bound",
+    "enforce_cap",
     "check_cap",
     "type_counts",
     "type_rank",
     "distance_matrix",
-    "enumerate_types",
-    "type_index",
     "type_probability",
     "sigma_sub_gaussian",
 ]
@@ -70,54 +67,6 @@ def type_enumeration_cap() -> int:
     if cap < 1:
         raise InputError(f"{TYPE_CAP_ENV_VAR} must be a positive integer, got {cap}")
     return cap
-
-
-@functools.total_ordering
-class CountVector(Record):
-    """Histogram of a dataset: one non-negative count per symbol.
-
-    Ordering is lexicographic on the counts, matching the public
-    enumeration order.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Iterable[int]) -> None:
-        counts = tuple(int(c) for c in counts)
-        if len(counts) < 2:
-            raise InputError("count vector needs at least two symbols")
-        if any(c < 0 for c in counts):
-            raise InputError(f"counts must be non-negative, got {counts}")
-        if sum(counts) < 1:
-            raise InputError("count vector must describe a non-empty dataset")
-        object.__setattr__(self, "counts", counts)
-
-    # one field: compare and hash it directly, as covers hash every center
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash(self.counts)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.counts < other.counts
-
-    @property
-    def n(self) -> int:
-        """Dataset length this histogram describes."""
-        return sum(self.counts)
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.counts)
-
-    def frequencies(self) -> np.ndarray:
-        """Empirical distribution counts / n as a float array."""
-        return np.asarray(self.counts, dtype=float) / self.n
 
 
 class SourceDistribution:
@@ -177,43 +126,6 @@ class SourceDistribution:
         )
 
 
-def type_of(sequence: Sequence[int], alphabet_size: int) -> CountVector:
-    """Count vector of a symbol-index sequence.
-
-    Permutation-invariant by construction. An alphabet size below 2 and
-    indices outside [0, alphabet_size) are rejected.
-    """
-    if alphabet_size < 2:
-        raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
-    if len(sequence) == 0:
-        raise InputError("cannot take the type of an empty sequence")
-    counts = [0] * alphabet_size
-    for idx in sequence:
-        i = int(idx)
-        if i != idx or not 0 <= i < alphabet_size:
-            raise InputError(
-                f"symbol index {idx!r} outside alphabet of size {alphabet_size}"
-            )
-        counts[i] += 1
-    return CountVector(tuple(counts))
-
-
-def dataset_distance(s: CountVector, s2: CountVector) -> int:
-    """Minimum number of single-element replacements between two datasets.
-
-    Equals half the L1 distance between the count vectors. Defined only
-    for equal alphabet sizes and equal dataset lengths.
-    """
-    if s.alphabet_size != s2.alphabet_size:
-        raise InputError(
-            f"alphabet sizes differ: {s.alphabet_size} vs {s2.alphabet_size}"
-        )
-    if s.n != s2.n:
-        raise InputError(f"dataset lengths differ: {s.n} vs {s2.n}")
-    gap = sum(abs(a - b) for a, b in zip(s.counts, s2.counts))
-    return gap // 2
-
-
 def num_types(alphabet_size: int, n: int) -> int:
     """Exact number of count vectors: C(n + m - 1, m - 1) for m symbols."""
     if alphabet_size < 1:
@@ -232,6 +144,19 @@ def num_types_upper_bound(alphabet_size: int, n: int) -> int:
     return (n + 1) ** (alphabet_size - 1)
 
 
+def enforce_cap(total: int, what: str) -> int:
+    """total, after checking that it stays within type_enumeration_cap();
+    `what` describes the work in the error, e.g. "enumerating 12 count
+    vectors"."""
+    limit = type_enumeration_cap()
+    if total > limit:
+        raise ResourceLimitError(
+            f"{what} exceeds the enumeration cap of {limit}; raise "
+            f"{TYPE_CAP_ENV_VAR} to override"
+        )
+    return total
+
+
 def check_cap(alphabet_size: int, n: int) -> int:
     """Number of count vectors, after checking that the lattice is valid
     (alphabet size >= 2, n >= 1) and that enumerating it stays within
@@ -239,14 +164,8 @@ def check_cap(alphabet_size: int, n: int) -> int:
     if alphabet_size < 2:
         raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
     total = num_types(alphabet_size, n)
-    limit = type_enumeration_cap()
-    if total > limit:
-        raise ResourceLimitError(
-            f"enumerating {total} count vectors (alphabet size {alphabet_size}, "
-            f"n={n}) exceeds the enumeration cap of {limit}; raise "
-            f"{TYPE_CAP_ENV_VAR} to override"
-        )
-    return total
+    return enforce_cap(total, f"enumerating {total} count vectors "
+                              f"(alphabet size {alphabet_size}, n={n})")
 
 
 def type_counts(alphabet_size: int, n: int) -> np.ndarray:
@@ -306,39 +225,35 @@ def distance_matrix(a, b) -> np.ndarray:
     return dist
 
 
-def enumerate_types(alphabet_size: int, n: int) -> Iterator[CountVector]:
-    """Yield every count vector in lexicographic order (the rows of
-    type_counts as CountVector objects)."""
-    for row in type_counts(alphabet_size, n).tolist():
-        yield CountVector(tuple(row))
-
-
-def type_index(s: CountVector) -> int:
-    """Rank of a count vector in the lexicographic enumeration order."""
-    return int(type_rank(s.counts))
-
-
-def type_probability(s: CountVector, source: SourceDistribution) -> float:
+def type_probability(counts: Sequence[int], source: SourceDistribution) -> float:
     """Multinomial probability of observing this count vector.
 
     n! / prod(counts!) * prod(p_a ** counts_a), with the coefficient in
     exact big-integer arithmetic. When prod(p_a ** counts_a) falls below
     the normal float range the product is taken in log space, so tiny
     probabilities keep their relative accuracy instead of flushing to 0.
-    Sums to 1 over all count vectors.
+    Sums to 1 over all count vectors. The counts must be non-negative,
+    describe a non-empty dataset, and have one entry per source symbol.
     """
-    if s.alphabet_size != source.alphabet_size:
+    counts = tuple(int(c) for c in counts)
+    if len(counts) < 2:
+        raise InputError("count vector needs at least two symbols")
+    if any(c < 0 for c in counts):
+        raise InputError(f"counts must be non-negative, got {counts}")
+    if sum(counts) < 1:
+        raise InputError("count vector must describe a non-empty dataset")
+    if len(counts) != source.alphabet_size:
         raise InputError(
-            f"count vector over {s.alphabet_size} symbols does not match "
+            f"count vector over {len(counts)} symbols does not match "
             f"source over {source.alphabet_size}"
         )
     coef = 1
     partial = 0
-    for c in s.counts:
+    for c in counts:
         partial += c
         coef *= math.comb(partial, c)
     mass = 1.0
-    for c, p in zip(s.counts, source.probs):
+    for c, p in zip(counts, source.probs):
         if c == 0:
             continue
         if p == 0.0:
@@ -350,7 +265,7 @@ def type_probability(s: CountVector, source: SourceDistribution) -> float:
     # a subnormal mass has lost digits (or underflowed to 0): evaluate in
     # log space, from the exact coefficient
     return math.exp(math.log(coef) + math.fsum(
-        c * math.log(p) for c, p in zip(s.counts, source.probs) if c > 0
+        c * math.log(p) for c, p in zip(counts, source.probs) if c > 0
     ))
 
 

@@ -1,0 +1,69 @@
+"""Scalar references for the count lattice, kept in the tests.
+
+The package holds count vectors only as rows of int64 arrays. These
+loops take one count vector at a time, as a tuple of ints, and are what
+the vectorised paths are checked against.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+def enumerate_types(alphabet_size, n):
+    """Every count vector of n over alphabet_size symbols, as tuples, in
+    lexicographic order: the recursive generator."""
+
+    def rec(prefix, remaining, dims):
+        if dims == 1:
+            yield prefix + (remaining,)
+            return
+        for head in range(remaining + 1):
+            yield from rec(prefix + (head,), remaining - head, dims - 1)
+
+    return list(rec((), n, alphabet_size))
+
+
+def type_index(counts):
+    """Lexicographic rank of one count vector: count the vectors with a
+    smaller head, position by position."""
+    rank, remaining, dims = 0, sum(counts), len(counts)
+    for c in counts[:-1]:
+        for v in range(c):
+            rank += math.comb(remaining - v + dims - 2, dims - 2)
+        remaining -= c
+        dims -= 1
+    return rank
+
+
+def dataset_distance(a, b):
+    """Replacement distance of two count vectors of one alphabet and one
+    length: half their L1 gap."""
+    assert len(a) == len(b) and sum(a) == sum(b), (a, b)
+    return sum(abs(x - y) for x, y in zip(a, b)) // 2
+
+
+def is_typical(counts, probs, epsilon):
+    """Typicality, one symbol at a time: every frequency within epsilon
+    of its probability, and zero-probability symbols unseen."""
+    n = sum(counts)
+    for c, p in zip(counts, probs):
+        if p == 0.0:
+            if c != 0:
+                return False
+        elif abs(c / n - p) > epsilon:
+            return False
+    return True
+
+
+def patch_sum(coords, n):
+    """Grid-center sum patch, one center at a time: while the free
+    coordinates overshoot n, decrement the largest (the first on ties);
+    then append the pinned last coordinate."""
+    overshoot = sum(coords) - n
+    patched = list(coords)
+    while overshoot > 0:
+        i = max(range(len(patched)), key=lambda a: patched[a])
+        patched[i] -= 1
+        overshoot -= 1
+    return tuple(patched) + (n - sum(patched),)

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import pytest
 
 import genbound
+import genbound.covering
 import genbound.privacy_mechanisms
 from genbound.cli import main
+from genbound.covering import CoverKind, CoverSpec
 from genbound.divergence_core import kl_divergence
 from genbound.privacy_mechanisms import (
     Mechanism,
@@ -26,7 +28,7 @@ from genbound.privacy_mechanisms import (
     kl_stability_bound,
     save_mechanism_csv,
 )
-from genbound.types_core import enumerate_types
+from lattice_reference import enumerate_types
 
 
 @dataclass
@@ -172,6 +174,35 @@ class TestCover:
                                       "--source", "0.5,0.5"])
         assert result.exit_code == 2
 
+    def test_failure_line_names_the_witness(self, runner, monkeypatch):
+        # corner centers certified at radius 7: the first count vector,
+        # lexicographically, at the achieved radius 8 is (4, 4, 4)
+        corners = CoverSpec(((0, 0, 12), (12, 0, 0), (0, 12, 0)), 1, 7.0,
+                            CoverKind.FULL_GRID)
+        monkeypatch.setattr(genbound.covering, "build_full_grid_cover",
+                            lambda alphabet_size, n, t: corners)
+        result = runner.invoke(main, ["cover", "--alphabet-size", "3",
+                                      "--n", "12", "--t", "1",
+                                      "--kind", "full_grid"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines()[1] == (
+            "full_grid,3,12,1,3,7.00000000000e+00,8,false")
+        assert result.stderr == (
+            "cover verification failed: achieved radius 8 exceeds certified "
+            "7.0 at count vector (4, 4, 4)\n")
+
+    @pytest.mark.parametrize("args", [
+        ["--alphabet-size", "6", "--n", "2000", "--t", "2000", "--kind", "full_grid"],
+        ["--alphabet-size", "6", "--n", "2000", "--t", "2000", "--kind", "simplex_grid"],
+        # T = 8.0 M count vectors is within the cap, 16 M cells are not
+        ["--alphabet-size", "3", "--n", "4000", "--t", "4001", "--kind", "full_grid"],
+    ], ids=["full", "simplex", "full-cells-over-types"])
+    def test_oversized_grid_is_refused_at_once(self, runner, args):
+        result = runner.invoke(main, ["cover", *args])
+        assert_input_error(result)
+        assert "grid cells" in result.stderr
+        assert "raise GENBOUND_TYPE_CAP to override" in result.stderr
+
 
 class TestStability:
     def test_exponential_audit_passes(self, runner):
@@ -208,16 +239,16 @@ class TestStability:
         # KL at the first failing distance
         k = next(int(line.split(",")[0]) for line in result.stdout.splitlines()
                  if line.endswith(",false"))
-        types = list(enumerate_types(2, 4))
+        types = enumerate_types(2, 4)
         pairs = [(kl_divergence(honest.kernel[i], honest.kernel[j]), a, b)
                  for i, a in enumerate(types) for j, b in enumerate(types)
-                 if sum(abs(x - y) for x, y in zip(a.counts, b.counts)) == 2 * k]
+                 if sum(abs(x - y) for x, y in zip(a, b)) == 2 * k]
         worst = max(kl for kl, _, _ in pairs)
         _, a, b = next(p for p in pairs if p[0] == worst)
         assert result.stderr == (
             f"stability audit failed at distance {k}: observed KL {worst!r} "
             f"exceeds bound {kl_stability_bound(liar.privacy, k)!r} "
-            f"for count vectors {a.counts} -> {b.counts}\n"
+            f"for count vectors {a} -> {b}\n"
         )
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from genbound.covering import (
     build_full_grid_cover,
     build_simplex_grid_cover,
     build_typical_cover,
-    is_typical,
     optimal_grid_parameter,
     simplex_hypercube_count,
     simplex_hypercube_count_upper,
@@ -25,40 +25,38 @@ from genbound.covering import (
     typical_mass,
     verify_cover,
 )
-from genbound.errors import InputError
+from genbound.errors import InputError, ResourceLimitError
 from genbound.types_core import (
-    CountVector,
     SourceDistribution,
-    dataset_distance,
-    enumerate_types,
+    distance_matrix,
     num_types,
+    type_counts,
     type_probability,
 )
+from lattice_reference import dataset_distance, enumerate_types, is_typical, patch_sum
 
 
-def scalar_is_typical(s, source, epsilon):
-    """Reference typicality test: one symbol at a time."""
-    for c, p in zip(s.counts, source.probs):
-        if p == 0.0:
-            if c != 0:
-                return False
-        elif abs(c / s.n - p) > epsilon:
-            return False
-    return True
+def typical(counts, source, epsilon):
+    """The package's typicality test on one count vector."""
+    return bool(genbound.covering._typical_mask(np.array(counts), source.probs, epsilon))
+
+
+def rows(cover):
+    """A cover's centers as a tuple of count tuples."""
+    return tuple(map(tuple, cover.centers.tolist()))
 
 
 def scalar_verify_cover(cover, source=None):
     """Reference cover check: every count vector against every center,
     the first vector at a new worst distance kept as the witness."""
-    centers = [c.counts for c in cover.centers]
     worst, achieved, checked = None, 0, 0
     for s in enumerate_types(cover.alphabet_size, cover.n):
-        if cover.kind is CoverKind.TYPICAL_GRID and not scalar_is_typical(
-            s, source, cover.typical_epsilon
+        if cover.kind is CoverKind.TYPICAL_GRID and not is_typical(
+            s, source.probs, cover.typical_epsilon
         ):
             continue
         checked += 1
-        best = min(sum(abs(a - b) for a, b in zip(s.counts, c)) // 2 for c in centers)
+        best = min(dataset_distance(s, c) for c in rows(cover))
         if best > achieved:
             achieved, worst = best, s
     return achieved, checked, worst
@@ -108,7 +106,7 @@ def test_full_grid_single_cell():
 def test_full_grid_finest_cell_covers_exactly():
     cover = build_full_grid_cover(2, 6, 7)
     assert verify_cover(cover).verified
-    assert len(cover.centers) == len(set(cover.centers))
+    assert len(cover.centers) == len(set(rows(cover)))
 
 
 def test_simplex_grid_count_bound():
@@ -156,7 +154,8 @@ def fraction_cell_atom_range(length, t, j):
 def reference_grid_centers(alphabet_size, n, t, simplex):
     """Reference grid builders, one loop each: the full grid walks the
     product of per-cell centers, the simplex grid the product of cell
-    indices whose sum is at most t - 1."""
+    indices whose sum is at most t - 1. Each center's sum is patched by
+    the scalar loop."""
     per_dim = []
     for j in range(t):
         lo, hi = fraction_cell_atom_range(n, t, j)
@@ -168,11 +167,11 @@ def reference_grid_centers(alphabet_size, n, t, simplex):
             if sum(idx) > t - 1:
                 continue
             combo = [per_dim[j] for j in idx]
-            seen.setdefault(genbound.covering._patch_sum(combo, n), None)
+            seen.setdefault(patch_sum(combo, n), None)
     else:
         for combo in itertools.product(per_dim, repeat=alphabet_size - 1):
-            seen.setdefault(genbound.covering._patch_sum(list(combo), n), None)
-    return tuple(CountVector(c) for c in seen)
+            seen.setdefault(patch_sum(combo, n), None)
+    return tuple(seen)
 
 
 def test_cell_atom_range_matches_fraction_rule():
@@ -193,17 +192,108 @@ def test_grid_builders_match_reference_loops(m, n_max):
             for build, simplex in ((build_full_grid_cover, False),
                                    (build_simplex_grid_cover, True)):
                 cover = build(m, n, t)
-                assert cover.centers == reference_grid_centers(m, n, t, simplex), (
+                assert rows(cover) == reference_grid_centers(m, n, t, simplex), (
                     m, n, t, build.__name__)
                 assert cover.t == t
                 assert cover.certified_radius == radius
 
 
+@pytest.mark.parametrize("m, n, t", [(3, 98, 99), (4, 29, 30), (4, 60, 30)])
+def test_grid_builders_match_reference_loops_at_ladder_sizes(m, n, t):
+    for build, simplex in ((build_full_grid_cover, False),
+                           (build_simplex_grid_cover, True)):
+        assert rows(build(m, n, t)) == reference_grid_centers(m, n, t, simplex)
+
+
+def test_large_full_grid_center_count():
+    # 216,000 cells patched to 37,821 distinct centers, one per row
+    cover = build_full_grid_cover(4, 120, 60)
+    assert cover.centers.shape == (37821, 4)
+    assert (cover.centers.sum(axis=1) == 120).all()
+
+
+def test_grid_cover_of_a_huge_length_builds_without_enumerating():
+    # the lattice is far past the cap, the 27 cells are not: the cover
+    # builds, and only its exhaustive check is refused
+    n = 10**12
+    cover = build_full_grid_cover(4, n, 3)
+    assert 1 <= len(cover.centers) <= 27 and (cover.centers.sum(axis=1) == n).all()
+    with pytest.raises(ResourceLimitError):
+        verify_cover(cover)
+
+
+def test_grid_for_counts_past_int64_is_input_error():
+    # the free coordinates of m = 3 sum to at most 2n, which must fit
+    build_full_grid_cover(3, 2**62 - 1, 2)
+    with pytest.raises(InputError, match="too large for int64"):
+        build_full_grid_cover(3, 2**62, 2)
+    with pytest.raises(InputError, match="too large for int64"):
+        build_simplex_grid_cover(2, 2**63, 2)
+
+
 def test_centers_are_valid_types():
     cover = build_full_grid_cover(3, 9, 4)
-    for c in cover.centers:
-        assert c.n == 9
-        assert c.alphabet_size == 3
+    assert cover.centers.dtype == np.int64 and cover.centers.shape[1] == 3
+    assert (cover.centers.sum(axis=1) == 9).all() and (cover.centers >= 0).all()
+    assert (cover.n, cover.alphabet_size) == (9, 3)
+    with pytest.raises(ValueError):
+        cover.centers[0, 0] = 1
+
+
+@pytest.mark.parametrize("centers, match", [
+    ([], "at least one center"),
+    (np.zeros((0, 3), dtype=np.int64), "at least one center"),
+    ([(4,), (3,)], "two symbols"),
+    ([(2, -1, 3), (1, 1, 2)], "non-negative"),
+    ([(2, 2), (3, 2)], "one alphabet and length"),
+    ([(2, 2), (1, 1, 2)], "equal-length rows of int64 counts"),
+    ([(2**63, 0), (0, 2**63)], "equal-length rows of int64 counts"),
+    ([(0, 0), (0, 0)], "one alphabet and length"),
+    ([(1, 3), (2, 2), (1, 3)], "duplicate-free"),
+], ids=["empty", "no-rows", "one-column", "negative", "unequal-sums", "ragged",
+        "int64-overflow", "empty-dataset", "duplicate"])
+def test_cover_spec_rejects_malformed_centers(centers, match):
+    with pytest.raises(InputError, match=match):
+        CoverSpec(centers, 1, 1.0, CoverKind.FULL_GRID)
+
+
+def test_cover_spec_owns_a_copy_of_its_centers():
+    source = np.array([[1, 3], [2, 2]])
+    cover = CoverSpec(source, 1, 1.0, CoverKind.FULL_GRID)
+    source[0, 0] = 0
+    assert rows(cover) == ((1, 3), (2, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_full_grid_cover(6, 2000, 2000),
+    lambda: build_simplex_grid_cover(6, 2000, 2000),
+    # T = 8.0 M count vectors is within the cap, but 16 M cells are not
+    lambda: build_full_grid_cover(3, 4000, 4001),
+    lambda: build_typical_cover(SourceDistribution.uniform(6), 2000, 20),
+    # 8 cells, but each symbol's range is found among 10**12 + 1 counts
+    lambda: build_typical_cover(SourceDistribution.uniform(3), 10**12, 2),
+], ids=["full", "simplex", "full-cells-over-types", "typical", "typical-long"])
+def test_oversized_grids_are_refused_before_building(build):
+    with pytest.raises(ResourceLimitError, match="raise GENBOUND_TYPE_CAP to override"):
+        build()
+
+
+def test_grid_cell_counts_meet_the_cap_exactly(monkeypatch):
+    # m = 3, t = 4: 16 full cells, C(5, 2) = 10 simplex cells; m = 2 typical:
+    # 16 cells, and 13 counts scanned per symbol
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "16")
+    build_full_grid_cover(3, 8, 4)
+    build_typical_cover(SourceDistribution.uniform(2), 12, 4)
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "15")
+    for build in (lambda: build_full_grid_cover(3, 8, 4),
+                  lambda: build_typical_cover(SourceDistribution.uniform(2), 12, 4)):
+        with pytest.raises(ResourceLimitError, match="16 grid cells"):
+            build()
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "10")
+    build_simplex_grid_cover(3, 8, 4)
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "9")
+    with pytest.raises(ResourceLimitError, match="10 grid cells"):
+        build_simplex_grid_cover(3, 8, 4)
 
 
 def test_typical_epsilon_values():
@@ -216,14 +306,14 @@ def test_typical_epsilon_values():
 def test_is_typical_inclusive_boundary():
     src = SourceDistribution([0.5, 0.5])
     # counts (6, 10): |6/16 - 0.5| = 0.125 exactly
-    assert is_typical(CountVector((6, 10)), src, 0.125)
-    assert not is_typical(CountVector((5, 11)), src, 0.125)
+    assert typical((6, 10), src, 0.125)
+    assert not typical((5, 11), src, 0.125)
 
 
 def test_is_typical_zero_probability_symbol():
     src = SourceDistribution([1.0, 0.0])
-    assert is_typical(CountVector((8, 0)), src, 0.1)
-    assert not is_typical(CountVector((7, 1)), src, 0.9)
+    assert typical((8, 0), src, 0.1)
+    assert not typical((7, 1), src, 0.9)
 
 
 @pytest.mark.parametrize("probs", [
@@ -232,11 +322,12 @@ def test_is_typical_zero_probability_symbol():
 def test_typicality_mask_matches_scalar_loop(probs):
     src = SourceDistribution(probs)
     for eps in (0.05, typical_epsilon(12), 0.25, 1.0):
-        flags = [is_typical(s, src, eps) for s in enumerate_types(3, 12)]
-        assert flags == [scalar_is_typical(s, src, eps) for s in enumerate_types(3, 12)]
+        flags = genbound.covering._typical_mask(type_counts(3, 12), src.probs, eps)
+        assert flags.tolist() == [is_typical(s, probs, eps)
+                                  for s in enumerate_types(3, 12)]
         assert typical_mass(src, 12, eps) == math.fsum(
             type_probability(s, src)
-            for s in enumerate_types(3, 12) if scalar_is_typical(s, src, eps)
+            for s in enumerate_types(3, 12) if is_typical(s, probs, eps)
         )
 
 
@@ -246,8 +337,8 @@ def test_typicality_mask_matches_scalar_loop(probs):
     (lambda: build_simplex_grid_cover(4, 10, 3), None),
     (lambda: build_simplex_grid_cover(3, 8, 9), None),  # every vector a center
     # corner centers: the witness, (4, 4, 4), is the 51st count vector
-    (lambda: CoverSpec(tuple(CountVector(c) for c in ((0, 0, 12), (12, 0, 0), (0, 12, 0))),
-                       1, 12.0, CoverKind.FULL_GRID), None),
+    (lambda: CoverSpec(((0, 0, 12), (12, 0, 0), (0, 12, 0)), 1, 12.0,
+                       CoverKind.FULL_GRID), None),
     (lambda: build_typical_cover(SourceDistribution([0.2, 0.3, 0.5]), 40, 5),
      SourceDistribution([0.2, 0.3, 0.5])),
     (lambda: build_typical_cover(SourceDistribution([0.6, 0.4, 0.0]), 30, 3),
@@ -303,9 +394,9 @@ def test_typical_cover_small_instance():
 def test_typical_cover_ignores_non_typical_extremes():
     src = SourceDistribution.uniform(2)
     cover = build_typical_cover(src, 64, 8)
-    extreme = CountVector((64, 0))
-    assert not is_typical(extreme, src, cover.typical_epsilon)
-    nearest = min(dataset_distance(extreme, c) for c in cover.centers)
+    extreme = (64, 0)
+    assert not typical(extreme, src, cover.typical_epsilon)
+    nearest = distance_matrix([extreme], cover.centers).min()
     assert nearest > cover.certified_radius
     assert verify_cover(cover, source=src).verified
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import genbound.covering
 import genbound.oracle_harness
 import genbound.privacy_mechanisms
 from genbound.bounds_catalog import BoundId
@@ -52,12 +53,11 @@ from genbound.privacy_mechanisms import (
 )
 from genbound.types_core import (
     SourceDistribution,
-    enumerate_types,
     num_types,
     sigma_sub_gaussian,
-    type_index,
     type_probability,
 )
+from lattice_reference import enumerate_types, type_index
 
 
 def small_identity_config(alphabet_size=2, n=4, source=None, seed=5,
@@ -96,7 +96,7 @@ def test_experiment_config_rejects_other_alphabets_and_table_shapes():
 def test_type_distribution_sums_to_one():
     probs = exact_type_distribution(3, 5, SourceDistribution([0.2, 0.3, 0.5]))
     assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
-    types = list(enumerate_types(3, 5))
+    types = enumerate_types(3, 5)
     src = SourceDistribution([0.2, 0.3, 0.5])
     for i in (0, 7, len(types) - 1):
         assert math.isclose(probs[i], type_probability(types[i], src),
@@ -152,6 +152,27 @@ def test_run_verification_builds_one_type_distribution(make_config, monkeypatch)
     assert len(calls) == num_types(3, 6)
 
 
+def test_run_verification_builds_each_cover_once(monkeypatch):
+    # with no privacy declared, type_count and simplex_any both apply and
+    # both take the t = n + 1 simplex grid: one build serves the two
+    config = small_identity_config(alphabet_size=3, n=4)
+    builds = []
+    build = genbound.covering.build_simplex_grid_cover
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(genbound.covering, "build_simplex_grid_cover", counting)
+    report = run_verification(config)
+    assert {BoundId.TYPE_COUNT, BoundId.SIMPLEX_ANY} <= set(report.per_bound_slack)
+    assert builds == [(3, 4, 5)]
+    assert (report.bound_values[BoundId.TYPE_COUNT]
+            - report.per_bound_slack[BoundId.TYPE_COUNT]
+            == report.bound_values[BoundId.SIMPLEX_ANY]
+            - report.per_bound_slack[BoundId.SIMPLEX_ANY])
+
+
 def test_mi_never_exceeds_output_entropy_cap(make_config):
     config = make_config(alphabet_size=2, n=10, epsilon=0.8)
     mi = exact_mutual_information(config)
@@ -179,10 +200,11 @@ def test_per_dataset_kl_rows(make_config):
         BoundId.DP_GRID, PrivacyParams.eps_dp(0.5), 2, 6
     )
     rows = per_dataset_kl_to_cover_mixture(config, cover)
-    assert len(rows) == num_types(2, 6)
-    for row in rows:
-        assert row.exact_kl <= row.bound_logsumexp + 1e-10
-        assert row.bound_logsumexp <= row.bound_min + 1e-10
+    assert rows.counts.shape == (num_types(2, 6), 2)
+    for column in (rows.exact_kl, rows.bound_logsumexp, rows.bound_min):
+        assert column.shape == (num_types(2, 6),) and not column.flags.writeable
+    assert (rows.exact_kl <= rows.bound_logsumexp + 1e-10).all()
+    assert (rows.bound_logsumexp <= rows.bound_min + 1e-10).all()
 
 
 def test_exactly_the_count_based_bounds_have_a_cover():
@@ -215,16 +237,17 @@ def test_per_dataset_kl_matches_scalar_bounds(make_config, bound_id, privacy):
     config = make_config(alphabet_size=3, n=6, epsilon=0.5)
     cover = cover_for_bound(bound_id, privacy, 3, 6)
     kernel = config.mechanism.kernel
-    centers = [kernel[type_index(c)] for c in cover.centers]
+    centers = [kernel[type_index(c)] for c in cover.centers.tolist()]
     mix = MixtureSpec(centers, [1.0 / len(centers)] * len(centers))
     mixture = mixture_distribution(mix)
     rows = per_dataset_kl_to_cover_mixture(config, cover)
-    for row, s in zip(rows, enumerate_types(3, 6)):
-        assert row.count_vector == s
+    types = enumerate_types(3, 6)
+    assert [tuple(row) for row in rows.counts.tolist()] == types
+    for i, s in enumerate(types):
         p = kernel[type_index(s)]
-        assert abs(row.exact_kl - kl_divergence(p, mixture)) <= 1e-12
-        assert abs(row.bound_logsumexp - mixture_kl_bound_logsumexp(p, mix)) <= 1e-12
-        assert abs(row.bound_min - mixture_kl_bound_min(p, mix)) <= 1e-12
+        assert abs(rows.exact_kl[i] - kl_divergence(p, mixture)) <= 1e-12
+        assert abs(rows.bound_logsumexp[i] - mixture_kl_bound_logsumexp(p, mix)) <= 1e-12
+        assert abs(rows.bound_min[i] - mixture_kl_bound_min(p, mix)) <= 1e-12
 
 
 def test_per_dataset_kl_infinite_rows_match_scalar():
@@ -232,12 +255,13 @@ def test_per_dataset_kl_infinite_rows_match_scalar():
     config = small_identity_config(alphabet_size=2, n=4)
     cover = cover_for_bound(BoundId.DP_SIMPLEX_LOW, PrivacyParams.eps_dp(0.5), 2, 4)
     kernel = config.mechanism.kernel
-    mix = MixtureSpec([kernel[type_index(c)] for c in cover.centers], [1.0])
-    for row in per_dataset_kl_to_cover_mixture(config, cover):
-        p = kernel[type_index(row.count_vector)]
-        assert row.exact_kl == kl_divergence(p, mixture_distribution(mix))
-        assert row.bound_logsumexp == mixture_kl_bound_logsumexp(p, mix)
-        assert row.bound_min == mixture_kl_bound_min(p, mix)
+    mix = MixtureSpec([kernel[type_index(c)] for c in cover.centers.tolist()], [1.0])
+    rows = per_dataset_kl_to_cover_mixture(config, cover)
+    for i, s in enumerate(rows.counts.tolist()):
+        p = kernel[type_index(s)]
+        assert rows.exact_kl[i] == kl_divergence(p, mixture_distribution(mix))
+        assert rows.bound_logsumexp[i] == mixture_kl_bound_logsumexp(p, mix)
+        assert rows.bound_min[i] == mixture_kl_bound_min(p, mix)
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
@@ -255,7 +279,7 @@ def test_verification_comparisons_match_scalar_expectation(name):
             cover = cover_for_bound(bid, privacy, m, n)
         except InputError:
             continue  # typical and conversion rows are not cover-based
-        centers = [kernel[type_index(c)] for c in cover.centers]
+        centers = [kernel[type_index(c)] for c in cover.centers.tolist()]
         mixture = np.full(len(centers), 1.0 / len(centers)) @ np.array(centers)
         expected = math.fsum(
             float(p) * kl_divergence(kernel[i], mixture)
@@ -278,7 +302,7 @@ def test_per_dataset_kl_respects_the_cell_budget(make_config, monkeypatch):
     cover = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, 4)
     assert len(cover.centers) == 5
     monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 25)
-    assert len(per_dataset_kl_to_cover_mixture(config, cover)) == 5
+    assert per_dataset_kl_to_cover_mixture(config, cover).counts.shape == (5, 2)
     monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
     with pytest.raises(ResourceLimitError,
                        match="T=5 .* 5 cover centers .* budget of 24 cells"):
@@ -411,9 +435,8 @@ def test_mc_within_four_standard_errors(make_config):
 def test_default_loss_table_is_one_minus_frequency():
     table = default_loss_table(2, 4)
     assert table.shape == (num_types(2, 4), 2)
-    types = list(enumerate_types(2, 4))
-    for i, s in enumerate(types):
-        np.testing.assert_allclose(table[i], 1.0 - s.frequencies())
+    for i, s in enumerate(enumerate_types(2, 4)):
+        np.testing.assert_allclose(table[i], 1.0 - np.array(s) / 4)
     assert sigma_sub_gaussian(table) == 0.5
 
 
@@ -476,10 +499,9 @@ def reference_cover_for_bound(bound_id, privacy, alphabet_size, n):
 def cover_outcome(route, *args):
     """The cover a routing returns, or the type of what it raises."""
     try:
-        cover = route(*args)
+        return route(*args)
     except InputError as exc:
         return type(exc)
-    return cover.kind, cover.t, cover.certified_radius, cover.centers
 
 
 @pytest.mark.parametrize("privacy", [

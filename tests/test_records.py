@@ -1,11 +1,13 @@
 """The frozen value records: construction, defaults, immutability,
-equality, hash, order and repr."""
+equality, hash and repr, for plain and array fields; and the order of
+count vectors."""
 
 from __future__ import annotations
 
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from genbound.bounds_catalog import BoundId, BoundReport, CatalogEntry
@@ -13,29 +15,29 @@ from genbound.covering import CoverKind, CoverSpec, CoverVerification, GridParam
 from genbound.oracle_harness import McResult, PerDatasetKl, VerificationReport
 from genbound.privacy import PrivacyKind, PrivacyParams
 from genbound.privacy_mechanisms import StabilityReport, StabilityRow
-from genbound.types_core import CountVector
+from genbound.types_core import type_rank
 
-CV = CountVector((1, 2))
 ROW = StabilityRow(1, 0.1, 0.2, True, (0, 1))
 
 # class, its fields in positional order with a value for each, and the
 # fields that may be left out with their defaults
 RECORDS = [
-    (CountVector, {"counts": (1, 2)}, {}),
     (PrivacyParams, {"kind": PrivacyKind.EPS_DP, "value": 0.5}, {}),
     (BoundReport, {"bound_id": BoundId.TYPE_COUNT, "value": 1.5,
                    "applicable": True, "regime_note": "note",
                    "asymptotic_only": True}, {"asymptotic_only": False}),
     (CatalogEntry, {"bound_id": BoundId.DP_GRID, "formula": "f", "regime": "r",
                     "unit": "nats", "asymptotic": False}, {}),
-    (CoverSpec, {"centers": (CV, CountVector((3, 0))), "t": 2,
+    (CoverSpec, {"centers": np.array([[1, 2], [3, 0]]), "t": 2,
                  "certified_radius": 1.25, "kind": CoverKind.SIMPLEX_GRID,
                  "typical_epsilon": 0.1}, {"typical_epsilon": 0.0}),
     (CoverVerification, {"achieved_radius": 1, "certified_radius": 1.25,
-                         "verified": True, "checked_vectors": 4, "worst": CV}, {}),
+                         "verified": True, "checked_vectors": 4, "worst": (1, 2)}, {}),
     (GridParameter, {"t": 3, "clamped": False, "raw_value": 2.8}, {}),
-    (PerDatasetKl, {"count_vector": CV, "exact_kl": 0.1,
-                    "bound_logsumexp": 0.2, "bound_min": 0.3}, {}),
+    (PerDatasetKl, {"counts": np.array([[1, 2], [3, 0]]),
+                    "exact_kl": np.array([0.1, 0.2]),
+                    "bound_logsumexp": np.array([0.2, 0.3]),
+                    "bound_min": np.array([0.3, np.inf])}, {}),
     (McResult, {"estimate": 0.01, "standard_error": 0.001, "samples": 100}, {}),
     (VerificationReport, {"exact_mi": 0.1, "exact_gen_error": 0.01,
                           "sigma": 0.5, "gen_bound": 0.2,
@@ -54,15 +56,17 @@ def test_record_contract(cls, fields, defaults):
     positional = cls(*fields.values())
     keyword = cls(**fields)
     for name, value in fields.items():
-        assert getattr(positional, name) == value
-        assert getattr(keyword, name) == value
+        assert same(getattr(positional, name), value)
+        assert same(getattr(keyword, name), value)
     assert positional == keyword
     assert positional != object()
+    if not any(isinstance(v, dict) for v in fields.values()):
+        assert hash(positional) == hash(keyword)
 
     required = {k: v for k, v in fields.items() if k not in defaults}
     defaulted = cls(**required)
     for name, value in defaults.items():
-        assert getattr(defaulted, name) == value
+        assert same(getattr(defaulted, name), value)
 
     for name in fields:
         with pytest.raises(AttributeError):
@@ -77,6 +81,36 @@ def test_record_contract(cls, fields, defaults):
     assert copy.copy(positional) == positional
     assert pickle.loads(pickle.dumps(positional)) == positional
 
+    # a record holding arrays: a changed entry or shape is unequal, and so
+    # is a changed dtype unless the constructor converts it back
+    arrays = [k for k, v in fields.items() if isinstance(v, np.ndarray)]
+    for name in arrays:
+        value = fields[name]
+        for other in (value[::-1], value[:1]):
+            changed = cls(**dict(fields, **{name: other}))
+            assert changed != positional
+            assert hash(changed) != hash(positional)
+        changed = cls(**dict(fields, **{name: value.astype(np.float32)}))
+        kept = getattr(changed, name).dtype == value.dtype
+        assert (changed == positional) == kept
+        assert (hash(changed) == hash(positional)) == kept
+
+
+def same(a, b) -> bool:
+    if isinstance(b, np.ndarray):
+        return a.shape == b.shape and bool((a == b).all())
+    return a == b
+
+
+def test_cover_spec_centers_are_read_only():
+    cover = CoverSpec(np.array([[1, 2], [3, 0]]), 2, 1.25, CoverKind.FULL_GRID)
+    assert cover.centers.dtype == np.int64
+    with pytest.raises(ValueError):
+        cover.centers[0, 0] = 0
+    for clone in (copy.copy(cover), copy.deepcopy(cover),
+                  pickle.loads(pickle.dumps(cover))):
+        assert clone == cover and not clone.centers.flags.writeable
+
 
 def test_records_of_different_classes_never_compare_equal():
     # same field values, different record class
@@ -84,22 +118,27 @@ def test_records_of_different_classes_never_compare_equal():
 
 
 def test_count_vector_equality_and_hash():
-    a, b = CountVector((2, 1)), CountVector([2, 1])
+    # count vectors held in a record compare and hash by value, whatever
+    # sequence or integer type they were given as
+    def cover(centers):
+        return CoverSpec(centers, 1, 1.0, CoverKind.FULL_GRID)
+
+    a, b = cover(((2, 1),)), cover([[2, 1]])
     assert a == b and hash(a) == hash(b)
-    assert a != CountVector((1, 2))
-    assert len({a, b, CountVector((1, 2))}) == 2
-    assert CountVector((2.0, 1)).counts == (2, 1)
+    assert a == cover(np.array([[2, 1]], dtype=np.int32))
+    assert a != cover(((1, 2),))
+    assert len({a, b, cover(((1, 2),))}) == 2
+    assert cover([[2.0, 1]]).centers.tolist() == [[2, 1]]
 
 
 def test_count_vector_order_is_lexicographic():
-    vectors = [CountVector(c) for c in [(1, 2, 0), (0, 3, 0), (1, 0, 2), (0, 0, 3)]]
-    assert sorted(vectors) == [CountVector(c) for c in
-                               [(0, 0, 3), (0, 3, 0), (1, 0, 2), (1, 2, 0)]]
-    a, b = CountVector((0, 3)), CountVector((1, 2))
-    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
-    assert not (b < a or a > b)
-    with pytest.raises(TypeError):
-        a < (0, 3)  # noqa: B015
+    # the order of every count array: type_rank sorts count vectors of one
+    # length lexicographically
+    vectors = [(1, 2, 0), (0, 3, 0), (1, 0, 2), (0, 0, 3)]
+    ranks = type_rank(vectors).tolist()
+    assert [v for _, v in sorted(zip(ranks, vectors))] == [
+        (0, 0, 3), (0, 3, 0), (1, 0, 2), (1, 2, 0)]
+    assert type_rank([(0, 3), (1, 2)]).tolist() == [0, 1]
 
 
 def test_privacy_params_equality_hash_and_validation():

@@ -12,26 +12,28 @@ from hypothesis import strategies as st
 
 from genbound.errors import InputError, ResourceLimitError
 from genbound.types_core import (
-    CountVector,
     SourceDistribution,
     check_cap,
-    dataset_distance,
     distance_matrix,
-    enumerate_types,
+    enforce_cap,
     num_types,
     num_types_upper_bound,
     sigma_sub_gaussian,
     type_enumeration_cap,
     type_counts,
-    type_index,
-    type_of,
     type_probability,
     type_rank,
 )
+from lattice_reference import dataset_distance, enumerate_types, type_index
 
 count_vectors = st.integers(2, 4).flatmap(
     lambda m: st.lists(st.integers(0, 12), min_size=m, max_size=m)
-).filter(lambda c: sum(c) >= 1).map(lambda c: CountVector(tuple(c)))
+).filter(lambda c: sum(c) >= 1).map(tuple)
+
+
+def distance(a, b):
+    """Replacement distance of one pair, through the array path."""
+    return int(distance_matrix([a], [b])[0, 0])
 
 
 def paired_counts(max_symbols=4, max_count=12):
@@ -50,34 +52,37 @@ def paired_counts(max_symbols=4, max_count=12):
             while sum(vec) > total:
                 j = max(range(len(vec)), key=vec.__getitem__)
                 vec[j] -= 1
-        return CountVector(tuple(a)), CountVector(tuple(b))
+        return tuple(a), tuple(b)
 
     return st.integers(2, max_symbols).flatmap(
         lambda m: st.tuples(
             st.lists(st.integers(0, max_count), min_size=m, max_size=m),
             st.lists(st.integers(0, max_count), min_size=m, max_size=m),
         )
-    ).map(fix_total).filter(lambda p: p[0].n >= 1)
+    ).map(fix_total).filter(lambda p: sum(p[0]) >= 1)
 
 
 class TestCountVector:
+    """The checks on one count vector, made where it enters
+    type_probability."""
+
+    SOURCE = SourceDistribution.uniform(2)
+
     def test_rejects_negative(self):
-        with pytest.raises(InputError):
-            CountVector((3, -1))
+        with pytest.raises(InputError, match="non-negative"):
+            type_probability((3, -1), self.SOURCE)
 
     def test_rejects_empty_dataset(self):
-        with pytest.raises(InputError):
-            CountVector((0, 0))
+        with pytest.raises(InputError, match="non-empty"):
+            type_probability((0, 0), self.SOURCE)
 
     def test_rejects_single_symbol(self):
-        with pytest.raises(InputError):
-            CountVector((4,))
+        with pytest.raises(InputError, match="two symbols"):
+            type_probability((4,), self.SOURCE)
 
-    def test_frequencies_sum_to_one(self):
-        s = CountVector((3, 1, 4))
-        np.testing.assert_allclose(s.frequencies().sum(), 1.0)
-        assert s.n == 8
-        assert s.alphabet_size == 3
+    def test_rejects_alphabet_mismatch(self):
+        with pytest.raises(InputError, match="does not match"):
+            type_probability((1, 2, 3), self.SOURCE)
 
 
 class TestSourceDistribution:
@@ -99,59 +104,40 @@ class TestSourceDistribution:
             src.probs[0] = 0.9
 
 
-def test_type_of_counts_symbols():
-    s = type_of([0, 1, 1, 2, 1], 3)
-    assert s == CountVector((1, 3, 1))
-
-
-def test_type_of_rejects_out_of_range():
-    with pytest.raises(InputError):
-        type_of([0, 3], 3)
-
-
-def test_type_of_rejects_empty():
-    with pytest.raises(InputError):
-        type_of([], 2)
-
-
-def test_type_of_rejects_alphabet_below_two():
-    with pytest.raises(InputError, match="at least 2"):
-        type_of([0, 0], 1)
-
-
 def test_distance_counts_replacements():
     # one replacement: swap a z0 for a z1
-    assert dataset_distance(CountVector((3, 1)), CountVector((2, 2))) == 1
-    assert dataset_distance(CountVector((4, 0, 0)), CountVector((0, 2, 2))) == 4
+    assert distance((3, 1), (2, 2)) == 1
+    assert distance((4, 0, 0), (0, 2, 2)) == 4
 
 
 def test_distance_rejects_mismatched_totals():
-    with pytest.raises(InputError):
-        dataset_distance(CountVector((2, 1)), CountVector((2, 2)))
+    # every row of both arrays must describe one dataset length
+    for a, b in [([[2, 1], [3, 0]], [[2, 2]]), ([[2, 1]], [[3, 0], [2, 2]])]:
+        with pytest.raises(InputError):
+            distance_matrix(a, b)
 
 
 @given(paired_counts())
 def test_distance_symmetry_and_identity(pair):
     a, b = pair
-    d = dataset_distance(a, b)
-    assert d == dataset_distance(b, a)
+    d = distance(a, b)
+    assert d == distance(b, a) == dataset_distance(a, b)
     assert (d == 0) == (a == b)
-    assert isinstance(d, int)
 
 
 @given(st.tuples(paired_counts(), st.randoms(use_true_random=False)))
 def test_distance_triangle(args):
     (a, b), rng = args
     # build c by shuffling a's mass around, keeping the total
-    counts = list(a.counts)
+    counts = list(a)
     for _ in range(rng.randrange(4)):
         i = rng.randrange(len(counts))
         j = rng.randrange(len(counts))
         if counts[i] > 0:
             counts[i] -= 1
             counts[j] += 1
-    c = CountVector(tuple(counts))
-    assert dataset_distance(a, b) <= dataset_distance(a, c) + dataset_distance(c, b)
+    c = tuple(counts)
+    assert distance(a, b) <= distance(a, c) + distance(c, b)
 
 
 def test_num_types_small_values():
@@ -169,37 +155,12 @@ def test_num_types_upper_bound_claim(m, n):
 
 
 def test_enumerate_types_matches_count_and_order():
-    types = list(enumerate_types(3, 4))
+    types = [tuple(row) for row in type_counts(3, 4).tolist()]
     assert len(types) == num_types(3, 4)
-    assert types == sorted(types, key=lambda s: s.counts)
-    assert all(s.n == 4 for s in types)
+    assert types == sorted(types)
+    assert all(sum(s) == 4 for s in types)
     for i, s in enumerate(types):
         assert type_index(s) == i
-
-
-def recursive_types(m, n):
-    """Reference enumerator: the recursive lexicographic generator."""
-
-    def rec(prefix, remaining, dims):
-        if dims == 1:
-            yield prefix + (remaining,)
-            return
-        for head in range(remaining + 1):
-            yield from rec(prefix + (head,), remaining - head, dims - 1)
-
-    return list(rec((), n, m))
-
-
-def scalar_rank(counts):
-    """Reference rank: count the vectors with a smaller head, position by
-    position."""
-    rank, remaining, dims = 0, sum(counts), len(counts)
-    for c in counts[:-1]:
-        for v in range(c):
-            rank += math.comb(remaining - v + dims - 2, dims - 2)
-        remaining -= c
-        dims -= 1
-    return rank
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -208,7 +169,7 @@ def test_type_counts_match_recursive_enumerator(m):
         counts = type_counts(m, n)
         total = num_types(m, n)
         assert counts.dtype == np.int64 and counts.shape == (total, m)
-        assert [tuple(row) for row in counts.tolist()] == recursive_types(m, n)
+        assert [tuple(row) for row in counts.tolist()] == enumerate_types(m, n)
         np.testing.assert_array_equal(type_rank(counts), np.arange(total))
 
 
@@ -216,9 +177,8 @@ def test_type_counts_match_recursive_enumerator(m):
 @settings(max_examples=40, deadline=None)
 def test_type_counts_property(m, n):
     counts = type_counts(m, n)
-    assert [tuple(row) for row in counts.tolist()] == recursive_types(m, n)
+    assert [tuple(row) for row in counts.tolist()] == enumerate_types(m, n)
     np.testing.assert_array_equal(type_rank(counts), np.arange(num_types(m, n)))
-    assert [s.counts for s in enumerate_types(m, n)] == recursive_types(m, n)
 
 
 def test_type_counts_read_only_and_capped(monkeypatch):
@@ -230,13 +190,12 @@ def test_type_counts_read_only_and_capped(monkeypatch):
         type_counts(4, 100)
 
 
-@given(st.lists(count_vectors.filter(lambda s: s.alphabet_size == 3),
+@given(st.lists(count_vectors.filter(lambda s: len(s) == 3),
                 min_size=1, max_size=6))
 def test_type_rank_matches_scalar_loop(vectors):
     # one call ranks vectors of different lengths, row by row
-    ranks = type_rank([s.counts for s in vectors])
-    assert ranks.tolist() == [scalar_rank(s.counts) for s in vectors]
-    assert [type_index(s) for s in vectors] == ranks.tolist()
+    ranks = type_rank(vectors)
+    assert ranks.tolist() == [type_index(s) for s in vectors]
 
 
 def test_type_rank_rejects_bad_counts():
@@ -249,7 +208,7 @@ def test_type_rank_rejects_bad_counts():
 @given(st.integers(2, 4), st.integers(1, 7))
 @settings(max_examples=30, deadline=None)
 def test_distance_matrix_matches_dataset_distance(m, n):
-    types = list(enumerate_types(m, n))
+    types = enumerate_types(m, n)
     dist = distance_matrix(type_counts(m, n), type_counts(m, n)[::-1])
     assert dist.dtype == np.int64
     expected = [[dataset_distance(a, b) for b in types[::-1]] for a in types]
@@ -266,8 +225,13 @@ def test_distance_matrix_rejects_mismatched_lattices():
 def test_enumeration_cap_enforced(monkeypatch):
     monkeypatch.setenv("GENBOUND_TYPE_CAP", "10")
     with pytest.raises(ResourceLimitError) as err:
-        list(enumerate_types(4, 100))
+        type_counts(4, 100)
     assert "GENBOUND_TYPE_CAP" in str(err.value)
+    assert enforce_cap(10, "building 10 cells") == 10
+    with pytest.raises(ResourceLimitError, match=(
+            "^building 11 cells exceeds the enumeration cap of 10; "
+            "raise GENBOUND_TYPE_CAP to override$")):
+        enforce_cap(11, "building 11 cells")
 
 
 def test_cap_env_var(monkeypatch):
@@ -280,15 +244,16 @@ def test_cap_env_var(monkeypatch):
 
 def test_type_probability_binomial_case():
     src = SourceDistribution([0.3, 0.7])
-    s = CountVector((2, 3))
     expected = math.comb(5, 2) * 0.3**2 * 0.7**3
-    assert math.isclose(type_probability(s, src), expected, rel_tol=1e-12)
+    # any sequence of counts: a tuple, a list, an int64 array row
+    for s in ((2, 3), [2, 3], np.array([2, 3])):
+        assert math.isclose(type_probability(s, src), expected, rel_tol=1e-12)
 
 
 def test_type_probability_zero_outside_support():
     src = SourceDistribution([1.0, 0.0])
-    assert type_probability(CountVector((1, 1)), src) == 0.0
-    assert type_probability(CountVector((2, 0)), src) == 1.0
+    assert type_probability((1, 1), src) == 0.0
+    assert type_probability((2, 0), src) == 1.0
 
 
 @given(
@@ -307,8 +272,7 @@ def test_type_probabilities_sum_to_one(m, n, raw):
 def test_type_probability_large_n_stays_finite():
     # big multinomial coefficients must not overflow to inf
     src = SourceDistribution.uniform(2)
-    s = CountVector((600, 600))
-    p = type_probability(s, src)
+    p = type_probability((600, 600), src)
     assert 0.0 < p < 1.0
 
 
@@ -333,7 +297,7 @@ def exact_type_probability(counts, probs):
 ])
 def test_type_probability_keeps_relative_accuracy(counts, probs):
     exact = exact_type_probability(counts, probs)
-    got = type_probability(CountVector(counts), SourceDistribution(probs))
+    got = type_probability(counts, SourceDistribution(probs))
     assert got > 0.0
     assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
 
