@@ -21,12 +21,7 @@ _EXPORTS = {
         "SourceDistribution", "num_types", "num_types_upper_bound",
         "sigma_sub_gaussian", "type_probability",
     ),
-    "divergence_core": (
-        "DiscreteDistribution", "MixtureSpec", "kl_divergence", "kl_matrix",
-        "mixture_distribution", "mixture_kl_bound_logsumexp",
-        "mixture_kl_bound_min", "mixture_variational_objective",
-        "optimal_responsibilities",
-    ),
+    "divergence_core": ("kl_matrix",),
     "covering": (
         "CoverKind", "CoverSpec", "build_full_grid_cover",
         "build_simplex_grid_cover", "build_typical_cover",

@@ -370,6 +370,11 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
         raise UsageError("pass exactly one of --epsilon or --mechanism")
     if epsilon is not None and (alphabet_size is None or n is None):
         raise UsageError("--epsilon requires --alphabet-size and --n")
+    if mechanism_path is not None and (alphabet_size is not None or n is not None):
+        raise UsageError(
+            "--mechanism takes its alphabet size and n from the saved kernel; "
+            "drop --alphabet-size and --n"
+        )
     from .privacy_mechanisms import (
         exponential_mechanism_over_types,
         load_mechanism_csv,

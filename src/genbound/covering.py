@@ -46,7 +46,7 @@ from .types_core import (
     distance_matrix,
     enforce_cap,
     type_counts,
-    type_probability,
+    type_probabilities,
 )
 
 __all__ = [
@@ -297,9 +297,7 @@ def typical_mass(source: SourceDistribution, n: int, epsilon: float) -> float:
     type-enumeration cap applies."""
     counts = type_counts(source.alphabet_size, n)
     typical = counts[_typical_mask(counts, source.probs, epsilon)]
-    return float(math.fsum(
-        type_probability(row, source) for row in typical.tolist()
-    ))
+    return float(math.fsum(type_probabilities(typical, source).tolist()))
 
 
 def _typical_range(n: int, p: float, epsilon: float) -> tuple[int, int]:

@@ -43,7 +43,7 @@ from .types_core import (
     check_cap,
     sigma_sub_gaussian,
     type_counts,
-    type_probability,
+    type_probabilities,
     type_rank,
 )
 
@@ -165,10 +165,7 @@ def exact_type_distribution(
     alphabet_size: int, n: int, source: SourceDistribution
 ) -> np.ndarray:
     """Probability of each count vector, in lexicographic order."""
-    return np.array([
-        type_probability(row, source)
-        for row in type_counts(alphabet_size, n).tolist()
-    ])
+    return type_probabilities(type_counts(alphabet_size, n), source)
 
 
 def exact_mutual_information(config: ExperimentConfig) -> float:
@@ -228,9 +225,11 @@ def per_dataset_kl_to_cover_mixture(
     mixture of the cover centers' rows, plus the log-sum-exp and
     single-component bounds on the same quantity.
 
-    Both bound columns come from one count-vector x center KL matrix;
-    mixture_kl_bound_logsumexp and mixture_kl_bound_min compute the same
-    values one row at a time.
+    The three columns are the variational sandwich, row by row:
+    KL(row || mixture) <= -log sum_c w_c exp(-KL_c) <= min_c [KL_c - log w_c]
+    for the center KLs KL_c and weights w_c = 1/C. Both bound columns come
+    from one count-vector x center KL matrix; the one-row reference in
+    tests/divergence_reference.py computes the same values a row at a time.
     """
     from .divergence_core import kl_matrix, logsumexp
 

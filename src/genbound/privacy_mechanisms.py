@@ -250,8 +250,9 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     bound + tol.
     Its witness is the first pair in row-major order that attains the
     worst value; on exactly tied pairs that is judged on kl_matrix
-    values, which can break a tie that kl_divergence's rounding would
-    not (symmetric rows are the usual case).
+    values, which can break a tie that the one-row reference
+    (tests/divergence_reference.py) would round differently (symmetric
+    rows are the usual case).
     """
     from .divergence_core import kl_row_blocks
 

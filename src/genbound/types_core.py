@@ -46,6 +46,7 @@ __all__ = [
     "type_rank",
     "distance_matrix",
     "type_probability",
+    "type_probabilities",
     "sigma_sub_gaussian",
 ]
 
@@ -267,6 +268,13 @@ def type_probability(counts: Sequence[int], source: SourceDistribution) -> float
     return math.exp(math.log(coef) + math.fsum(
         c * math.log(p) for c, p in zip(counts, source.probs) if c > 0
     ))
+
+
+def type_probabilities(counts, source: SourceDistribution) -> np.ndarray:
+    """type_probability of each row of counts, as a float64 array in row
+    order."""
+    return np.array([type_probability(row, source)
+                     for row in np.asarray(counts).tolist()], dtype=np.float64)
 
 
 def sigma_sub_gaussian(loss_table: np.ndarray) -> float:

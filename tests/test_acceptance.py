@@ -30,13 +30,6 @@ from genbound.covering import (
     typical_mass,
     verify_cover,
 )
-from genbound.divergence_core import (
-    MixtureSpec,
-    kl_divergence,
-    mixture_distribution,
-    mixture_kl_bound_logsumexp,
-    mixture_kl_bound_min,
-)
 from genbound.oracle_harness import (
     ExperimentConfig,
     cover_for_bound,
@@ -61,6 +54,13 @@ from genbound.types_core import (
     num_types,
     num_types_upper_bound,
     sigma_sub_gaussian,
+)
+from divergence_reference import (
+    MixtureSpec,
+    kl_divergence,
+    mixture_distribution,
+    mixture_kl_bound_logsumexp,
+    mixture_kl_bound_min,
 )
 
 

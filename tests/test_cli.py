@@ -19,7 +19,6 @@ import genbound.covering
 import genbound.privacy_mechanisms
 from genbound.cli import main
 from genbound.covering import CoverKind, CoverSpec
-from genbound.divergence_core import kl_divergence
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyParams,
@@ -28,6 +27,7 @@ from genbound.privacy_mechanisms import (
     kl_stability_bound,
     save_mechanism_csv,
 )
+from divergence_reference import kl_divergence
 from lattice_reference import enumerate_types
 
 
@@ -228,6 +228,20 @@ class TestStability:
         result = runner.invoke(main, ["stability", "--alphabet-size", "2",
                                       "--n", "6"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--alphabet-size", "5", "--n", "99"],
+        ["--alphabet-size", "2"],
+        ["--n", "6"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_saved_kernel_rejects_lattice_flags(self, runner, tmp_path, flags):
+        # the kernel's sidecar fixes the lattice; these flags were ignored
+        path = str(tmp_path / "honest.csv")
+        save_mechanism_csv(exponential_mechanism_over_types(2, 6, 0.5), path)
+        result = runner.invoke(main, ["stability", "--mechanism", path, *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--alphabet-size and --n" in result.stderr
 
     def test_failure_line_names_the_worst_pair(self, runner, tmp_path):
         honest = identity_mechanism(2, 4)

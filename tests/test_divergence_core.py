@@ -10,21 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbound.divergence_core import (
-    KL_BLOCK_ROWS,
+from genbound.divergence_core import KL_BLOCK_ROWS, kl_matrix, kl_row_blocks, logsumexp
+from genbound.errors import InputError
+from divergence_reference import (
     DiscreteDistribution,
     MixtureSpec,
     kl_divergence,
-    kl_matrix,
-    kl_row_blocks,
-    logsumexp,
     mixture_distribution,
     mixture_kl_bound_logsumexp,
     mixture_kl_bound_min,
     mixture_variational_objective,
     optimal_responsibilities,
 )
-from genbound.errors import InputError
 
 
 def normalized(raw):

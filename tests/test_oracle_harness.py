@@ -10,6 +10,7 @@ import pytest
 import genbound.covering
 import genbound.oracle_harness
 import genbound.privacy_mechanisms
+import genbound.types_core
 from genbound.bounds_catalog import BoundId
 from genbound.covering import (
     CoverKind,
@@ -18,13 +19,6 @@ from genbound.covering import (
     optimal_grid_parameter,
     typical_mass,
     verify_cover,
-)
-from genbound.divergence_core import (
-    MixtureSpec,
-    kl_divergence,
-    mixture_distribution,
-    mixture_kl_bound_logsumexp,
-    mixture_kl_bound_min,
 )
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import (
@@ -56,6 +50,13 @@ from genbound.types_core import (
     num_types,
     sigma_sub_gaussian,
     type_probability,
+)
+from divergence_reference import (
+    MixtureSpec,
+    kl_divergence,
+    mixture_distribution,
+    mixture_kl_bound_logsumexp,
+    mixture_kl_bound_min,
 )
 from lattice_reference import enumerate_types, type_index
 
@@ -147,7 +148,7 @@ def test_run_verification_builds_one_type_distribution(make_config, monkeypatch)
         calls.append(s)
         return type_probability(s, source)
 
-    monkeypatch.setattr(genbound.oracle_harness, "type_probability", counting)
+    monkeypatch.setattr(genbound.types_core, "type_probability", counting)
     run_verification(config)
     assert len(calls) == num_types(3, 6)
 
@@ -205,6 +206,46 @@ def test_per_dataset_kl_rows(make_config):
         assert column.shape == (num_types(2, 6),) and not column.flags.writeable
     assert (rows.exact_kl <= rows.bound_logsumexp + 1e-10).all()
     assert (rows.bound_logsumexp <= rows.bound_min + 1e-10).all()
+
+
+def test_per_dataset_kl_sandwich_on_random_kernels():
+    # exact <= log-sum-exp <= min on every row of every count-based
+    # bound's cover, from the package's own matrix path
+    rng = np.random.default_rng(20261019)
+    checked, single_center = set(), 0
+    for trial in range(30):
+        m = int(rng.integers(2, 4))
+        n = int(rng.integers(2, 9))
+        hypotheses = int(rng.integers(2, 13))
+        mech = random_mechanism(m, n, hypotheses, seed=int(rng.integers(0, 2**31)))
+        config = ExperimentConfig(
+            source=SourceDistribution.uniform(m), mechanism=mech,
+            loss_table=np.zeros((hypotheses, m)), seed=0, mc_samples=100,
+        )
+        declarations = (PrivacyParams.eps_dp(float(rng.uniform(0.05, 3.0))),
+                        PrivacyParams.mu_gdp(float(rng.uniform(0.05, 3.0))))
+        for bid in BoundId:
+            for privacy in declarations:
+                try:
+                    cover = cover_for_bound(bid, privacy, m, n)
+                except InputError:
+                    continue  # no cover, or one for the other privacy kind
+                checked.add(bid)
+                rows = per_dataset_kl_to_cover_mixture(config, cover)
+                where = (trial, bid, privacy)
+                assert (rows.exact_kl <= rows.bound_logsumexp + 1e-10).all(), where
+                assert (rows.bound_logsumexp <= rows.bound_min + 1e-10).all(), where
+                if len(cover.centers) == 1:
+                    single_center += 1
+                    np.testing.assert_allclose(
+                        rows.bound_logsumexp, rows.exact_kl, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        rows.bound_min, rows.exact_kl, rtol=0, atol=1e-12)
+    assert checked == {BoundId.TYPE_COUNT, BoundId.DP_GRID, BoundId.GDP_GRID,
+                       BoundId.DP_SIMPLEX_LOW, BoundId.DP_SIMPLEX_MID,
+                       BoundId.GDP_SIMPLEX_LOW, BoundId.GDP_SIMPLEX_MID,
+                       BoundId.SIMPLEX_ANY}
+    assert single_center > 0
 
 
 def test_exactly_the_count_based_bounds_have_a_cover():

@@ -2,15 +2,66 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import genbound
 import genbound.bounds_catalog
+import genbound.divergence_core
 import genbound.privacy_mechanisms
 from genbound.cli import main
 from genbound.covering import CoverKind
+
+
+PUBLIC_NAMES = [
+    "BoundId", "BoundReport", "CoverKind", "CoverSpec", "ExperimentConfig",
+    "GenboundError", "InputError", "Mechanism", "PrivacyKind", "PrivacyParams",
+    "ResourceLimitError", "SourceDistribution", "asymptotic_report",
+    "best_bound", "build_full_grid_cover", "build_simplex_grid_cover",
+    "build_typical_cover", "catalog_entries", "exact_expected_gen_error",
+    "exact_mutual_information", "exponential_mechanism_over_types",
+    "gaussian_mechanism_neighbor_kl", "gdp_param_noisy_sgd",
+    "gen_error_from_mi", "identity_mechanism", "kl_bound_cover_dp",
+    "kl_bound_cover_gdp", "kl_bound_refined", "kl_bound_simple", "kl_matrix",
+    "kl_stability_bound", "load_experiment_config", "mc_expected_gen_error",
+    "mi_bound_typical", "num_types", "num_types_upper_bound",
+    "optimal_grid_parameter", "pac_bayes_gen_bound",
+    "per_dataset_kl_to_cover_mixture", "run_verification",
+    "sigma_sub_gaussian", "simplex_hypercube_count", "type_probability",
+    "typical_epsilon", "typical_mass", "verify_cover", "verify_kl_stability",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 47 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert genbound.__all__ == PUBLIC_NAMES
+
+
+def test_divergence_core_exports_only_the_matrix_layer():
+    assert sorted(genbound.divergence_core.__all__) == [
+        "KL_BLOCK_ROWS", "kl_matrix", "kl_row_blocks", "logsumexp",
+    ]
+
+
+def test_package_never_imports_a_test_reference():
+    # the one-row references in tests/ check the package, never feed it
+    references = {"divergence_reference", "lattice_reference"}
+    sources = sorted(Path(genbound.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                modules += [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert not references & set(module.split(".")), (path.name, module)
 
 
 @pytest.mark.parametrize("name", genbound.__all__)

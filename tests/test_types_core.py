@@ -21,6 +21,7 @@ from genbound.types_core import (
     sigma_sub_gaussian,
     type_enumeration_cap,
     type_counts,
+    type_probabilities,
     type_probability,
     type_rank,
 )
@@ -267,6 +268,17 @@ def test_type_probabilities_sum_to_one(m, n, raw):
     src = SourceDistribution([x / total for x in raw[:m]])
     mass = math.fsum(type_probability(s, src) for s in enumerate_types(m, n))
     assert math.isclose(mass, 1.0, abs_tol=1e-12)
+
+
+def test_type_probabilities_are_the_scalar_values_in_row_order():
+    src = SourceDistribution([0.2, 0.5, 0.3])
+    counts = type_counts(3, 7)
+    probs = type_probabilities(counts, src)
+    assert probs.dtype == np.float64 and probs.shape == (len(counts),)
+    expected = [type_probability(s, src) for s in enumerate_types(3, 7)]
+    assert probs.tolist() == expected  # bit for bit
+    empty = type_probabilities(counts[:0], src)
+    assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 def test_type_probability_large_n_stays_finite():
