@@ -311,6 +311,8 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
 @_translate_errors
 def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
     """Build one cover and verify its certified radius exhaustively."""
+    if source_text is not None and kind != "typical_grid":
+        raise UsageError(f"--source applies only to --kind typical_grid, not {kind}")
     from .covering import (
         CoverKind,
         build_full_grid_cover,

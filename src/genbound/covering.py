@@ -11,7 +11,8 @@ replacement distance:
   to at most t - 1 (the cells actually meeting the feasible region);
   exactly S_{m-1}(t) = C(t + m - 2, m - 1) cells before deduplication;
 - typical grid: covers only the typical count vectors of a source,
-  splitting each symbol's typical range into t cells; radius
+  splitting each symbol's typical range into t cells (a range holding
+  fewer than t atoms puts every atom on its axis); radius
   sqrt(n log n) * m / t.
 
 The certified radius stored on a cover is always the analytic bound.
@@ -23,19 +24,21 @@ per-coordinate error never exceeds (floor(cell length) + 1) / 2.
 
 A cover's centers are one read-only C x m int64 array, a count vector
 per row. Everything here is deterministic: same inputs, same centers,
-same order. Full and simplex grids share one builder, which makes every
-cell's center and its sum patch with numpy, all rows at once. Cell
-bounds are exact integer arithmetic, so neither `cover` nor `verify-mi`
-loads the fractions or decimal modules. Every builder checks its cell
-count (t**(m-1) full, C(t + m - 2, m - 1) simplex, t**m typical) against
-the enumeration cap before it builds anything.
+same order. All three builders work on all rows at once in numpy, with
+two shared pieces: one table of per-axis cell centers, and one leveling step
+that takes a set number of units off each row's largest entries, the
+first on ties. The grids patch their sums with it; the typical grid uses
+it in both directions, to grow a row short of n and to shrink a row over
+it. Cell bounds are exact integer arithmetic, so neither `cover` nor
+`verify-mi` loads the fractions or decimal modules. Every builder checks
+its cell count (t**(m-1) full, C(t + m - 2, m - 1) simplex, t**m
+typical) against the enumeration cap before it builds anything.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from itertools import product
 
 import numpy as np
 
@@ -173,42 +176,49 @@ def simplex_hypercube_count_upper(k: int, t: int) -> float:
     return (t + (k - 1) / 2.0) ** k / math.factorial(k)
 
 
-def _cell_atom_range(length: int, t: int, j: int) -> tuple[int, int]:
+def _cell_atom_range(length: int, t: int, j):
     """Integer atoms inside cell j of [0, length] split into t equal cells:
-    ceil(j*length/t) to floor((j+1)*length/t), in exact integer arithmetic."""
+    ceil(j*length/t) to floor((j+1)*length/t), in exact integer arithmetic.
+    j is one index or an object array of them."""
     return -(-j * length // t), (j + 1) * length // t
 
 
-def _cell_center(length: int, t: int, j: int) -> int:
-    """Representative atom of a cell: central for an odd atom count,
-    center of the one-unit-enlarged cell otherwise."""
-    lo, hi = _cell_atom_range(length, t, j)
-    m = hi - lo + 1
-    if m < 1:
-        raise InputError(
-            f"cell {j} of [0, {length}] split {t} ways contains no integer atom"
-        )
-    return lo + m // 2 if m % 2 == 0 else lo + (m - 1) // 2
+def _axis_centers(length: int, t: int) -> np.ndarray:
+    """Representative atom of each cell of [0, length] split into t equal
+    cells, in cell order, skipping cells that hold no integer atom.
+
+    The central atom for an odd atom count, the center of the
+    one-unit-enlarged cell otherwise. Cell bounds are Python ints, since
+    j * length may pass int64.
+    """
+    lo, hi = _cell_atom_range(length, t, np.arange(t, dtype=object))
+    return (lo + (hi - lo + 1) // 2)[hi >= lo].astype(np.int64)
+
+
+def _cut_largest(x: np.ndarray, over: np.ndarray) -> np.ndarray:
+    """Each row of x after over[row] steps of "decrement the largest
+    entry, the first on ties".
+
+    Done for all rows at once: the largest entries are cut to the least
+    level L with sum(max(x - L, 0)) <= over, which is
+    max_j ceil((top-j sum - over) / j), and the decrements still owed come
+    one each off the entries at L, first index first.
+    """
+    k = x.shape[1]
+    over = over[:, None]
+    top = np.cumsum(-np.sort(-x, axis=1), axis=1)
+    level = (-((over - top) // np.arange(1, k + 1))).max(axis=1, keepdims=True)
+    cut = np.minimum(x, level)
+    owed = over - (x - cut).sum(axis=1, keepdims=True)
+    at_level = x >= level
+    return cut - (at_level & (np.cumsum(at_level, axis=1) <= owed))
 
 
 def _patch_sums(coords: np.ndarray, n: int) -> np.ndarray:
-    """Make each row of free coordinates feasible and append the pinned one.
-
-    Per row: while the free coordinates overshoot n, decrement the largest
-    one, the first on ties; the pinned last coordinate absorbs whatever
-    remains. Done for all rows at once: the largest coordinates are cut
-    to the least level L with sum(max(x - L, 0)) <= overshoot, which is
-    max_j ceil((top-j sum - overshoot) / j), and the decrements still
-    owed come one each off the coordinates at L, first index first.
-    """
-    k = coords.shape[1]
-    over = np.maximum(coords.sum(axis=1) - n, 0)[:, None]
-    top = np.cumsum(-np.sort(-coords, axis=1), axis=1)
-    level = (-((over - top) // np.arange(1, k + 1))).max(axis=1, keepdims=True)
-    patched = np.minimum(coords, level)
-    owed = over - (coords - patched).sum(axis=1, keepdims=True)
-    at_level = coords >= level
-    patched -= at_level & (np.cumsum(at_level, axis=1) <= owed)
+    """Make each row of free coordinates feasible and append the pinned one:
+    while the free coordinates overshoot n, decrement the largest one, the
+    first on ties; the pinned last coordinate absorbs whatever remains."""
+    patched = _cut_largest(coords, np.maximum(coords.sum(axis=1) - n, 0))
     return np.column_stack([patched, n - patched.sum(axis=1)])
 
 
@@ -249,8 +259,7 @@ def _grid_cover(alphabet_size: int, n: int, t: int, kind: CoverKind) -> CoverSpe
         idx = type_counts(k + 1, t - 1)[:, :k]
     else:
         idx = np.indices((t,) * k).reshape(k, -1).T
-    per_dim = np.array([_cell_center(n, t, j) for j in range(t)], dtype=np.int64)
-    centers = _patch_sums(per_dim[idx], n)
+    centers = _patch_sums(_axis_centers(n, t)[idx], n)
     return CoverSpec(centers[_first_distinct_rows(centers)], t,
                      _grid_radius(alphabet_size, n, t), kind)
 
@@ -310,11 +319,6 @@ def _typical_range(n: int, p: float, epsilon: float) -> tuple[int, int]:
     if p == 0.0:
         return 0, 0
     ok = np.flatnonzero(np.abs(np.arange(n + 1) / n - p) <= epsilon)
-    if ok.size == 0:
-        # threshold narrower than one lattice step; fall back to the
-        # nearest achievable count so the cover still has a center there
-        c = min(n, max(0, round(p * n)))
-        return c, c
     return int(ok[0]), int(ok[-1])
 
 
@@ -322,8 +326,15 @@ def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec
     """Cover the typical set, gridding every symbol's typical count range.
 
     Works in the full m-dimensional box (one axis per symbol, not m - 1),
-    splitting each typical range into t cells and patching centers so the
-    counts sum to n. Certified radius: sqrt(n log n) * m / t.
+    splitting each symbol's typical range [lo, hi] into t cells and taking
+    one atom per cell as the grids do. Cells without an atom are skipped,
+    so a range holding fewer than t atoms contributes each of its atoms.
+    Every combination of per-symbol atoms is patched to sum to n one unit
+    at a time: a row short of n grows the symbol with the most room left
+    below its hi, a row over n shrinks the symbol furthest above its lo,
+    the first symbol on ties either way. Rows are deduplicated, first
+    occurrence kept, in product order. Certified radius:
+    sqrt(n log n) * m / t.
     """
     if n < 2:
         raise InputError(f"typical covers need n >= 2, got {n}")
@@ -340,36 +351,16 @@ def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec
     # _typical_range tests every count from 0 to n, one array of n + 1
     enforce_cap(n + 1, f"scanning {n + 1} counts for each symbol's typical range")
     ranges = [_typical_range(n, float(p), eps) for p in source.probs]
-    per_dim: list[list[int]] = []
-    for lo, hi in ranges:
-        if hi == lo:
-            per_dim.append([lo] * t)
-            continue
-        span = hi - lo
-        per_dim.append([lo + _cell_center(span, t, j) for j in range(t)])
-
-    seen: dict[tuple[int, ...], None] = {}
-    for combo in product(*per_dim):
-        coords = list(combo)
-        deficit = n - sum(coords)
-        while deficit > 0:
-            # grow the coordinate with the most room left in its range
-            i = max(range(m), key=lambda a: ranges[a][1] - coords[a])
-            if coords[i] >= n:
-                i = min(range(m), key=lambda a: coords[a])
-            coords[i] += 1
-            deficit -= 1
-        while deficit < 0:
-            # shrink the coordinate sticking furthest above its range floor
-            i = max(range(m), key=lambda a: coords[a] - ranges[a][0])
-            if coords[i] <= 0:
-                i = max(range(m), key=lambda a: coords[a])
-            coords[i] -= 1
-            deficit += 1
-        seen.setdefault(tuple(coords), None)
+    axes = [lo + _axis_centers(hi - lo, t) for lo, hi in ranges]
+    idx = np.indices([axis.size for axis in axes]).reshape(m, -1)
+    coords = np.column_stack([axis[i] for axis, i in zip(axes, idx)])
+    lo, hi = np.array(ranges).T
+    deficit = n - coords.sum(axis=1)
+    grown = hi - _cut_largest(hi - coords, np.maximum(deficit, 0))
+    centers = lo + _cut_largest(grown - lo, np.maximum(-deficit, 0))
     radius = math.sqrt(n * math.log(n)) * m / t
-    return CoverSpec(list(seen), t, radius, CoverKind.TYPICAL_GRID,
-                     typical_epsilon=eps)
+    return CoverSpec(centers[_first_distinct_rows(centers)], t, radius,
+                     CoverKind.TYPICAL_GRID, typical_epsilon=eps)
 
 
 _FULL_REGIMES = {"dp_full", "gdp_full"}

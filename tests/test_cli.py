@@ -160,6 +160,27 @@ class TestCover:
         assert result.exit_code == 0
         assert result.output.splitlines()[1].endswith(",true")
 
+    def test_typical_cover_of_a_clipped_range(self, runner):
+        # the first symbol's typical counts are 0..8, nine atoms for t = 15
+        # cells; the t that optimal_grid_parameter gives dp_typical at eps 2
+        result = runner.invoke(main, ["cover", "--alphabet-size", "2",
+                                      "--n", "20", "--t", "15",
+                                      "--kind", "typical_grid",
+                                      "--source", "0.05,0.95"])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout.splitlines()[1].startswith("typical_grid,2,20,15,")
+        assert result.stdout.splitlines()[1].endswith(",true")
+
+    @pytest.mark.parametrize("kind", ["full_grid", "simplex_grid"])
+    def test_source_with_a_grid_kind_is_a_usage_error(self, runner, kind):
+        result = runner.invoke(main, ["cover", "--alphabet-size", "3",
+                                      "--n", "30", "--t", "4", "--kind", kind,
+                                      "--source", "0.2,0.3,0.5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert ("--source applies only to --kind typical_grid, not "
+                f"{kind}") in result.stderr
+
     def test_out_of_range_t_is_input_error(self, runner):
         result = runner.invoke(main, ["cover", "--alphabet-size", "2",
                                       "--n", "8", "--t", "12",
@@ -512,6 +533,8 @@ USAGE_ERRORS = {
         ["--alphabet-size", "2", "--n", "x", "--t", "2", "--kind", "full_grid"],
         ["--alphabet-size", "2", "--n", "8", "--t", "2", "--kind", "full_grid",
          "--epsilon", "0.5", "--mu", "0.5"],
+        ["--alphabet-size", "2", "--n", "8", "--t", "2", "--kind", "simplex_grid",
+         "--source", "0.5,0.5"],
     ],
     "stability": [
         [],

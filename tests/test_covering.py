@@ -151,16 +151,24 @@ def fraction_cell_atom_range(length, t, j):
             math.floor(Fraction((j + 1) * length, t)))
 
 
+def reference_cell_center(length, t, j):
+    """Reference representative atom of cell j: central for an odd atom
+    count, center of the one-unit-enlarged cell otherwise."""
+    lo, hi = fraction_cell_atom_range(length, t, j)
+    m = hi - lo + 1
+    if m < 1:
+        raise InputError(
+            f"cell {j} of [0, {length}] split {t} ways contains no integer atom"
+        )
+    return lo + m // 2 if m % 2 == 0 else lo + (m - 1) // 2
+
+
 def reference_grid_centers(alphabet_size, n, t, simplex):
     """Reference grid builders, one loop each: the full grid walks the
     product of per-cell centers, the simplex grid the product of cell
     indices whose sum is at most t - 1. Each center's sum is patched by
     the scalar loop."""
-    per_dim = []
-    for j in range(t):
-        lo, hi = fraction_cell_atom_range(n, t, j)
-        atoms = hi - lo + 1
-        per_dim.append(lo + atoms // 2 if atoms % 2 == 0 else lo + (atoms - 1) // 2)
+    per_dim = [reference_cell_center(n, t, j) for j in range(t)]
     seen = {}
     if simplex:
         for idx in itertools.product(range(t), repeat=alphabet_size - 1):
@@ -171,6 +179,52 @@ def reference_grid_centers(alphabet_size, n, t, simplex):
     else:
         for combo in itertools.product(per_dim, repeat=alphabet_size - 1):
             seen.setdefault(patch_sum(combo, n), None)
+    return tuple(seen)
+
+
+def reference_typical_range(n, p, epsilon):
+    """Reference typical count range: each count tested on its own."""
+    if p == 0.0:
+        return 0, 0
+    ok = [c for c in range(n + 1) if abs(c / n - p) <= epsilon]
+    return ok[0], ok[-1]
+
+
+def reference_typical_centers(probs, n, t):
+    """Reference typical builder, one combination at a time: the product
+    of per-symbol cell centers, each patched to sum n by growing the
+    symbol with the most room left in its range or shrinking the one
+    furthest above its range floor, kept in first-seen order. Raises
+    InputError where a cell of a typical range holds no atom."""
+    m = len(probs)
+    ranges = [reference_typical_range(n, float(p), typical_epsilon(n)) for p in probs]
+    per_dim = []
+    for lo, hi in ranges:
+        if hi == lo:
+            per_dim.append([lo] * t)
+            continue
+        span = hi - lo
+        per_dim.append([lo + reference_cell_center(span, t, j) for j in range(t)])
+
+    seen = {}
+    for combo in itertools.product(*per_dim):
+        coords = list(combo)
+        deficit = n - sum(coords)
+        while deficit > 0:
+            # grow the coordinate with the most room left in its range
+            i = max(range(m), key=lambda a: ranges[a][1] - coords[a])
+            if coords[i] >= n:
+                i = min(range(m), key=lambda a: coords[a])
+            coords[i] += 1
+            deficit -= 1
+        while deficit < 0:
+            # shrink the coordinate sticking furthest above its range floor
+            i = max(range(m), key=lambda a: coords[a] - ranges[a][0])
+            if coords[i] <= 0:
+                i = max(range(m), key=lambda a: coords[a])
+            coords[i] -= 1
+            deficit += 1
+        seen.setdefault(tuple(coords), None)
     return tuple(seen)
 
 
@@ -203,6 +257,95 @@ def test_grid_builders_match_reference_loops_at_ladder_sizes(m, n, t):
     for build, simplex in ((build_full_grid_cover, False),
                            (build_simplex_grid_cover, True)):
         assert rows(build(m, n, t)) == reference_grid_centers(m, n, t, simplex)
+
+
+def test_axis_centers_skip_cells_without_an_atom():
+    for length in range(31):
+        for t in range(1, 2 * length + 4):
+            kept = []
+            for j in range(t):
+                try:
+                    kept.append(reference_cell_center(length, t, j))
+                except InputError:
+                    pass
+            centers = genbound.covering._axis_centers(length, t).tolist()
+            assert centers == kept, (length, t)
+            if t >= length + 1:
+                # a range of at most t atoms puts every atom on the axis
+                assert sorted(set(centers)) == list(range(length + 1)), (length, t)
+
+
+def typical_t_max(n):
+    """Largest grid parameter a typical cover of length n accepts."""
+    return math.floor(2 * math.sqrt(n * math.log(n)))
+
+
+def typical_matches_reference(probs, n, t):
+    """Whether the reference loop builds the typical cover of (probs, n, t).
+    Where it does, the centers must be its centers; where it finds a cell
+    without an atom, the cover must still pass the exhaustive check."""
+    src = SourceDistribution(list(probs))
+    cover = build_typical_cover(src, n, t)
+    assert cover.certified_radius == math.sqrt(n * math.log(n)) * len(probs) / t
+    try:
+        expected = reference_typical_centers(probs, n, t)
+    except InputError:
+        assert verify_cover(cover, source=src).verified, (probs, n, t)
+        return False
+    assert rows(cover) == expected, (probs, n, t)
+    return True
+
+
+@pytest.mark.parametrize("probs, ns", [
+    ((0.5, 0.5), (2, 3, 5, 8, 13, 20, 30)),
+    ((0.3, 0.7), (2, 3, 5, 8, 13, 20, 30)),
+    ((0.05, 0.95), (2, 3, 5, 8, 13, 20, 30)),
+    ((0.0, 1.0), (2, 3, 5, 8, 13, 20, 30)),
+    ((1 / 3, 1 / 3, 1 / 3), (2, 4, 6, 9, 12)),
+    ((0.1, 0.3, 0.6), (2, 4, 6, 9, 12)),
+    ((0.6, 0.4, 0.0), (2, 4, 6, 9, 12)),
+], ids=str)
+def test_typical_cover_matches_reference_loop_at_every_t(probs, ns):
+    built = [typical_matches_reference(probs, n, t)
+             for n in ns for t in range(1, typical_t_max(n) + 1)]
+    assert any(built)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_typical_cover_matches_reference_loop_on_random_sources(m):
+    # at most about 1,000 combinations per cover
+    t_cap = {2: 31, 3: 10, 4: 5, 5: 4}[m]
+    rng = np.random.default_rng(m)
+    for _ in range(15):
+        probs = rng.dirichlet(np.full(m, rng.choice([0.3, 1.0, 5.0])))
+        if rng.random() < 0.25:
+            probs[rng.integers(m)] = 0.0
+        probs = tuple((probs / probs.sum()).tolist())
+        n = int(rng.integers(2, {2: 300, 3: 120, 4: 60, 5: 30}[m]))
+        t_max = min(typical_t_max(n), t_cap)
+        typical_matches_reference(probs, n, int(rng.integers(1, t_max + 1)))
+
+
+def test_typical_cover_matches_reference_loop_at_the_audit_shape():
+    assert typical_matches_reference((0.1, 0.25, 0.65), 150, 10)
+
+
+@pytest.mark.parametrize("probs", [
+    (0.05, 0.95), (0.02, 0.98), (0.0, 1.0),
+    (0.1, 0.2, 0.7), (0.0, 0.04, 0.96), (0.03, 0.03, 0.94),
+], ids=str)
+def test_typical_cover_of_a_short_range_verifies(probs):
+    # a typical range clipped at 0 or n can hold fewer atoms than t cells
+    src = SourceDistribution(list(probs))
+    short = 0
+    for n in range(2, 40 if len(probs) == 2 else 25):
+        ranges = [reference_typical_range(n, p, typical_epsilon(n)) for p in probs]
+        for t in range(1, typical_t_max(n) + 1):
+            if any(0 < hi - lo < t - 1 for lo, hi in ranges):
+                short += 1
+                check = verify_cover(build_typical_cover(src, n, t), source=src)
+                assert check.verified, (n, t, check.worst)
+    assert short > 0
 
 
 def test_large_full_grid_center_count():
