@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # `import genbound` loads no layer, and numpy only once a name needs it.
 _EXPORTS = {
     "types_core": (
-        "SourceDistribution", "num_types", "num_types_upper_bound",
-        "sigma_sub_gaussian", "type_probability",
+        "SourceDistribution", "num_types", "sigma_sub_gaussian",
+        "type_probability",
     ),
     "divergence_core": ("kl_matrix",),
     "covering": (
@@ -29,8 +29,7 @@ _EXPORTS = {
         "typical_epsilon", "typical_mass", "verify_cover",
     ),
     "privacy_mechanisms": (
-        "Mechanism", "exponential_mechanism_over_types",
-        "gaussian_mechanism_neighbor_kl", "gdp_param_noisy_sgd",
+        "Mechanism", "exponential_mechanism_over_types", "gdp_param_noisy_sgd",
         "identity_mechanism", "kl_stability_bound", "verify_kl_stability",
     ),
     "privacy": (

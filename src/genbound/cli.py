@@ -8,8 +8,9 @@ significant digits in scientific notation, lowercase booleans, a header
 row always, and LF line endings.
 
 Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
-(including an exceeded enumeration cap, which the message names, and
-every usage error the option parser reports).
+(including an exceeded enumeration cap, which the message names, an
+input file that cannot be read as UTF-8 text, and every usage error the
+option parser reports).
 
 Options are parsed with the standard library's argparse. Each subcommand
 imports the layers it needs in its own body, and the layers import the
@@ -405,16 +406,16 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
         )
 
 
-def _verification_records(report, slack_tol: float) -> list[dict]:
+def _verification_records(report) -> list[dict]:
+    """One record per bound, as the report judged it."""
     records = []
     for bid, value in report.bound_values.items():
-        slack = report.per_bound_slack[bid]
         records.append({
             "bound_id": bid.value,
             "bound_value": value,
-            "comparison_value": value - slack,
-            "slack": slack,
-            "pass": bool(slack >= -slack_tol),
+            "comparison_value": report.comparison_values[bid],
+            "slack": report.per_bound_slack[bid],
+            "pass": bid.value not in report.violations,
             "exact_mi": report.exact_mi,
             "exact_gen_error": report.exact_gen_error,
             "sigma": report.sigma,
@@ -432,11 +433,11 @@ FORMAT = option("--format", dest="fmt", choices=["csv", "jsonl"], default="csv")
 @_translate_errors
 def verify_mi_cmd(config_path, fmt, output) -> None:
     """Certify every applicable bound against exact quantities."""
-    from .oracle_harness import SLACK_TOL, load_experiment_config, run_verification
+    from .oracle_harness import load_experiment_config, run_verification
 
     config, sigma_override = load_experiment_config(config_path)
     report = run_verification(config, sigma=sigma_override)
-    records = _verification_records(report, SLACK_TOL)
+    records = _verification_records(report)
     if fmt == "csv":
         header = ["bound_id", "bound_value", "comparison_value", "slack",
                   "pass", "exact_mi", "exact_gen_error", "sigma", "all_pass"]

@@ -59,7 +59,6 @@ __all__ = [
     "CoverVerification",
     "GridParameter",
     "simplex_hypercube_count",
-    "simplex_hypercube_count_upper",
     "build_full_grid_cover",
     "build_simplex_grid_cover",
     "typical_epsilon",
@@ -165,15 +164,6 @@ def simplex_hypercube_count(k: int, t: int) -> int:
     if t < 1:
         raise InputError(f"grid parameter must be positive, got {t}")
     return math.comb(t + k - 1, k)
-
-
-def simplex_hypercube_count_upper(k: int, t: int) -> float:
-    """Smooth envelope (t + (k-1)/2)**k / k! for the simplex cell count."""
-    if k < 1:
-        raise InputError(f"dimension must be positive, got {k}")
-    if t < 1:
-        raise InputError(f"grid parameter must be positive, got {t}")
-    return (t + (k - 1) / 2.0) ** k / math.factorial(k)
 
 
 def _cell_atom_range(length: int, t: int, j):

@@ -6,9 +6,11 @@ H_i - P_i @ log(Q_j), in nats, with the usual conventions exactly:
 mass on a zero of Q_j; and exactly 0.0 for identical rows.
 kl_matrix returns the whole matrix; kl_row_blocks yields the same
 values a block of rows of P at a time; logsumexp is the max-shifted
-log-sum-exp that per_dataset_kl_to_cover_mixture takes across each row.
-The one-row KL and mixture-bound functions these are tested against
-live in tests/divergence_reference.py.
+log-sum-exp that per_dataset_kl_to_cover_mixture takes across each row
+of its KL matrix, unweighted, since every cover center weighs the same.
+The one-row KL, the mixture bounds and a weighted log-sum-exp these are
+tested against live in tests/divergence_reference.py, which imports
+nothing from this module.
 
 Inputs are validated, never clipped or smoothed.
 """
@@ -96,19 +98,12 @@ def kl_matrix(
     return out
 
 
-def logsumexp(
-    a: "Sequence[float] | np.ndarray",
-    b: "Sequence[float] | np.ndarray | None" = None,
-    axis: int | None = None,
-) -> "float | np.ndarray":
-    """log(sum(b * exp(a))) along axis (all entries when None), evaluated
-    shifted by the maximum; -inf where every term is zero."""
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) for each row of a 2-D array, evaluated shifted
+    by the row's maximum; -inf where every term is zero."""
     a = np.asarray(a, dtype=float)
-    shift = np.max(a, axis=axis, keepdims=True)
+    shift = np.max(a, axis=1, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    terms = np.exp(a - shift)
-    if b is not None:
-        terms = terms * b
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(terms, axis=axis, keepdims=True)) + shift
-    return out.item() if axis is None else np.squeeze(out, axis=axis)
+        out = np.log(np.sum(np.exp(a - shift), axis=1, keepdims=True)) + shift
+    return out[:, 0]

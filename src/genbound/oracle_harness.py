@@ -5,15 +5,22 @@ a finite vector, the mechanism a finite kernel, so mutual information
 and expected generalization error are finite sums. That turns every
 bound into a checkable inequality with a measured slack.
 
-Certification routes:
+Certification routes, each naming the comparison value a bound is
+checked against:
 
-- count-based bounds (type_count, grid, simplex branches) are checked in
-  expectation against the per-dataset KL to the bound's own cover
-  mixture, the exact quantity the bound dominates;
-- typical-set branches bound only the mutual information, so their
-  slack is taken against the exact MI directly;
-- the sub-Gaussian conversion is checked against the exact expected
+- count-based bounds (type_count, grid, simplex branches): the
+  expectation of the per-dataset KL to the bound's own cover mixture,
+  the exact quantity the bound dominates;
+- typical-set branches bound only the mutual information, so theirs is
+  the exact MI;
+- the sub-Gaussian conversion: the absolute exact expected
   generalization error.
+
+The report carries each comparison value, each slack (bound minus
+comparison) and the violations, the bounds whose slack falls below
+-SLACK_TOL, the audit's tolerance in privacy_mechanisms. A kernel whose
+rows are all the same ignores its input: every expected KL to a mixture
+of its rows, exact MI included, is then exactly 0.0.
 
 Monte Carlo draws each chunk of _MC_CHUNK samples from its own Philox
 counter-based stream keyed (seed, chunk index) and reduces the chunks in
@@ -27,9 +34,10 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, input_lines
 from .privacy import PrivacyKind, PrivacyParams
 from .privacy_mechanisms import (
+    SLACK_TOL,
     Mechanism,
     check_kernel_cells,
     exponential_mechanism_over_types,
@@ -67,11 +75,8 @@ __all__ = [
     "mc_expected_gen_error",
     "cover_for_bound",
     "run_verification",
-    "reference_configs",
     "load_experiment_config",
 ]
-
-SLACK_TOL = 1e-9
 
 _MC_CHUNK = 4096
 
@@ -177,9 +182,6 @@ def exact_mutual_information(config: ExperimentConfig) -> float:
 
 
 def _mutual_information(kernel: np.ndarray, p_types: np.ndarray) -> float:
-    if np.all(kernel == kernel[0]):
-        # p_types @ kernel can miss that row by rounding: a ~1e-16 false MI
-        return 0.0
     total = _expected_kl(p_types, kernel, p_types @ kernel)
     if total < 0 and total > -1e-12:
         return 0.0
@@ -201,9 +203,16 @@ class PerDatasetKl(Record):
 
 def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) -> float:
     """sum_s P(s) * KL(kernel[s] || target) over count vectors of positive
-    probability; O(T x hypotheses)."""
+    probability, for a target that mixes kernel rows; O(T x hypotheses).
+
+    Exactly 0.0 when every kernel row is the same: the target is then
+    that row in exact arithmetic, but a float mean or marginal can miss
+    it by rounding and leave a ~1e-15 residue of either sign.
+    """
     from .divergence_core import kl_matrix
 
+    if np.all(kernel == kernel[0]):
+        return 0.0
     kls = kl_matrix(kernel, target[None, :])[:, 0]
     return math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
 
@@ -239,7 +248,7 @@ def per_dataset_kl_to_cover_mixture(
     log_w = -math.log(center_rows.shape[0])
     component = kl_matrix(kernel, center_rows)
     exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
-    bound_logsumexp = -logsumexp(-component, axis=1) - log_w
+    bound_logsumexp = -logsumexp(-component) - log_w
     bound_min = np.min(component, axis=1) - log_w
     columns = [exact, bound_logsumexp, bound_min]
     for column in columns:
@@ -401,17 +410,21 @@ def _build_cover(kind: str, t: int, alphabet_size: int, n: int) -> CoverSpec:
 
 
 class VerificationReport(Record):
-    """Everything a certification run measured, bound by bound."""
+    """Everything a certification run measured, bound by bound: each
+    bound's value, the exact quantity it is compared against, and the
+    slack between the two."""
 
     __slots__ = ("exact_mi", "exact_gen_error", "sigma", "gen_bound",
-                 "bound_values", "per_bound_slack", "violations", "all_pass")
+                 "bound_values", "comparison_values", "per_bound_slack",
+                 "violations", "all_pass")
 
     def __init__(self, exact_mi: float, exact_gen_error: float, sigma: float,
                  gen_bound: float, bound_values: Mapping[BoundId, float],
+                 comparison_values: Mapping[BoundId, float],
                  per_bound_slack: Mapping[BoundId, float],
                  violations: tuple[str, ...], all_pass: bool) -> None:
         self._assign(exact_mi, exact_gen_error, sigma, gen_bound, bound_values,
-                     per_bound_slack, violations, all_pass)
+                     comparison_values, per_bound_slack, violations, all_pass)
 
 
 def run_verification(
@@ -422,8 +435,9 @@ def run_verification(
     Branches with a cover in _COVER_OF are compared against the
     expectation of the per-dataset KL to their cover mixture; the others
     (the typical branches) against the exact mutual information; the
-    sub-Gaussian conversion against the exact expected generalization
-    error. all_pass requires every slack to clear -1e-9.
+    sub-Gaussian conversion against the absolute exact expected
+    generalization error. A bound whose slack falls below -SLACK_TOL is a
+    violation, and all_pass means there is none.
     """
     from .bounds_catalog import BoundId, gen_error_from_mi, kl_candidates
 
@@ -436,7 +450,7 @@ def run_verification(
     gen_bound = gen_error_from_mi(scale, n, mi)
 
     values: dict[BoundId, float] = {}
-    slack: dict[BoundId, float] = {}
+    comparisons: dict[BoundId, float] = {}
     # bounds that share a cover (type_count and simplex_any both take the
     # t = n + 1 simplex grid) share one build and one expectation
     expectations: dict[tuple[str, int], float] = {}
@@ -452,13 +466,14 @@ def run_verification(
                 mixture = _cover_rows(config, cover).mean(axis=0)
                 expectations[grid] = _expected_kl(
                     p_types, config.mechanism.kernel, mixture)
-            slack[report.bound_id] = report.value - expectations[grid]
+            comparisons[report.bound_id] = expectations[grid]
         else:
-            slack[report.bound_id] = report.value - mi
+            comparisons[report.bound_id] = mi
 
     values[BoundId.GEN_SUB_GAUSSIAN] = gen_bound
-    slack[BoundId.GEN_SUB_GAUSSIAN] = gen_bound - abs(gen)
+    comparisons[BoundId.GEN_SUB_GAUSSIAN] = abs(gen)
 
+    slack = {bid: values[bid] - comparisons[bid] for bid in values}
     violations = tuple(
         bid.value for bid, s in slack.items() if not (s >= -SLACK_TOL)
     )
@@ -468,40 +483,11 @@ def run_verification(
         sigma=scale,
         gen_bound=gen_bound,
         bound_values=values,
+        comparison_values=comparisons,
         per_bound_slack=slack,
         violations=violations,
         all_pass=not violations,
     )
-
-
-def reference_configs() -> dict[str, ExperimentConfig]:
-    """Three small fully-exact experiments used as the standing test bed:
-    a private mechanism on a uniform source, a stronger-eps private
-    mechanism on a skewed source, and a non-private identity mechanism.
-    """
-    configs: dict[str, ExperimentConfig] = {}
-    configs["exp-eps0.5-uniform"] = ExperimentConfig(
-        source=SourceDistribution.uniform(2),
-        mechanism=exponential_mechanism_over_types(2, 8, 0.5),
-        loss_table=default_loss_table(2, 8),
-        seed=20260817,
-        mc_samples=100_000,
-    )
-    configs["exp-eps1-skewed"] = ExperimentConfig(
-        source=SourceDistribution([0.3, 0.7]),
-        mechanism=exponential_mechanism_over_types(2, 12, 1.0),
-        loss_table=default_loss_table(2, 12),
-        seed=31337,
-        mc_samples=100_000,
-    )
-    configs["identity-3symbols"] = ExperimentConfig(
-        source=SourceDistribution([0.2, 0.3, 0.5]),
-        mechanism=identity_mechanism(3, 6),
-        loss_table=default_loss_table(3, 6),
-        seed=424242,
-        mc_samples=100_000,
-    )
-    return configs
 
 
 _CONFIG_KEYS = {
@@ -530,23 +516,24 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     comment. mechanism=exponential consumes epsilon as its construction
     parameter; for any other mechanism an epsilon or mu key declares that
     privacy level for the kernel, trusted here and auditable with
-    verify_kl_stability. Returns (config, sigma_override).
+    verify_kl_stability. Returns (config, sigma_override). A file, or a
+    saved kernel it names, that cannot be read as UTF-8 text raises
+    InputError naming it.
     """
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise InputError(f"{path}: line {lineno} is not key=value: {line!r}")
-            key, _, val = stripped.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise InputError(f"{path}: unknown key {key!r} on line {lineno}")
-            if key in raw:
-                raise InputError(f"{path}: duplicate key {key!r} on line {lineno}")
-            raw[key] = val
+    for lineno, line in enumerate(input_lines(path), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise InputError(f"{path}: line {lineno} is not key=value: {line!r}")
+        key, _, val = stripped.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise InputError(f"{path}: unknown key {key!r} on line {lineno}")
+        if key in raw:
+            raise InputError(f"{path}: duplicate key {key!r} on line {lineno}")
+        raw[key] = val
 
     for required in ("alphabet_size", "n", "source", "mechanism"):
         if required not in raw:

@@ -15,7 +15,9 @@ Privacy translates into KL stability between neighboring inputs:
 
 verify_kl_stability measures the worst observed KL at every distance
 and compares it against these envelopes, which is the audit the CLI
-exposes.
+exposes. A measured quantity passes when it stays within its bound plus
+SLACK_TOL; the verification harness judges every certified bound by the
+same tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, input_lines
 from .privacy import PrivacyKind, PrivacyParams
 from .records import Record
 from .types_core import (
@@ -36,6 +38,7 @@ from .types_core import (
 )
 
 __all__ = [
+    "SLACK_TOL",
     "KERNEL_CELL_BUDGET",
     "check_kernel_cells",
     "PrivacyKind",
@@ -47,7 +50,6 @@ __all__ = [
     "exponential_mechanism_over_types",
     "identity_mechanism",
     "uniform_mechanism",
-    "gaussian_mechanism_neighbor_kl",
     "verify_kl_stability",
     "gdp_param_noisy_sgd",
     "save_mechanism_csv",
@@ -120,6 +122,11 @@ def kl_stability_bound(privacy: PrivacyParams, k: int) -> float:
         x = k * privacy.value
         return min(x * math.tanh(x / 2.0), x * x / 2.0, x)
     return 0.5 * (k * privacy.value) ** 2
+
+
+# How far a measured quantity may exceed its certified bound and still
+# pass: room for rounding in the exact sums, never a relaxation of a bound.
+SLACK_TOL = 1e-9
 
 
 # Largest kernel the package allocates: 25 million cells, 200 MB per
@@ -203,23 +210,6 @@ def uniform_mechanism(alphabet_size: int, n: int) -> Mechanism:
     )
 
 
-def gaussian_mechanism_neighbor_kl(mu: float, k: int) -> float:
-    """Worst-case KL between Gaussian-mechanism outputs at distance k.
-
-    Replacing k elements moves the count vector by +-k in two
-    coordinates, so the means differ by ||delta||^2 = 2 k^2; with
-    per-coordinate noise variance sigma^2 = 2 / mu^2 the Gaussian KL is
-    ||delta||^2 / (2 sigma^2). Agrees with kl_stability_bound for mu-GDP.
-    """
-    if not (mu > 0):
-        raise InputError(f"mu must be positive, got {mu}")
-    if k < 0:
-        raise InputError(f"distance must be non-negative, got {k}")
-    delta_sq = 2.0 * k * k
-    sigma_sq = 2.0 / (mu * mu)
-    return delta_sq / (2.0 * sigma_sq)
-
-
 class StabilityRow(Record):
     """Audit result at one replacement distance."""
 
@@ -239,7 +229,7 @@ class StabilityReport(Record):
         self._assign(rows, passed)
 
 
-def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
+def verify_kl_stability(mech: Mechanism) -> StabilityReport:
     """Measure the worst KL between kernel rows at every distance and
     compare against the declared privacy's stability envelope.
 
@@ -247,7 +237,7 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
     block at a time with one scatter-max by distance per block, so beyond
     the kernel's log and row ids memory stays one block of KL values and
     distances. A distance passes when its worst observed KL stays within
-    bound + tol.
+    bound + SLACK_TOL.
     Its witness is the first pair in row-major order that attains the
     worst value; on exactly tied pairs that is judged on kl_matrix
     values, which can break a tie that the one-row reference
@@ -281,7 +271,7 @@ def verify_kl_stability(mech: Mechanism, tol: float = 1e-9) -> StabilityReport:
         worst, bound = float(max_kl[k]), kl_stability_bound(mech.privacy, k)
         rows.append(
             StabilityRow(
-                k=k, max_kl=worst, bound=bound, passed=worst <= bound + tol,
+                k=k, max_kl=worst, bound=bound, passed=worst <= bound + SLACK_TOL,
                 worst_pair=divmod(int(witness[k]), total),
             )
         )
@@ -308,14 +298,15 @@ def gdp_param_noisy_sgd(
 def save_mechanism_csv(mech: Mechanism, path: str) -> str:
     """Write the kernel (one row per line, lexicographic row order) to
     `path` and a key=value sidecar to `path + '.meta'`. Returns the
-    sidecar path. Entries use repr precision so loading round-trips."""
-    with open(path, "w", newline="") as fh:
+    sidecar path. Entries use repr precision so loading round-trips; both
+    files are UTF-8, the encoding load_mechanism_csv reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for row in mech.kernel:
             fh.write(",".join(repr(float(x)) for x in row))
             fh.write("\n")
     meta_path = path + ".meta"
     value = "" if mech.privacy.value is None else repr(mech.privacy.value)
-    with open(meta_path, "w", newline="") as fh:
+    with open(meta_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"alphabet_size={mech.alphabet_size}\n")
         fh.write(f"n={mech.n}\n")
         fh.write(f"hypothesis_count={mech.hypothesis_count}\n")
@@ -326,20 +317,20 @@ def save_mechanism_csv(mech: Mechanism, path: str) -> str:
 
 
 def load_mechanism_csv(path: str) -> Mechanism:
-    """Load a kernel written by save_mechanism_csv (sidecar required)."""
+    """Load a kernel written by save_mechanism_csv (sidecar required).
+    Either file missing, a directory or not UTF-8 raises InputError."""
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise InputError(f"mechanism sidecar not found: {meta_path}")
     meta: dict[str, str] = {}
-    with open(meta_path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{meta_path}: malformed line {line!r}")
-            key, _, val = line.partition("=")
-            meta[key.strip()] = val
+    for line in input_lines(meta_path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{meta_path}: malformed line {line!r}")
+        key, _, val = line.partition("=")
+        meta[key.strip()] = val
     for key in ("alphabet_size", "n", "hypothesis_count", "privacy_kind"):
         if key not in meta:
             raise InputError(f"{meta_path}: missing key {key!r}")
@@ -367,21 +358,20 @@ def load_mechanism_csv(path: str) -> Mechanism:
     else:
         raise InputError(f"{meta_path}: unknown privacy kind {kind!r}")
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != width:
-                raise InputError(
-                    f"{path}: line {lineno} has {len(fields)} entries, "
-                    f"hypothesis_count is {width}"
-                )
-            try:
-                rows.append([float(x) for x in fields])
-            except ValueError:
-                raise InputError(f"{path}: non-numeric entry on line {lineno}") from None
+    for lineno, line in enumerate(input_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise InputError(
+                f"{path}: line {lineno} has {len(fields)} entries, "
+                f"hypothesis_count is {width}"
+            )
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise InputError(f"{path}: non-numeric entry on line {lineno}") from None
     return Mechanism(
         np.asarray(rows, dtype=float).reshape(len(rows), width),
         alphabet_size,

@@ -39,7 +39,6 @@ __all__ = [
     "SourceDistribution",
     "type_enumeration_cap",
     "num_types",
-    "num_types_upper_bound",
     "enforce_cap",
     "check_cap",
     "type_counts",
@@ -134,15 +133,6 @@ def num_types(alphabet_size: int, n: int) -> int:
     if n < 1:
         raise InputError(f"dataset length must be positive, got {n}")
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
-
-
-def num_types_upper_bound(alphabet_size: int, n: int) -> int:
-    """Polynomial envelope (n + 1)**(m - 1); tight exactly when m = 2."""
-    if alphabet_size < 2:
-        raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
-    if n < 1:
-        raise InputError(f"dataset length must be positive, got {n}")
-    return (n + 1) ** (alphabet_size - 1)
 
 
 def enforce_cap(total: int, what: str) -> int:

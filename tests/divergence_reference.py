@@ -5,7 +5,9 @@ The package computes KL divergences only as matrices
 bounds only per count vector, from one count-vector x center KL matrix
 (genbound.oracle_harness.per_dataset_kl_to_cover_mixture). These
 functions take one probability row at a time and are what the matrix
-paths are checked against.
+paths are checked against. They import nothing from the package but its
+error class, so no check here runs the code it checks:
+weighted_logsumexp is this module's own.
 
 The KL conventions are the package's: 0 * log(0 / q) = 0, and p[i] > 0
 with q[i] = 0 makes the divergence +infinity (a value, not an error).
@@ -19,6 +21,10 @@ with the log-sum-exp evaluated in max-shifted log space. The softmax
 responsibilities over -KL scores attain the middle expression, which is
 what optimal_responsibilities returns.
 
+gaussian_mechanism_neighbor_kl is the Gaussian route to the mu-GDP
+stability envelope, the reference for that branch of
+genbound.privacy_mechanisms.kl_stability_bound.
+
 Inputs are validated, never clipped or smoothed.
 """
 
@@ -29,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from genbound.divergence_core import logsumexp
 from genbound.errors import InputError
 
 
@@ -135,6 +140,18 @@ def kl_divergence(
     return float(np.sum(ps * np.log(ps / qa[mask])))
 
 
+def weighted_logsumexp(a: "Sequence[float] | np.ndarray",
+                       b: "Sequence[float] | np.ndarray") -> float:
+    """log(sum(b * exp(a))) over all entries, evaluated shifted by the
+    maximum; -inf where every term is zero."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a)
+    if not np.isfinite(shift):
+        shift = 0.0
+    with np.errstate(divide="ignore"):
+        return float(np.log(np.sum(np.exp(a - shift) * b)) + shift)
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - np.max(x))
     return e / np.sum(e)
@@ -165,7 +182,7 @@ def mixture_kl_bound_logsumexp(
     finite = np.isfinite(kls)
     if not finite.any():
         return math.inf
-    return float(-logsumexp(-kls[finite], b=mix.weights[finite]))
+    return float(-weighted_logsumexp(-kls[finite], mix.weights[finite]))
 
 
 def mixture_kl_bound_min(
@@ -227,3 +244,20 @@ def mixture_variational_objective(
             return math.inf
         total += phi[b] * (kls[b] + math.log(phi[b] / mix.weights[b]))
     return float(total)
+
+
+def gaussian_mechanism_neighbor_kl(mu: float, k: int) -> float:
+    """Worst-case KL between Gaussian-mechanism outputs at distance k.
+
+    Replacing k elements moves the count vector by +-k in two
+    coordinates, so the means differ by ||delta||^2 = 2 k^2; with
+    per-coordinate noise variance sigma^2 = 2 / mu^2 the Gaussian KL is
+    ||delta||^2 / (2 sigma^2) = (k mu)^2 / 2, the mu-GDP envelope.
+    """
+    if not (mu > 0):
+        raise InputError(f"mu must be positive, got {mu}")
+    if k < 0:
+        raise InputError(f"distance must be non-negative, got {k}")
+    delta_sq = 2.0 * k * k
+    sigma_sq = 2.0 / (mu * mu)
+    return delta_sq / (2.0 * sigma_sq)

@@ -2,7 +2,8 @@
 
 The package holds count vectors only as rows of int64 arrays. These
 loops take one count vector at a time, as a tuple of ints, and are what
-the vectorised paths are checked against.
+the vectorised paths are checked against. The two envelopes at the end
+bound exact counts the package computes; only the tests read them.
 """
 
 from __future__ import annotations
@@ -67,3 +68,15 @@ def patch_sum(coords, n):
         patched[i] -= 1
         overshoot -= 1
     return tuple(patched) + (n - sum(patched),)
+
+
+def num_types_upper_bound(alphabet_size, n):
+    """Polynomial envelope (n + 1)**(m - 1) on the number of count
+    vectors, for m >= 2 and n >= 1; tight exactly when m = 2."""
+    return (n + 1) ** (alphabet_size - 1)
+
+
+def simplex_hypercube_count_upper(k, t):
+    """Smooth envelope (t + (k-1)/2)**k / k! on the simplex cell count
+    S_k(t), for k, t >= 1."""
+    return (t + (k - 1) / 2.0) ** k / math.factorial(k)

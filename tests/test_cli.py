@@ -330,6 +330,38 @@ class TestVerifyMi:
         result = runner.invoke(main, ["verify-mi", "--config", "no-such.cfg"])
         assert result.exit_code == 2
 
+    def test_input_independent_kernel_compares_against_exact_zero(
+        self, runner, tmp_path
+    ):
+        # the mean of identical kernel rows can miss the row by rounding;
+        # every expected KL to a mixture of them is still exactly 0
+        config = write_config(
+            tmp_path,
+            "alphabet_size = 2\nn = 150\nsource = 0.3, 0.7\n"
+            "mechanism = uniform\nmu = 0.3\n",
+        )
+        result = runner.invoke(main, ["verify-mi", "--config", config,
+                                      "--format", "jsonl"])
+        assert result.exit_code == 0
+        records = [json.loads(line) for line in result.stdout.splitlines()]
+        assert len(records) > 1
+        for r in records:
+            assert r["comparison_value"] == 0.0, r["bound_id"]
+            assert r["slack"] == r["bound_value"], r["bound_id"]
+
+    def test_gen_row_prints_the_exact_gen_error_it_compares(self, runner, tmp_path):
+        # at this shape the exact MI reads inf, and so does the
+        # sub-Gaussian bound; what it is compared against stays finite
+        config = write_config(
+            tmp_path,
+            "alphabet_size = 2\nn = 250\nsource = 0.05, 0.95\n"
+            "mechanism = exponential\nepsilon = 30\n",
+        )
+        result = runner.invoke(main, ["verify-mi", "--config", config])
+        rows = {row[0]: row for row in
+                (line.split(",") for line in result.stdout.splitlines()[1:])}
+        assert rows["gen_sub_gaussian"][2] == "3.80000000000e-04"
+
     def test_huge_epsilon_certifies_without_warnings(self, tmp_path):
         # -eps * k overflows to -inf: the kernel is the identity, and no
         # RuntimeWarning reaches stderr
@@ -504,6 +536,42 @@ class TestInputContract:
         result = runner.invoke(main, args)
         assert_input_error(result)
         assert "GENBOUND_TYPE_CAP" in result.stderr
+
+    @pytest.mark.parametrize("broken", ["missing", "directory"])
+    def test_config_names_a_kernel_that_is_no_file(self, runner, tmp_path, broken):
+        # the sidecar is there, the kernel CSV is not a readable file
+        path = tmp_path / "mech.csv"
+        save_mechanism_csv(exponential_mechanism_over_types(2, 8, 0.5), str(path))
+        path.unlink()
+        if broken == "directory":
+            path.mkdir()
+        config = write_config(tmp_path, GOOD_CONFIG.replace(
+            "mechanism = exponential\nepsilon = 0.5", f"mechanism = {path}"))
+        result = runner.invoke(main, ["verify-mi", "--config", config])
+        assert_input_error(result)
+        assert str(path) in result.stderr
+
+    @pytest.mark.parametrize("command, broken", [
+        ("verify-mi", "config"),
+        ("verify-mi", "sidecar"),
+        ("verify-mi", "kernel"),
+        ("stability", "sidecar"),
+        ("stability", "kernel"),
+    ])
+    def test_input_file_that_is_not_utf8(self, runner, tmp_path, command, broken):
+        kernel = tmp_path / "mech.csv"
+        save_mechanism_csv(exponential_mechanism_over_types(2, 8, 0.5), str(kernel))
+        config = tmp_path / "exp.cfg"
+        config.write_text(GOOD_CONFIG.replace(
+            "mechanism = exponential\nepsilon = 0.5", f"mechanism = {kernel}"))
+        target = {"config": config, "sidecar": tmp_path / "mech.csv.meta",
+                  "kernel": kernel}[broken]
+        target.write_bytes(target.read_bytes() + b"\xff\n")
+        flags = (["--config", str(config)] if command == "verify-mi"
+                 else ["--mechanism", str(kernel)])
+        result = runner.invoke(main, [command, *flags])
+        assert_input_error(result)
+        assert f"{target}: not UTF-8 text" in result.stderr
 
     def test_unwritable_output_path(self, runner, tmp_path):
         target = tmp_path / "missing" / "report.txt"

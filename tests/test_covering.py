@@ -20,7 +20,6 @@ from genbound.covering import (
     build_typical_cover,
     optimal_grid_parameter,
     simplex_hypercube_count,
-    simplex_hypercube_count_upper,
     typical_epsilon,
     typical_mass,
     verify_cover,
@@ -33,7 +32,13 @@ from genbound.types_core import (
     type_counts,
     type_probability,
 )
-from lattice_reference import dataset_distance, enumerate_types, is_typical, patch_sum
+from lattice_reference import (
+    dataset_distance,
+    enumerate_types,
+    is_typical,
+    patch_sum,
+    simplex_hypercube_count_upper,
+)
 
 
 def typical(counts, source, epsilon):

@@ -21,6 +21,7 @@ from divergence_reference import (
     mixture_kl_bound_min,
     mixture_variational_objective,
     optimal_responsibilities,
+    weighted_logsumexp,
 )
 
 
@@ -269,10 +270,17 @@ def test_kl_matrix_peak_memory_is_the_result_plus_one_block():
 
 
 def test_logsumexp_values():
+    # row-wise, the one form per_dataset_kl_to_cover_mixture takes
     a = np.log([[0.1, 0.2, 0.7], [0.5, 0.5, 1e-300]])
-    np.testing.assert_allclose(logsumexp(a, axis=1), [0.0, 0.0], atol=1e-15)
-    weighted = logsumexp([0.0, 1.0], b=[0.25, 0.75])
-    assert math.isclose(weighted, math.log(0.25 + 0.75 * math.e), rel_tol=1e-15)
-    assert logsumexp([-math.inf, -math.inf]) == -math.inf
-    assert math.isclose(logsumexp([1000.0, 1000.0]), 1000.0 + math.log(2.0),
+    np.testing.assert_allclose(logsumexp(a), [0.0, 0.0], atol=1e-15)
+    assert logsumexp([[-math.inf, -math.inf]])[0] == -math.inf
+    assert math.isclose(logsumexp([[1000.0, 1000.0]])[0], 1000.0 + math.log(2.0),
                         rel_tol=1e-15)
+
+
+def test_reference_weighted_logsumexp_values():
+    weighted = weighted_logsumexp([0.0, 1.0], [0.25, 0.75])
+    assert math.isclose(weighted, math.log(0.25 + 0.75 * math.e), rel_tol=1e-15)
+    assert weighted_logsumexp([-math.inf, -math.inf], [0.5, 0.5]) == -math.inf
+    assert math.isclose(weighted_logsumexp([1000.0, 1000.0], [1.0, 1.0]),
+                        1000.0 + math.log(2.0), rel_tol=1e-15)

@@ -32,7 +32,6 @@ from genbound.oracle_harness import (
     mc_expected_gen_error,
     per_dataset_kl_to_cover_mixture,
     random_mechanism,
-    reference_configs,
     run_verification,
 )
 from genbound.privacy_mechanisms import (
@@ -58,6 +57,7 @@ from divergence_reference import (
     mixture_kl_bound_logsumexp,
     mixture_kl_bound_min,
 )
+from config_reference import reference_configs
 from lattice_reference import enumerate_types, type_index
 
 
@@ -575,6 +575,29 @@ def test_run_verification_sigma_override(make_config):
     assert report.sigma == 2.0
     baseline = run_verification(config)
     assert report.gen_bound == 4.0 * baseline.gen_bound
+
+
+def test_report_carries_the_comparisons_it_judged():
+    # slack is bound minus comparison, and the verdicts read the audit's
+    # tolerance: one SLACK_TOL for verify-mi and stability
+    assert (genbound.oracle_harness.SLACK_TOL
+            is genbound.privacy_mechanisms.SLACK_TOL == 1e-9)
+    mech = identity_mechanism(2, 5)
+    liar = Mechanism(mech.kernel, 2, 5, PrivacyParams.eps_dp(0.5))
+    configs = [*reference_configs().values(), ExperimentConfig(
+        source=SourceDistribution.uniform(2), mechanism=liar,
+        loss_table=default_loss_table(2, 5), seed=0, mc_samples=100,
+    )]
+    for config in configs:
+        report = run_verification(config)
+        assert list(report.comparison_values) == list(report.bound_values)
+        for bid, value in report.bound_values.items():
+            comparison = report.comparison_values[bid]
+            assert report.per_bound_slack[bid] == value - comparison
+            failed = not value - comparison >= -genbound.privacy_mechanisms.SLACK_TOL
+            assert (bid.value in report.violations) == failed
+        assert report.comparison_values[BoundId.GEN_SUB_GAUSSIAN] == abs(
+            report.exact_gen_error)
 
 
 def test_run_verification_catches_false_declaration():

@@ -19,7 +19,6 @@ from genbound.privacy_mechanisms import (
     PrivacyKind,
     PrivacyParams,
     exponential_mechanism_over_types,
-    gaussian_mechanism_neighbor_kl,
     gdp_param_noisy_sgd,
     identity_mechanism,
     kl_stability_bound,
@@ -33,7 +32,7 @@ from genbound.types_core import (
     num_types,
     type_counts,
 )
-from divergence_reference import kl_divergence
+from divergence_reference import gaussian_mechanism_neighbor_kl, kl_divergence
 from lattice_reference import dataset_distance, enumerate_types
 
 

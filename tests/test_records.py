@@ -42,6 +42,7 @@ RECORDS = [
     (VerificationReport, {"exact_mi": 0.1, "exact_gen_error": 0.01,
                           "sigma": 0.5, "gen_bound": 0.2,
                           "bound_values": {BoundId.TYPE_COUNT: 1.0},
+                          "comparison_values": {BoundId.TYPE_COUNT: 0.1},
                           "per_bound_slack": {BoundId.TYPE_COUNT: 0.9},
                           "violations": (), "all_pass": True}, {}),
     (StabilityRow, {"k": 1, "max_kl": 0.1, "bound": 0.2, "passed": True,

@@ -17,7 +17,6 @@ from genbound.types_core import (
     distance_matrix,
     enforce_cap,
     num_types,
-    num_types_upper_bound,
     sigma_sub_gaussian,
     type_enumeration_cap,
     type_counts,
@@ -25,7 +24,12 @@ from genbound.types_core import (
     type_probability,
     type_rank,
 )
-from lattice_reference import dataset_distance, enumerate_types, type_index
+from lattice_reference import (
+    dataset_distance,
+    enumerate_types,
+    num_types_upper_bound,
+    type_index,
+)
 
 count_vectors = st.integers(2, 4).flatmap(
     lambda m: st.lists(st.integers(0, 12), min_size=m, max_size=m)
