@@ -23,6 +23,13 @@ ones they run, so a command loads (besides errors and records):
 - verify-mi: all seven layers.
 
 json is imported only to write --format jsonl.
+
+Run as a program, the CLI sets OPENBLAS_THREAD_TIMEOUT to 4 unless the
+environment already sets it, before any command imports numpy: OpenBLAS
+reads it when it loads, and its idle pool threads then spin 2**4 cycles
+after each BLAS call before they sleep, not the default 2**28. A command
+makes a few short BLAS calls, so that spin was CPU taken from the thread
+doing the work.
 """
 
 from __future__ import annotations
@@ -110,7 +117,10 @@ class Group:
 
         Usage errors print to stderr and exit 2. In standalone mode a
         successful run also ends with exit status 0; otherwise it returns.
+        Standalone mode also sets the OpenBLAS thread timeout default.
         """
+        if standalone_mode:
+            os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
         parser, by_name = self.parsers(prog_name or "genbound")
         namespace, extra = parser.parse_known_args(
             sys.argv[1:] if args is None else args)

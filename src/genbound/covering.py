@@ -45,6 +45,7 @@ import numpy as np
 from .errors import InputError
 from .records import Record
 from .types_core import (
+    BLOCK_ROWS,
     SourceDistribution,
     distance_matrix,
     enforce_cap,
@@ -53,7 +54,6 @@ from .types_core import (
 )
 
 __all__ = [
-    "VERIFY_BLOCK_ROWS",
     "CoverKind",
     "CoverSpec",
     "CoverVerification",
@@ -396,11 +396,6 @@ def optimal_grid_parameter(
     return GridParameter(t=t, clamped=(t != rounded), raw_value=float(raw))
 
 
-# Count vectors checked per distance_matrix call in verify_cover; memory
-# stays O(VERIFY_BLOCK_ROWS x centers).
-VERIFY_BLOCK_ROWS = 256
-
-
 def verify_cover(
     cover: CoverSpec, source: SourceDistribution | None = None
 ) -> CoverVerification:
@@ -410,7 +405,9 @@ def verify_cover(
     Full and simplex covers are checked against every count vector;
     typical covers against the typical set only (a source is required).
     The witness is the first count vector, in lexicographic order, at
-    the achieved radius (None when every vector is a center).
+    the achieved radius (None when every vector is a center). Count
+    vectors are checked BLOCK_ROWS at a time, so memory stays
+    O(BLOCK_ROWS x centers).
     """
     if cover.kind is CoverKind.TYPICAL_GRID:
         if source is None:
@@ -426,8 +423,8 @@ def verify_cover(
         counts = counts[_typical_mask(counts, source.probs, cover.typical_epsilon)]
     worst: tuple[int, ...] | None = None
     achieved = 0
-    for lo in range(0, counts.shape[0], VERIFY_BLOCK_ROWS):
-        block = counts[lo:lo + VERIFY_BLOCK_ROWS]
+    for lo in range(0, counts.shape[0], BLOCK_ROWS):
+        block = counts[lo:lo + BLOCK_ROWS]
         best = distance_matrix(block, cover.centers).min(axis=1)
         i = int(np.argmax(best))
         if best[i] > achieved:

@@ -5,7 +5,9 @@ H_i - P_i @ log(Q_j), in nats, with the usual conventions exactly:
 0 * log(0 / q) = 0; +infinity (a value, not an error) where P_i puts
 mass on a zero of Q_j; and exactly 0.0 for identical rows.
 kl_matrix returns the whole matrix; kl_row_blocks yields the same
-values a block of rows of P at a time; logsumexp is the max-shifted
+values types_core.BLOCK_ROWS rows of P at a time. Both take the log of Q
+from the caller where Q's floats have underflowed but its logs are
+known (exact mutual information's marginal). logsumexp is the max-shifted
 log-sum-exp that per_dataset_kl_to_cover_mixture takes across each row
 of its KL matrix, unweighted, since every cover center weighs the same.
 The one-row KL, the mixture bounds and a weighted log-sum-exp these are
@@ -23,18 +25,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
+from .types_core import BLOCK_ROWS
 
 __all__ = [
-    "KL_BLOCK_ROWS",
     "kl_matrix",
     "kl_row_blocks",
     "logsumexp",
 ]
-
-
-# Rows of P per block in kl_row_blocks: its temporaries are KL_BLOCK_ROWS
-# x len(Q) arrays, whatever the number of rows.
-KL_BLOCK_ROWS = 256
 
 
 def _kl_operands(P, Q) -> tuple[np.ndarray, np.ndarray]:
@@ -51,24 +48,40 @@ def _kl_operands(P, Q) -> tuple[np.ndarray, np.ndarray]:
 def kl_row_blocks(
     P: "Sequence[Sequence[float]] | np.ndarray",
     Q: "Sequence[Sequence[float]] | np.ndarray",
+    log_Q: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_row, block) for each KL_BLOCK_ROWS rows of P, where
+    """Yield (first_row, block) for each BLOCK_ROWS rows of P, where
     block[i, j] = KL(P[first_row + i] || Q_j) as in kl_matrix. log(Q), Q's
-    support mask and its row ids are computed once, not once per block."""
+    support mask and its row ids are computed once, not once per block.
+
+    log_Q, when given, is log(Q) from the caller, -inf exactly at Q's
+    zeros, and is read in place of log(Q): where an entry of Q has
+    underflowed to 0 or a subnormal, its log still counts.
+    """
     pa, qa = _kl_operands(P, Q)
-    # masked logs: zeros contribute 0 to the products and never make nan
-    log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
+    if log_Q is None:
+        # masked logs: zeros contribute 0 to the products and never make nan
+        log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
+        q_zero = qa <= 0
+    else:
+        log_q = np.array(log_Q, dtype=float)
+        if log_q.shape != qa.shape:
+            raise InputError(f"log_Q has shape {log_q.shape}, Q {qa.shape}")
+        q_zero = log_q == -math.inf
+        log_q[q_zero] = 0.0
     # support mask: only columns where some row of Q is zero can give +inf
-    zero_cols = np.flatnonzero((qa <= 0).any(axis=0))
-    q_zero = (qa[:, zero_cols] <= 0).astype(float)
+    zero_cols = np.flatnonzero(q_zero.any(axis=0))
+    q_zero = q_zero[:, zero_cols].astype(float)
     # identical rows cancel exactly in the scalar sum, not in H - cross
     row_ids: dict[bytes, int] = {}
     q_ids = np.array([row_ids.setdefault(r.tobytes(), len(row_ids)) for r in qa])
-    for lo in range(0, pa.shape[0], KL_BLOCK_ROWS):
-        p = pa[lo:lo + KL_BLOCK_ROWS]
+    for lo in range(0, pa.shape[0], BLOCK_ROWS):
+        p = pa[lo:lo + BLOCK_ROWS]
         log_p = np.log(p, where=p > 0, out=np.zeros_like(p))
+        p_log_p = np.einsum("ij,ij->i", p, log_p)
+        del log_p  # so the next block's is never allocated beside it
         block = p @ log_q.T
-        np.subtract(np.einsum("ij,ij->i", p, log_p)[:, None], block, out=block)
+        np.subtract(p_log_p[:, None], block, out=block)
         if zero_cols.size:
             off_support = (p[:, zero_cols] > 0).astype(float) @ q_zero.T > 0
             block[off_support] = math.inf
@@ -81,6 +94,7 @@ def kl_row_blocks(
 def kl_matrix(
     P: "Sequence[Sequence[float]] | np.ndarray",
     Q: "Sequence[Sequence[float]] | np.ndarray",
+    log_Q: np.ndarray | None = None,
 ) -> np.ndarray:
     """KL(P_i || Q_j) in nats for every row pair, shape (len(P), len(Q)).
 
@@ -88,11 +102,12 @@ def kl_matrix(
     for identical rows. Other entries agree with the one-row reference
     in tests/divergence_reference.py to rounding (the two differ in
     summation order). The result is filled from kl_row_blocks, so
-    memory beyond it is one block, O(KL_BLOCK_ROWS * len(Q)).
+    memory beyond it is one block, O(BLOCK_ROWS * len(Q)); log_Q is
+    kl_row_blocks'.
     """
     pa, qa = _kl_operands(P, Q)
     out = np.empty((pa.shape[0], qa.shape[0]))
-    for lo, block in kl_row_blocks(pa, qa):
+    for lo, block in kl_row_blocks(pa, qa, log_Q):
         out[lo:lo + block.shape[0]] = block
         del block  # so kl_row_blocks can free it before the next block
     return out

@@ -22,6 +22,14 @@ comparison) and the violations, the bounds whose slack falls below
 rows are all the same ignores its input: every expected KL to a mixture
 of its rows, exact MI included, is then exactly 0.0.
 
+The kernel is the one T x hypotheses array a run holds; everything else
+is reduced from it in place or one block of rows at a time. A cover's
+mixture is a masked mean over the kernel, not a gathered copy of the
+center rows, and a hypothesis's empirical risk on a count vector is its
+loss row dotted with the vector's frequencies, so no hypotheses x T
+risk table exists. Exact MI reads the output marginal's log from
+log-probabilities where the float marginal underflows.
+
 Monte Carlo draws each chunk of _MC_CHUNK samples from its own Philox
 counter-based stream keyed (seed, chunk index) and reduces the chunks in
 order, so estimates depend on (seed, mc_samples) alone.
@@ -47,10 +55,12 @@ from .privacy_mechanisms import (
 )
 from .records import Record
 from .types_core import (
+    BLOCK_ROWS,
     SourceDistribution,
     check_cap,
     sigma_sub_gaussian,
     type_counts,
+    type_log_probabilities,
     type_probabilities,
     type_rank,
 )
@@ -87,7 +97,8 @@ class ExperimentConfig:
     The alphabet size and dataset length are the mechanism's. The source
     must be over that alphabet and the loss table have one row per
     hypothesis and one column per symbol; both are validated here so
-    downstream code can assume shapes line up.
+    downstream code can assume shapes line up. Like Mechanism's kernel,
+    a float64 loss table is adopted: made read-only and kept, not copied.
     """
 
     __slots__ = ("source", "mechanism", "loss_table", "seed", "mc_samples")
@@ -118,7 +129,6 @@ class ExperimentConfig:
             raise InputError(f"seed must fit in 64 bits, got {seed}")
         if mc_samples < 1:
             raise InputError(f"mc_samples must be positive, got {mc_samples}")
-        table = table.copy()
         table.flags.writeable = False
         self.source = source
         self.mechanism = mechanism
@@ -178,14 +188,43 @@ def exact_mutual_information(config: ExperimentConfig) -> float:
     against the exact output marginal. Exactly 0.0 when every kernel row
     is the same, i.e. the output ignores the input."""
     p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
-    return _mutual_information(config.mechanism.kernel, p_types)
+    return _mutual_information(config, p_types)
 
 
-def _mutual_information(kernel: np.ndarray, p_types: np.ndarray) -> float:
-    total = _expected_kl(p_types, kernel, p_types @ kernel)
+def _mutual_information(config: ExperimentConfig, p_types: np.ndarray) -> float:
+    kernel = config.mechanism.kernel
+    marginal = p_types @ kernel
+    total = _expected_kl(p_types, kernel, marginal, _log_marginal(config, marginal))
     if total < 0 and total > -1e-12:
         return 0.0
     return total
+
+
+def _log_marginal(config: ExperimentConfig, marginal: np.ndarray) -> np.ndarray | None:
+    """log of the output marginal as a 1 x hypotheses row where some entry
+    is below the smallest normal float, else None (its plain log serves).
+
+    Such an entry has underflowed, or kept too few digits, while kernel
+    rows of positive probability may still put mass on it; its log is
+    recomputed as logsumexp_s(log P(s) + log K_sw), with log P(s) from
+    lgamma, BLOCK_ROWS such columns at a time. A column no row reaches
+    stays -inf.
+    """
+    small = np.flatnonzero(marginal < np.finfo(float).tiny)
+    if small.size == 0:
+        return None
+    from .divergence_core import logsumexp
+
+    counts = type_counts(config.alphabet_size, config.n)
+    log_p = type_log_probabilities(counts, config.source)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(marginal)
+        for lo in range(0, small.size, BLOCK_ROWS):
+            cols = small[lo:lo + BLOCK_ROWS]
+            terms = np.log(config.mechanism.kernel[:, cols].T)
+            terms += log_p
+            log_q[cols] = logsumexp(terms)
+    return log_q[None, :]
 
 
 class PerDatasetKl(Record):
@@ -201,9 +240,18 @@ class PerDatasetKl(Record):
         self._assign(counts, exact_kl, bound_logsumexp, bound_min)
 
 
-def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) -> float:
+def _rows_identical(kernel: np.ndarray) -> bool:
+    """Whether every kernel row equals the first, compared BLOCK_ROWS rows
+    at a time and stopping at the first block that differs."""
+    return all(np.all(kernel[lo:lo + BLOCK_ROWS] == kernel[0])
+               for lo in range(0, kernel.shape[0], BLOCK_ROWS))
+
+
+def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray,
+                 log_target: np.ndarray | None = None) -> float:
     """sum_s P(s) * KL(kernel[s] || target) over count vectors of positive
     probability, for a target that mixes kernel rows; O(T x hypotheses).
+    log_target, if given, is kl_matrix's log_Q for the one target row.
 
     Exactly 0.0 when every kernel row is the same: the target is then
     that row in exact arithmetic, but a float mean or marginal can miss
@@ -211,20 +259,30 @@ def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray) ->
     """
     from .divergence_core import kl_matrix
 
-    if np.all(kernel == kernel[0]):
+    if _rows_identical(kernel):
         return 0.0
-    kls = kl_matrix(kernel, target[None, :])[:, 0]
+    kls = kl_matrix(kernel, target[None, :], log_target)[:, 0]
     return math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
 
 
-def _cover_rows(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
-    """Kernel rows of the cover centers, one per center."""
+def _center_ranks(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
+    """The kernel row of each cover center, one per center."""
     if (cover.alphabet_size, cover.n) != (config.alphabet_size, config.n):
         raise InputError(
             f"cover built for alphabet size {cover.alphabet_size}, n={cover.n}; "
             f"experiment uses {config.alphabet_size}, n={config.n}"
         )
-    return config.mechanism.kernel[type_rank(cover.centers)]
+    return type_rank(cover.centers)
+
+
+def _cover_mixture(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
+    """The uniform mixture of the cover centers' kernel rows: a masked mean
+    over the kernel in place, not a gathered copy of the center rows (a
+    t = n + 1 simplex cover has every count vector as a center)."""
+    kernel = config.mechanism.kernel
+    mask = np.zeros(kernel.shape[0], dtype=bool)
+    mask[_center_ranks(config, cover)] = True
+    return np.mean(kernel, axis=0, where=mask[:, None])
 
 
 def per_dataset_kl_to_cover_mixture(
@@ -242,8 +300,8 @@ def per_dataset_kl_to_cover_mixture(
     """
     from .divergence_core import kl_matrix, logsumexp
 
-    center_rows = _cover_rows(config, cover)
     kernel = config.mechanism.kernel
+    center_rows = kernel[_center_ranks(config, cover)]
     check_kernel_cells(kernel.shape[0], center_rows.shape[0], "cover centers")
     log_w = -math.log(center_rows.shape[0])
     component = kl_matrix(kernel, center_rows)
@@ -257,12 +315,12 @@ def per_dataset_kl_to_cover_mixture(
 
 
 def _risk_tables(config: ExperimentConfig):
-    """Population risk per hypothesis and empirical risk per (hypothesis,
-    count vector), both exact."""
+    """Population risk per hypothesis, and each count vector's symbol
+    frequencies: a hypothesis's empirical risk on a count vector is its
+    loss row dotted with them, so no hypotheses x T table is built."""
     freqs = type_counts(config.alphabet_size, config.n) / config.n
     pop = config.loss_table @ config.source.probs
-    emp = config.loss_table @ freqs.T
-    return pop, emp
+    return pop, freqs
 
 
 def exact_expected_gen_error(config: ExperimentConfig) -> float:
@@ -275,12 +333,12 @@ def exact_expected_gen_error(config: ExperimentConfig) -> float:
 
 def _gen_error(config: ExperimentConfig, p_types: np.ndarray) -> float:
     kernel = config.mechanism.kernel
-    if np.all(kernel == kernel[0]):
+    if _rows_identical(kernel):
         # E[empirical frequency] = source: the sum cancels, up to rounding
         return 0.0
-    pop, emp = _risk_tables(config)
-    per_type = kernel @ pop - np.einsum("tw,wt->t", kernel, emp)
-    return float(p_types @ per_type)
+    pop, freqs = _risk_tables(config)
+    emp = np.einsum("ta,ta->t", kernel @ config.loss_table, freqs)
+    return float(p_types @ (kernel @ pop - emp))
 
 
 class McResult(Record):
@@ -308,7 +366,7 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
         )
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers}")
-    pop, emp = _risk_tables(config)
+    pop, freqs = _risk_tables(config)
     kernel_cdf = np.cumsum(config.mechanism.kernel, axis=1)
     w_max = kernel_cdf.shape[1] - 1
     m = config.mc_samples
@@ -319,7 +377,8 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
         t_idx = type_rank(gen.multinomial(config.n, config.source.probs, size=size))
         u = gen.random(size)
         w = np.minimum(_inverse_cdf(kernel_cdf, t_idx, u), w_max)
-        vals = pop[w] - emp[w, t_idx]
+        emp = np.einsum("sa,sa->s", config.loss_table[w], freqs[t_idx])
+        vals = pop[w] - emp
         partials.append((float(np.sum(vals)), float(np.sum(vals * vals))))
 
     total = math.fsum(p[0] for p in partials)
@@ -444,7 +503,7 @@ def run_verification(
     privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
     p_types = exact_type_distribution(m, n, config.source)
-    mi = _mutual_information(config.mechanism.kernel, p_types)
+    mi = _mutual_information(config, p_types)
     gen = _gen_error(config, p_types)
     scale = sigma_sub_gaussian(config.loss_table) if sigma is None else float(sigma)
     gen_bound = gen_error_from_mi(scale, n, mi)
@@ -462,8 +521,7 @@ def run_verification(
         if report.bound_id.value in _COVER_OF:
             grid = _cover_grid(report.bound_id, privacy, m, n)
             if grid not in expectations:
-                cover = _build_cover(*grid, m, n)
-                mixture = _cover_rows(config, cover).mean(axis=0)
+                mixture = _cover_mixture(config, _build_cover(*grid, m, n))
                 expectations[grid] = _expected_kl(
                     p_types, config.mechanism.kernel, mixture)
             comparisons[report.bound_id] = expectations[grid]

@@ -6,6 +6,13 @@ order, which is a public contract shared with the serialization format.
 PrivacyKind and PrivacyParams are defined in genbound.privacy and
 re-exported here.
 
+A Mechanism adopts the float64 array it is given: it validates it, makes
+it read-only and keeps it, with no copy. The builders and the CSV loader
+each fill one T x hypotheses array in place and hand it over, so a
+kernel exists once per run; the exponential builder fills it
+types_core.BLOCK_ROWS rows at a time, so its distances never exist for
+the whole lattice at once.
+
 Privacy translates into KL stability between neighboring inputs:
 
 - eps-DP at replacement distance k: KL <= min(k*eps*tanh(k*eps/2),
@@ -31,6 +38,7 @@ from .errors import InputError, ResourceLimitError, input_lines
 from .privacy import PrivacyKind, PrivacyParams
 from .records import Record
 from .types_core import (
+    BLOCK_ROWS,
     check_cap,
     distance_matrix,
     num_types,
@@ -64,6 +72,11 @@ class Mechanism:
     lexicographic order; rows must sum to 1 within 1e-10. The declared
     privacy is an assertion about the kernel, not a derived fact; use
     verify_kl_stability to audit it.
+
+    The mechanism adopts a float64 kernel rather than copying it: the
+    array is made read-only and kept, so the caller must not write to it
+    (or to an array it views) afterwards. Any other input is converted
+    to a new float64 array first.
     """
 
     __slots__ = ("kernel", "alphabet_size", "n", "privacy", "description")
@@ -79,15 +92,11 @@ class Mechanism:
         mat = np.asarray(kernel, dtype=float)
         if mat.ndim != 2:
             raise InputError("kernel must be a 2-D array")
-        expected_rows = num_types(alphabet_size, n)
-        if mat.shape[0] != expected_rows:
-            raise InputError(
-                f"kernel has {mat.shape[0]} rows; alphabet size {alphabet_size} "
-                f"with n={n} has {expected_rows} count vectors"
-            )
+        _check_rows(mat.shape[0], alphabet_size, n)
         if mat.shape[1] < 1:
             raise InputError("kernel needs at least one hypothesis column")
-        if np.any(mat < 0) or not np.all(np.isfinite(mat)):
+        # reductions, not a T x hypotheses mask: a nan fails both tests
+        if not (mat.min() >= 0 and mat.max() < math.inf):
             raise InputError("kernel entries must be finite and non-negative")
         sums = mat.sum(axis=1)
         bad = np.where(np.abs(sums - 1.0) > 1e-10)[0]
@@ -96,7 +105,6 @@ class Mechanism:
                 f"kernel row {int(bad[0])} sums to {sums[bad[0]]!r}, "
                 "expected 1 within 1e-10"
             )
-        mat = mat.copy()
         mat.flags.writeable = False
         self.kernel = mat
         self.alphabet_size = int(alphabet_size)
@@ -107,6 +115,16 @@ class Mechanism:
     @property
     def hypothesis_count(self) -> int:
         return int(self.kernel.shape[1])
+
+
+def _check_rows(rows: int, alphabet_size: int, n: int) -> None:
+    """Refuse a kernel whose row count is not the lattice's."""
+    expected = num_types(alphabet_size, n)
+    if rows != expected:
+        raise InputError(
+            f"kernel has {rows} rows; alphabet size {alphabet_size} "
+            f"with n={n} has {expected} count vectors"
+        )
 
 
 def kl_stability_bound(privacy: PrivacyParams, k: int) -> float:
@@ -162,19 +180,24 @@ def exponential_mechanism_over_types(
 
     Hypothesis set = the count vectors themselves; the row for input s
     weights candidate w proportionally to exp(-eps * d(s, w) / 2). The
-    replacement distance has sensitivity 1, so this is eps-DP.
+    replacement distance has sensitivity 1, so this is eps-DP. The T x T
+    kernel is the only array of its size: it is filled BLOCK_ROWS rows at
+    a time and normalised in place.
     """
     if not (0 < epsilon < math.inf):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    _square_kernel_size(alphabet_size, n)
+    total = _square_kernel_size(alphabet_size, n)
     counts = type_counts(alphabet_size, n)
     # one weight per distance 0..n, read through the distance matrix: bit
     # for bit exp over the whole T x T matrix, with n + 1 exps instead of
     # T^2. At a huge eps, -eps * k overflows to -inf: the weight is 0.
     with np.errstate(over="ignore"):
         weights = np.exp(-epsilon * np.arange(n + 1) / 2.0)
-    raw = weights[distance_matrix(counts, counts)]
-    kernel = raw / raw.sum(axis=1, keepdims=True)
+    kernel = np.empty((total, total))
+    for lo in range(0, total, BLOCK_ROWS):
+        np.take(weights, distance_matrix(counts[lo:lo + BLOCK_ROWS], counts),
+                out=kernel[lo:lo + BLOCK_ROWS])
+    kernel /= kernel.sum(axis=1, keepdims=True)
     return Mechanism(
         kernel,
         alphabet_size,
@@ -318,7 +341,14 @@ def save_mechanism_csv(mech: Mechanism, path: str) -> str:
 
 def load_mechanism_csv(path: str) -> Mechanism:
     """Load a kernel written by save_mechanism_csv (sidecar required).
-    Either file missing, a directory or not UTF-8 raises InputError."""
+    Either file missing, a directory or not UTF-8 raises InputError.
+
+    Each line is parsed into its row of one T x hypothesis_count array,
+    allocated once the sidecar's size passes KERNEL_CELL_BUDGET, which
+    the Mechanism then adopts. Every line is checked; a file with more
+    or fewer rows than the lattice's T count vectors is refused after
+    the last line.
+    """
     meta_path = path + ".meta"
     if not os.path.exists(meta_path):
         raise InputError(f"mechanism sidecar not found: {meta_path}")
@@ -342,7 +372,8 @@ def load_mechanism_csv(path: str) -> Mechanism:
         raise InputError(
             f"{meta_path}: alphabet_size, n and hypothesis_count must be integers"
         ) from None
-    check_kernel_cells(num_types(alphabet_size, n), width)
+    total = num_types(alphabet_size, n)
+    check_kernel_cells(total, width)
     kind = meta["privacy_kind"]
     if kind == PrivacyKind.NONE.value:
         privacy = PrivacyParams.none()
@@ -357,7 +388,9 @@ def load_mechanism_csv(path: str) -> Mechanism:
         privacy = PrivacyParams(PrivacyKind(kind), value)
     else:
         raise InputError(f"{meta_path}: unknown privacy kind {kind!r}")
-    rows = []
+    # a negative width allocates no column; its lines fail the width check
+    kernel = np.empty((total, max(width, 0)))
+    rows = 0
     for lineno, line in enumerate(input_lines(path), start=1):
         line = line.strip()
         if not line:
@@ -369,11 +402,15 @@ def load_mechanism_csv(path: str) -> Mechanism:
                 f"hypothesis_count is {width}"
             )
         try:
-            rows.append([float(x) for x in fields])
+            row = [float(x) for x in fields]
         except ValueError:
             raise InputError(f"{path}: non-numeric entry on line {lineno}") from None
+        if rows < total:
+            kernel[rows] = row
+        rows += 1
+    _check_rows(rows, alphabet_size, n)
     return Mechanism(
-        np.asarray(rows, dtype=float).reshape(len(rows), width),
+        kernel,
         alphabet_size,
         n,
         privacy,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from genbound.oracle_harness import ExperimentConfig, default_loss_table
@@ -22,3 +24,16 @@ def make_config():
         )
 
     return build
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Set the row-block size (types_core.BLOCK_ROWS) in every loaded
+    package module that reads it, for this test only."""
+
+    def shrink(rows):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("genbound.") and hasattr(module, "BLOCK_ROWS"):
+                monkeypatch.setattr(module, "BLOCK_ROWS", rows)
+
+    return shrink

@@ -350,8 +350,8 @@ class TestVerifyMi:
             assert r["slack"] == r["bound_value"], r["bound_id"]
 
     def test_gen_row_prints_the_exact_gen_error_it_compares(self, runner, tmp_path):
-        # at this shape the exact MI reads inf, and so does the
-        # sub-Gaussian bound; what it is compared against stays finite
+        # the sub-Gaussian row is compared against the absolute exact gen
+        # error, not the MI its bound converts
         config = write_config(
             tmp_path,
             "alphabet_size = 2\nn = 250\nsource = 0.05, 0.95\n"
@@ -361,6 +361,24 @@ class TestVerifyMi:
         rows = {row[0]: row for row in
                 (line.split(",") for line in result.stdout.splitlines()[1:])}
         assert rows["gen_sub_gaussian"][2] == "3.80000000000e-04"
+
+    def test_underflowed_marginal_certifies(self, runner, tmp_path):
+        # the float output marginal underflows at one hypothesis here; exact
+        # MI stays finite, within log 251, and every bound holds
+        config = write_config(
+            tmp_path,
+            "alphabet_size = 2\nn = 250\nsource = 0.05, 0.95\n"
+            "mechanism = exponential\nepsilon = 30\n",
+        )
+        result = runner.invoke(main, ["verify-mi", "--config", config,
+                                      "--format", "jsonl"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        records = [json.loads(line) for line in result.stdout.splitlines()]
+        assert {r["bound_id"] for r in records} >= {"dp_typical_high",
+                                                    "gen_sub_gaussian"}
+        for r in records:
+            assert math.isclose(r["exact_mi"], 2.6501921326830384, rel_tol=1e-12)
+            assert r["pass"] and r["all_pass"]
 
     def test_huge_epsilon_certifies_without_warnings(self, tmp_path):
         # -eps * k overflows to -inf: the kernel is the identity, and no
@@ -739,6 +757,20 @@ def modules_after(*args, cwd=None):
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     record = json.loads(out)
     return record["rc"], set(record["modules"])
+
+
+@pytest.mark.parametrize("preset", [None, "30"], ids=["absent", "preset"])
+def test_openblas_thread_timeout_default(runner, monkeypatch, preset):
+    # set, then cleared: monkeypatch restores the variable's absence too
+    monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "unset")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT")
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", preset)
+    main(["catalog", "--output", os.devnull], standalone_mode=False)
+    assert os.environ.get("OPENBLAS_THREAD_TIMEOUT") == preset
+    assert runner.invoke(main, ["catalog"]).exit_code == 0
+    assert os.environ["OPENBLAS_THREAD_TIMEOUT"] == (preset or "4")
 
 
 def test_cli_import_leaves_scipy_out():

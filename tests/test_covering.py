@@ -498,7 +498,7 @@ def test_verify_cover_matches_scalar_loop(monkeypatch, build, source):
     achieved, checked, worst = scalar_verify_cover(cover, source)
     # small blocks: the worst vector and its ties fall in different blocks
     for block_rows in (7, 256):
-        monkeypatch.setattr(genbound.covering, "VERIFY_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(genbound.covering, "BLOCK_ROWS", block_rows)
         check = verify_cover(cover, source=source)
         assert check.achieved_radius == achieved
         assert check.checked_vectors == checked

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbound.divergence_core import KL_BLOCK_ROWS, kl_matrix, kl_row_blocks, logsumexp
+from genbound.divergence_core import kl_matrix, kl_row_blocks, logsumexp
 from genbound.errors import InputError
+from genbound.types_core import BLOCK_ROWS
 from divergence_reference import (
     DiscreteDistribution,
     MixtureSpec,
@@ -237,7 +238,7 @@ def block_cases():
 def test_kl_row_blocks_concatenate_to_kl_matrix(case):
     P, Q = block_cases()[case]
     blocks = list(kl_row_blocks(P, Q))
-    assert [lo for lo, _ in blocks] == list(range(0, len(P), KL_BLOCK_ROWS))
+    assert [lo for lo, _ in blocks] == list(range(0, len(P), BLOCK_ROWS))
     stacked = np.concatenate([block for _, block in blocks])
     matrix = kl_matrix(P, Q)
     assert stacked.shape == matrix.shape == (len(P), len(Q))
@@ -246,6 +247,27 @@ def test_kl_row_blocks_concatenate_to_kl_matrix(case):
         assert np.isinf(matrix).any()
     if case in ("identical", "uniform"):
         assert (matrix == 0.0).sum() >= len(P)
+
+
+@pytest.mark.parametrize("case", ["dense", "zeros"])
+def test_kl_matrix_reads_a_log_target_as_its_own_log(case):
+    P, Q = block_cases()[case]
+    with np.errstate(divide="ignore"):
+        log_Q = np.log(Q)
+    assert kl_matrix(P, Q, log_Q).tobytes() == kl_matrix(P, Q).tobytes()
+    with pytest.raises(InputError, match="log_Q has shape"):
+        kl_matrix(P, Q, log_Q[:, 1:])
+
+
+def test_kl_matrix_log_target_counts_an_underflowed_entry():
+    # Q's second entry has underflowed to 0.0; its log is known
+    P = np.array([[0.5, 0.5]])
+    log_Q = np.array([[math.log1p(-1e-320), -1000.0]])
+    Q = np.exp(log_Q)
+    assert Q[0, 1] == 0.0 and kl_matrix(P, Q)[0, 0] == math.inf
+    expected = 0.5 * math.log(0.5 / math.exp(log_Q[0, 0])) + 0.5 * (
+        math.log(0.5) + 1000.0)
+    assert math.isclose(kl_matrix(P, Q, log_Q)[0, 0], expected, rel_tol=1e-14)
 
 
 def test_kl_matrix_of_no_rows():
@@ -257,7 +279,7 @@ def test_kl_matrix_of_no_rows():
 def test_kl_matrix_peak_memory_is_the_result_plus_one_block():
     # P spans eight row blocks, so one block is an eighth of the result
     rng = np.random.default_rng(9)
-    P = sparse_rows(rng, 8 * KL_BLOCK_ROWS, 4)
+    P = sparse_rows(rng, 8 * BLOCK_ROWS, 4)
     Q = sparse_rows(rng, 2048, 4)
     tracemalloc.start()
     try:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from genbound.covering import (
     typical_mass,
     verify_cover,
 )
+from genbound.divergence_core import kl_matrix
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import (
     ExperimentConfig,
@@ -48,6 +51,7 @@ from genbound.types_core import (
     SourceDistribution,
     num_types,
     sigma_sub_gaussian,
+    type_counts,
     type_probability,
 )
 from divergence_reference import (
@@ -138,6 +142,172 @@ def test_input_independent_kernel_reads_exactly_zero():
     assert report.exact_mi == 0.0 and report.exact_gen_error == 0.0
     assert report.bound_values[BoundId.GEN_SUB_GAUSSIAN] == 0.0
     assert report.all_pass
+
+
+def decimal_exponential_mi_m2(n, source, epsilon):
+    """I(S; W) of the two-symbol exponential mechanism in 40-digit decimal
+    arithmetic: P(s), the kernel and the marginal never underflow, and
+    log K_sw = -eps d(s, w) / 2 - log Z_s is exact in the kernel's form."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p0, p1 = (Decimal(float(p)) for p in source.probs)
+        half = Decimal(epsilon) / 2
+        weights = [(-half * d).exp() for d in range(n + 1)]
+        # count vector i is (i, n - i): lexicographic order
+        probs = [math.comb(n, i) * p0**i * p1**(n - i) for i in range(n + 1)]
+        norms = [sum(weights[abs(i - j)] for j in range(n + 1)) for i in range(n + 1)]
+        marginal = [sum(probs[i] * weights[abs(i - j)] / norms[i]
+                        for i in range(n + 1)) for j in range(n + 1)]
+        log_norms = [z.ln() for z in norms]
+        log_marginal = [q.ln() for q in marginal]
+        return float(sum(
+            probs[i] * weights[abs(i - j)] / norms[i]
+            * (-half * abs(i - j) - log_norms[i] - log_marginal[j])
+            for i in range(n + 1) for j in range(n + 1)))
+
+
+def underflow_config(n, source, epsilon):
+    return ExperimentConfig(
+        source=SourceDistribution(source),
+        mechanism=exponential_mechanism_over_types(2, n, epsilon),
+        loss_table=default_loss_table(2, n), seed=0, mc_samples=100,
+    )
+
+
+def test_mi_survives_an_underflowed_marginal():
+    # at eps 30 on a skewed source the float marginal p_types @ kernel
+    # reads 0.0 at one hypothesis and is subnormal at five more, while
+    # rows of positive probability put mass there
+    config = underflow_config(250, [0.05, 0.95], 30.0)
+    p_types = exact_type_distribution(2, 250, config.source)
+    assert (p_types @ config.mechanism.kernel == 0.0).any()
+    mi = exact_mutual_information(config)
+    reference = decimal_exponential_mi_m2(250, config.source, 30.0)
+    assert abs(mi - reference) <= 1e-12 * reference
+    report = run_verification(config)
+    assert report.exact_mi == mi and report.all_pass, report.violations
+
+
+def test_mi_of_an_underflowed_marginal_stays_within_its_cap():
+    config = underflow_config(800, [0.1, 0.9], 4.0)
+    mi = exact_mutual_information(config)
+    assert 0.0 < mi <= math.log(801)
+    assert run_verification(config).all_pass
+
+
+def test_mi_keeps_the_plain_marginal_where_nothing_underflows(make_config):
+    # the log-domain path only replaces entries below the smallest normal
+    # float; elsewhere the result is bit for bit the plain KL expectation
+    config = make_config(alphabet_size=3, n=10, epsilon=0.8,
+                         source=SourceDistribution([0.2, 0.3, 0.5]))
+    p_types = exact_type_distribution(3, 10, config.source)
+    kernel = config.mechanism.kernel
+    kls = kl_matrix(kernel, (p_types @ kernel)[None, :])[:, 0]
+    assert exact_mutual_information(config) == math.fsum(
+        float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
+
+
+def test_identical_rows_rule_reads_every_block(block_rows):
+    # rows identical but for the last: the rule must not stop at block 0
+    total = num_types(2, 9)
+    kernel = np.full((total, total), 1.0 / total)
+    kernel[-1] = np.eye(total)[0]
+    config = ExperimentConfig(
+        source=SourceDistribution.uniform(2),
+        mechanism=Mechanism(kernel, 2, 9, PrivacyParams.none()),
+        loss_table=default_loss_table(2, 9), seed=0, mc_samples=100,
+    )
+    block_rows(3)
+    assert exact_mutual_information(config) > 0.0
+    assert exact_expected_gen_error(config) != 0.0
+
+
+def test_run_verification_holds_no_lattice_sized_array(block_rows, make_config):
+    # T = 861: 16-row blocks are 2% of the kernel. Neither the per-type
+    # KL, the gen-error tables nor a t = n + 1 cover's mixture (every
+    # count vector a center) may copy the kernel
+    config = make_config(alphabet_size=3, n=40, epsilon=0.5)
+    block_rows(16)
+    tracemalloc.start()
+    try:
+        report = run_verification(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert BoundId.TYPE_COUNT in report.bound_values
+    assert peak < 0.1 * config.mechanism.kernel.nbytes
+
+
+def emp_table(config):
+    """The hypotheses x T empirical-risk table: loss row dotted with each
+    count vector's frequencies, all at once."""
+    freqs = type_counts(config.alphabet_size, config.n) / config.n
+    return config.loss_table @ freqs.T
+
+
+def emp_gen_error(config):
+    """Exact expected generalization error through the emp table."""
+    kernel = config.mechanism.kernel
+    p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
+    pop = config.loss_table @ config.source.probs
+    return float(p_types @ (kernel @ pop - np.einsum("tw,wt->t", kernel,
+                                                      emp_table(config))))
+
+
+def emp_mc(config):
+    """Monte Carlo through the emp table, drawing what mc_expected_gen_error
+    documents: chunk j's count vectors, then its uniforms, from Philox
+    keyed (seed, j), and each hypothesis by a per-type CDF search."""
+    from genbound.types_core import type_rank
+
+    pop = config.loss_table @ config.source.probs
+    emp = emp_table(config)
+    kernel_cdf = np.cumsum(config.mechanism.kernel, axis=1)
+    chunk, vals = 4096, []
+    for j, lo in enumerate(range(0, config.mc_samples, chunk)):
+        size = min(chunk, config.mc_samples - lo)
+        gen = np.random.Generator(np.random.Philox(key=[config.seed, j]))
+        t_idx = type_rank(gen.multinomial(config.n, config.source.probs, size=size))
+        u = gen.random(size)
+        w = np.minimum(searchsorted_per_type(kernel_cdf, t_idx, u),
+                       kernel_cdf.shape[1] - 1)
+        vals.append(pop[w] - emp[w, t_idx])
+    vals = np.concatenate(vals)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+def random_loss_configs():
+    rng = np.random.default_rng(23)
+    configs = []
+    for m, n, width in ((2, 9, 4), (3, 6, 11), (4, 5, 7)):
+        table = rng.uniform(-1.0, 2.0, size=(width, m))
+        configs.append(ExperimentConfig(
+            source=SourceDistribution(rng.dirichlet(np.ones(m))),
+            mechanism=random_mechanism(m, n, width, seed=int(rng.integers(99))),
+            loss_table=table, seed=int(rng.integers(2**32)), mc_samples=9000,
+        ))
+    return configs
+
+
+@pytest.mark.parametrize("config", [
+    *reference_configs().values(), *random_loss_configs(),
+], ids=[*reference_configs(), "random-m2", "random-m3", "random-m4"])
+def test_risk_without_the_emp_table_matches_it(config):
+    exact = exact_expected_gen_error(config)
+    assert math.isclose(exact, emp_gen_error(config), rel_tol=1e-12, abs_tol=1e-15)
+    result = mc_expected_gen_error(config)
+    estimate, standard_error = emp_mc(config)
+    assert math.isclose(result.estimate, estimate, rel_tol=1e-12, abs_tol=1e-15)
+    assert math.isclose(result.standard_error, standard_error,
+                        rel_tol=1e-9, abs_tol=1e-15)
+
+
+def test_experiment_config_adopts_its_loss_table():
+    table = default_loss_table(2, 4)
+    config = ExperimentConfig(SourceDistribution.uniform(2),
+                              exponential_mechanism_over_types(2, 4, 0.5),
+                              table, seed=0, mc_samples=100)
+    assert config.loss_table is table and not table.flags.writeable
 
 
 def test_run_verification_builds_one_type_distribution(make_config, monkeypatch):

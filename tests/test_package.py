@@ -41,8 +41,24 @@ def test_public_names_are_pinned():
 
 def test_divergence_core_exports_only_the_matrix_layer():
     assert sorted(genbound.divergence_core.__all__) == [
-        "KL_BLOCK_ROWS", "kl_matrix", "kl_row_blocks", "logsumexp",
+        "kl_matrix", "kl_row_blocks", "logsumexp",
     ]
+
+
+@pytest.mark.parametrize("layer", [
+    "types_core", "divergence_core", "covering", "privacy_mechanisms",
+    "oracle_harness",
+])
+def test_one_row_block_size(layer):
+    # every blocked pass reads types_core's one constant; no layer keeps
+    # a block size of its own, and only types_core exports it
+    import genbound.types_core
+
+    module = importlib.import_module(f"genbound.{layer}")
+    assert [attr for attr in vars(module) if attr.endswith("BLOCK_ROWS")] == [
+        "BLOCK_ROWS"]
+    assert module.BLOCK_ROWS is genbound.types_core.BLOCK_ROWS == 256
+    assert ("BLOCK_ROWS" in module.__all__) == (layer == "types_core")
 
 
 TESTS = Path(__file__).parent

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genbound.privacy_mechanisms
-from genbound.divergence_core import KL_BLOCK_ROWS, kl_matrix
+from genbound.divergence_core import kl_matrix
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import random_mechanism
 from genbound.privacy_mechanisms import (
@@ -28,6 +29,7 @@ from genbound.privacy_mechanisms import (
     verify_kl_stability,
 )
 from genbound.types_core import (
+    BLOCK_ROWS,
     distance_matrix,
     num_types,
     type_counts,
@@ -109,6 +111,7 @@ def test_exponential_mechanism_rows_are_distributions():
 
 @pytest.mark.parametrize("m, n, eps", [
     (3, 20, 0.5), (4, 8, 0.7), (2, 150, 0.3), (5, 6, 40.0), (3, 6, 1e308),
+    (2, 299, 0.4),  # T = 300: more than one block of rows
 ])
 def test_exponential_kernel_matches_tensor_formula(m, n, eps):
     # reference: exp over the T x T x m float distance tensor, bit for bit.
@@ -122,6 +125,53 @@ def test_exponential_kernel_matches_tensor_formula(m, n, eps):
         warnings.simplefilter("error")
         kernel = exponential_mechanism_over_types(m, n, eps).kernel
     np.testing.assert_array_equal(kernel, raw / raw.sum(axis=1, keepdims=True))
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_exponential_kernel_is_the_same_in_any_block_size(block_rows, rows):
+    whole = exponential_mechanism_over_types(3, 12, 0.6).kernel
+    block_rows(rows)
+    assert exponential_mechanism_over_types(3, 12, 0.6).kernel.tobytes() == (
+        whole.tobytes())
+
+
+def test_exponential_build_holds_one_kernel_and_one_block(block_rows):
+    # T = 861; 32-row blocks of int64 distances are 4% of the kernel each
+    block_rows(32)
+    mech, peak = traced_peak(lambda: exponential_mechanism_over_types(3, 40, 0.5))
+    assert mech.kernel.shape == (861, 861)
+    assert peak < 1.25 * mech.kernel.nbytes
+
+
+def test_mechanism_adopts_a_float_kernel_and_freezes_it():
+    kernel = np.eye(num_types(2, 3))
+    mech = Mechanism(kernel, 2, 3, PrivacyParams.none())
+    assert mech.kernel is kernel and not kernel.flags.writeable
+    # anything else becomes a new float64 array first
+    ints = np.eye(4, dtype=np.int64)
+    mech = Mechanism(ints, 2, 3, PrivacyParams.none())
+    assert mech.kernel.dtype == np.float64 and ints.flags.writeable
+    # a second declaration over the same kernel shares it
+    relabeled = Mechanism(mech.kernel, 2, 3, PrivacyParams.eps_dp(1.0))
+    assert relabeled.kernel is mech.kernel
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+def test_mechanism_rejects_entries_that_are_not_finite_and_non_negative(bad):
+    kernel = np.eye(num_types(2, 3))
+    kernel[2, 1] = bad
+    with pytest.raises(InputError, match="finite and non-negative"):
+        Mechanism(kernel, 2, 3, PrivacyParams.none())
 
 
 @pytest.mark.parametrize("build", [
@@ -240,8 +290,8 @@ def per_distance_stability_worst(mech):
     counts = type_counts(mech.alphabet_size, mech.n)
     total = counts.shape[0]
     worst = {}
-    for lo in range(0, total, KL_BLOCK_ROWS):
-        hi = min(lo + KL_BLOCK_ROWS, total)
+    for lo in range(0, total, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, total)
         kl = kl_matrix(mech.kernel[lo:hi], mech.kernel)
         dist = distance_matrix(counts[lo:hi], counts)
         dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
@@ -264,7 +314,7 @@ def per_distance_stability_worst(mech):
 ], ids=["exp-m2n299", "exp-m3n22", "random-m2n299", "uniform-ties",
         "identity-inf-m2n299", "identity-inf-m3n6"])
 def test_audit_matches_per_distance_reference_bitwise(mech):
-    # T > KL_BLOCK_ROWS except for the last case; the uniform kernel ties
+    # T > BLOCK_ROWS except for the last case; the uniform kernel ties
     # every pair at 0.0 and the identity kernel every pair at +inf
     reference = per_distance_stability_worst(mech)
     report = verify_kl_stability(mech)
@@ -355,3 +405,46 @@ def test_mechanism_csv_requires_sidecar(tmp_path):
     path.write_text("1.0,0.0\n0.0,1.0\n")
     with pytest.raises(InputError):
         load_mechanism_csv(str(path))
+
+
+@pytest.mark.parametrize("rows, kept", [(6, 5), (4, 4), (0, 0)],
+                         ids=["too-many", "too-few", "none"])
+def test_loaded_kernel_must_have_one_row_per_count_vector(tmp_path, rows, kept):
+    # n = 4 over 2 symbols has 5 count vectors; blank lines are no rows
+    path = tmp_path / "mech.csv"
+    save_mechanism_csv(exponential_mechanism_over_types(2, 4, 0.5), str(path))
+    lines = path.read_text().splitlines()[:kept]
+    lines += lines[:rows - kept] + [""]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError) as err:
+        load_mechanism_csv(str(path))
+    assert str(err.value) == (
+        f"kernel has {rows} rows; alphabet size 2 with n=4 has 5 count vectors")
+
+
+def test_loaded_kernel_with_a_negative_width_is_bad_input(tmp_path):
+    path = tmp_path / "mech.csv"
+    save_mechanism_csv(exponential_mechanism_over_types(2, 4, 0.5), str(path))
+    meta = tmp_path / "mech.csv.meta"
+    meta.write_text(meta.read_text().replace("hypothesis_count=5",
+                                             "hypothesis_count=-5"))
+    with pytest.raises(InputError, match="line 1 has 5 entries"):
+        load_mechanism_csv(str(path))
+
+
+def test_loaded_kernel_rows_past_the_lattice_are_still_checked(tmp_path):
+    path = tmp_path / "mech.csv"
+    save_mechanism_csv(exponential_mechanism_over_types(2, 4, 0.5), str(path))
+    path.write_text(path.read_text() + "0.2,0.2,x,0.2,0.2\n")
+    with pytest.raises(InputError, match="non-numeric entry on line 6"):
+        load_mechanism_csv(str(path))
+
+
+def test_loading_a_kernel_holds_one_kernel(tmp_path):
+    # 861 count vectors by 200 hypotheses: each line becomes its row
+    path = str(tmp_path / "mech.csv")
+    saved = random_mechanism(3, 40, 200, seed=4)
+    save_mechanism_csv(saved, path)
+    loaded, peak = traced_peak(lambda: load_mechanism_csv(path))
+    assert loaded.kernel.tobytes() == saved.kernel.tobytes()
+    assert peak < 1.5 * loaded.kernel.nbytes

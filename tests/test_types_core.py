@@ -20,6 +20,7 @@ from genbound.types_core import (
     sigma_sub_gaussian,
     type_enumeration_cap,
     type_counts,
+    type_log_probabilities,
     type_probabilities,
     type_probability,
     type_rank,
@@ -316,6 +317,30 @@ def test_type_probability_keeps_relative_accuracy(counts, probs):
     got = type_probability(counts, SourceDistribution(probs))
     assert got > 0.0
     assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
+
+
+@pytest.mark.parametrize("counts, probs", [
+    ((110, 890), (0.001, 0.999)),
+    ((360, 778), (0.41, 0.59)),
+    ((30, 50), (0.41, 0.59)),
+    ((0, 2000), (0.5, 0.5)),  # 2**-2000: no float probability holds it
+    ((3, 1, 4), (0.2, 0.3, 0.5)),
+])
+def test_type_log_probability_follows_the_exact_value(counts, probs):
+    exact = exact_type_probability(counts, probs)
+    exact_log = math.log(exact.numerator) - math.log(exact.denominator)
+    got = type_log_probabilities(np.array([counts]), SourceDistribution(probs))
+    assert got.shape == (1,) and abs(got[0] - exact_log) <= 1e-10
+
+
+def test_type_log_probabilities_row_order_and_zero_symbols():
+    src = SourceDistribution([0.5, 0.5, 0.0])
+    counts = type_counts(3, 6)
+    logs = type_log_probabilities(counts, src)
+    probs = type_probabilities(counts, src)
+    assert (np.isneginf(logs) == (probs == 0.0)).all()
+    finite = probs > 0
+    np.testing.assert_allclose(np.exp(logs[finite]), probs[finite], rtol=1e-13)
 
 
 def test_check_cap_counts_and_guards(monkeypatch):
