@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "types_core": (
         "SourceDistribution", "num_types", "sigma_sub_gaussian",
-        "type_probability",
     ),
     "divergence_core": ("kl_matrix",),
     "covering": (

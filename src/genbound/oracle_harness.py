@@ -78,7 +78,6 @@ __all__ = [
     "VerificationReport",
     "default_loss_table",
     "random_mechanism",
-    "exact_type_distribution",
     "exact_mutual_information",
     "per_dataset_kl_to_cover_mixture",
     "exact_expected_gen_error",
@@ -176,52 +175,46 @@ def random_mechanism(
     )
 
 
-def exact_type_distribution(
-    alphabet_size: int, n: int, source: SourceDistribution
-) -> np.ndarray:
-    """Probability of each count vector, in lexicographic order."""
-    return type_probabilities(type_counts(alphabet_size, n), source)
-
-
 def exact_mutual_information(config: ExperimentConfig) -> float:
     """I(S; W) as a finite sum: the type-weighted KL of each kernel row
     against the exact output marginal. Exactly 0.0 when every kernel row
     is the same, i.e. the output ignores the input."""
-    p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
-    return _mutual_information(config, p_types)
+    log_p = type_log_probabilities(type_counts(config.alphabet_size, config.n),
+                                   config.source)
+    return _mutual_information(config.mechanism.kernel, np.exp(log_p), log_p)
 
 
-def _mutual_information(config: ExperimentConfig, p_types: np.ndarray) -> float:
-    kernel = config.mechanism.kernel
+def _mutual_information(kernel: np.ndarray, p_types: np.ndarray,
+                        log_p: np.ndarray) -> float:
     marginal = p_types @ kernel
-    total = _expected_kl(p_types, kernel, marginal, _log_marginal(config, marginal))
+    log_q = _log_marginal(kernel, marginal, log_p)
+    total = _expected_kl(p_types, kernel, marginal, log_q)
     if total < 0 and total > -1e-12:
         return 0.0
     return total
 
 
-def _log_marginal(config: ExperimentConfig, marginal: np.ndarray) -> np.ndarray | None:
+def _log_marginal(kernel: np.ndarray, marginal: np.ndarray,
+                  log_p: np.ndarray) -> np.ndarray | None:
     """log of the output marginal as a 1 x hypotheses row where some entry
     is below the smallest normal float, else None (its plain log serves).
 
     Such an entry has underflowed, or kept too few digits, while kernel
     rows of positive probability may still put mass on it; its log is
-    recomputed as logsumexp_s(log P(s) + log K_sw), with log P(s) from
-    lgamma, BLOCK_ROWS such columns at a time. A column no row reaches
-    stays -inf.
+    recomputed as logsumexp_s(log P(s) + log K_sw) from the run's log P,
+    which stays finite where P(s) underflows, BLOCK_ROWS such columns at
+    a time. A column no row reaches stays -inf.
     """
     small = np.flatnonzero(marginal < np.finfo(float).tiny)
     if small.size == 0:
         return None
     from .divergence_core import logsumexp
 
-    counts = type_counts(config.alphabet_size, config.n)
-    log_p = type_log_probabilities(counts, config.source)
     with np.errstate(divide="ignore"):
         log_q = np.log(marginal)
         for lo in range(0, small.size, BLOCK_ROWS):
             cols = small[lo:lo + BLOCK_ROWS]
-            terms = np.log(config.mechanism.kernel[:, cols].T)
+            terms = np.log(kernel[:, cols].T)
             terms += log_p
             log_q[cols] = logsumexp(terms)
     return log_q[None, :]
@@ -290,7 +283,8 @@ def per_dataset_kl_to_cover_mixture(
 ) -> PerDatasetKl:
     """For every count vector: KL of its kernel row against the uniform
     mixture of the cover centers' rows, plus the log-sum-exp and
-    single-component bounds on the same quantity.
+    single-component bounds on the same quantity. The exact column is
+    run_verification's: KL to _cover_mixture, all 0.0 if the rows agree.
 
     The three columns are the variational sandwich, row by row:
     KL(row || mixture) <= -log sum_c w_c exp(-KL_c) <= min_c [KL_c - log w_c]
@@ -305,7 +299,8 @@ def per_dataset_kl_to_cover_mixture(
     check_kernel_cells(kernel.shape[0], center_rows.shape[0], "cover centers")
     log_w = -math.log(center_rows.shape[0])
     component = kl_matrix(kernel, center_rows)
-    exact = kl_matrix(kernel, center_rows.mean(axis=0, keepdims=True))[:, 0]
+    exact = (np.zeros(kernel.shape[0]) if _rows_identical(kernel) else
+             kl_matrix(kernel, _cover_mixture(config, cover)[None, :])[:, 0])
     bound_logsumexp = -logsumexp(-component) - log_w
     bound_min = np.min(component, axis=1) - log_w
     columns = [exact, bound_logsumexp, bound_min]
@@ -327,7 +322,8 @@ def exact_expected_gen_error(config: ExperimentConfig) -> float:
     """E[population risk - empirical risk] as an exact double sum over
     count vectors and hypotheses; exactly 0.0 when every kernel row is
     the same."""
-    p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
+    p_types = type_probabilities(type_counts(config.alphabet_size, config.n),
+                                 config.source)
     return _gen_error(config, p_types)
 
 
@@ -502,8 +498,9 @@ def run_verification(
 
     privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
-    p_types = exact_type_distribution(m, n, config.source)
-    mi = _mutual_information(config, p_types)
+    log_p = type_log_probabilities(type_counts(m, n), config.source)
+    p_types = np.exp(log_p)
+    mi = _mutual_information(config.mechanism.kernel, p_types, log_p)
     gen = _gen_error(config, p_types)
     scale = sigma_sub_gaussian(config.loss_table) if sigma is None else float(sigma)
     gen_bound = gen_error_from_mi(scale, n, mi)
@@ -570,12 +567,12 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     Recognized keys: alphabet_size, n, source (comma-separated
     probabilities), mechanism (builtin name: exponential, identity,
     uniform; or a path to a saved kernel), epsilon or mu, sigma (optional
-    override returned separately), seed, mc_samples. '#' starts a
-    comment. mechanism=exponential consumes epsilon as its construction
-    parameter; for any other mechanism an epsilon or mu key declares that
-    privacy level for the kernel, trusted here and auditable with
-    verify_kl_stability. Returns (config, sigma_override). A file, or a
-    saved kernel it names, that cannot be read as UTF-8 text raises
+    non-negative override returned separately), seed, mc_samples. '#'
+    starts a comment. mechanism=exponential consumes epsilon as its
+    construction parameter; for any other mechanism an epsilon or mu key
+    declares that privacy level for the kernel, trusted here and auditable
+    with verify_kl_stability. Returns (config, sigma_override). A file, or
+    a saved kernel it names, that cannot be read as UTF-8 text raises
     InputError naming it.
     """
     raw: dict[str, str] = {}
@@ -649,6 +646,8 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
         )
 
     sigma_override = _finite_value(path, raw, "sigma") if "sigma" in raw else None
+    if sigma_override is not None and sigma_override < 0:
+        raise InputError(f"{path}: sigma must be non-negative, got {raw['sigma']!r}")
     config = ExperimentConfig(
         source=source,
         mechanism=mechanism,

@@ -2,13 +2,18 @@
 
 The package holds count vectors only as rows of int64 arrays. These
 loops take one count vector at a time, as a tuple of ints, and are what
-the vectorised paths are checked against. The two envelopes at the end
-bound exact counts the package computes; only the tests read them.
+the vectorised paths are checked against: type_probability, from an
+exact big-integer coefficient, is the reference for the package's
+log-domain type probabilities. The two envelopes at the end bound exact
+counts the package computes; only the tests read them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+
+from genbound.errors import InputError
 
 
 def enumerate_types(alphabet_size, n):
@@ -55,6 +60,51 @@ def is_typical(counts, probs, epsilon):
         elif abs(c / n - p) > epsilon:
             return False
     return True
+
+
+def type_probability(counts, source):
+    """Multinomial probability of observing this count vector (a sequence
+    of ints) under a SourceDistribution.
+
+    n! / prod(counts!) * prod(p_a ** counts_a), with the coefficient in
+    exact big-integer arithmetic. When prod(p_a ** counts_a) falls below
+    the normal float range the product is taken in log space, so tiny
+    probabilities keep their relative accuracy instead of flushing to 0.
+    Sums to 1 over all count vectors. The counts must be non-negative,
+    describe a non-empty dataset, and have one entry per source symbol.
+    """
+    counts = tuple(int(c) for c in counts)
+    if len(counts) < 2:
+        raise InputError("count vector needs at least two symbols")
+    if any(c < 0 for c in counts):
+        raise InputError(f"counts must be non-negative, got {counts}")
+    if sum(counts) < 1:
+        raise InputError("count vector must describe a non-empty dataset")
+    if len(counts) != source.alphabet_size:
+        raise InputError(
+            f"count vector over {len(counts)} symbols does not match "
+            f"source over {source.alphabet_size}"
+        )
+    coef = 1
+    partial = 0
+    for c in counts:
+        partial += c
+        coef *= math.comb(partial, c)
+    mass = 1.0
+    for c, p in zip(counts, source.probs):
+        if c == 0:
+            continue
+        if p == 0.0:
+            return 0.0
+        mass *= float(p) ** c
+    if mass >= sys.float_info.min:
+        # coef * mass <= 1, so here the coefficient fits in a float too
+        return float(coef) * mass
+    # a subnormal mass has lost digits (or underflowed to 0): evaluate in
+    # log space, from the exact coefficient
+    return math.exp(math.log(coef) + math.fsum(
+        c * math.log(p) for c, p in zip(counts, source.probs) if c > 0
+    ))
 
 
 def patch_sum(coords, n):

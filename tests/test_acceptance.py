@@ -36,7 +36,6 @@ from genbound.oracle_harness import (
     default_loss_table,
     exact_expected_gen_error,
     exact_mutual_information,
-    exact_type_distribution,
     mc_expected_gen_error,
     per_dataset_kl_to_cover_mixture,
     random_mechanism,
@@ -51,6 +50,8 @@ from genbound.types_core import (
     SourceDistribution,
     num_types,
     sigma_sub_gaussian,
+    type_counts,
+    type_probabilities,
 )
 from config_reference import reference_configs
 from divergence_reference import (
@@ -130,7 +131,7 @@ def test_criterion_05_expected_kl_to_marginal_equals_information():
             source=source, mechanism=mech,
             loss_table=np.zeros((hypotheses, 2)), seed=0, mc_samples=100,
         )
-        p_types = exact_type_distribution(2, n, source)
+        p_types = type_probabilities(type_counts(2, n), source)
         mix = MixtureSpec(list(mech.kernel), p_types)
         marginal = mixture_distribution(mix)
         expected_kl = math.fsum(

@@ -475,6 +475,15 @@ class TestInputContract:
         result = runner.invoke(main, ["verify-mi", "--config", config])
         assert_input_error(result)
 
+    @pytest.mark.parametrize("command", ["verify-mi", "simulate"])
+    def test_negative_sigma_in_config(self, runner, tmp_path, command):
+        # simulate never reads sigma, yet the file is bad input for both
+        config = write_config(tmp_path, GOOD_CONFIG.replace(
+            "epsilon = 0.5", "epsilon = 0.5\nsigma = -1"))
+        result = runner.invoke(main, [command, "--config", config])
+        assert_input_error(result)
+        assert f"{config}: sigma must be non-negative" in result.stderr
+
     def test_kernel_over_cell_budget(self, runner, monkeypatch):
         monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
         result = runner.invoke(main, ["stability", "--alphabet-size", "2",

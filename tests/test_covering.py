@@ -30,7 +30,7 @@ from genbound.types_core import (
     distance_matrix,
     num_types,
     type_counts,
-    type_probability,
+    type_probabilities,
 )
 from lattice_reference import (
     dataset_distance,
@@ -38,6 +38,7 @@ from lattice_reference import (
     is_typical,
     patch_sum,
     simplex_hypercube_count_upper,
+    type_probability,
 )
 
 
@@ -473,10 +474,11 @@ def test_typicality_mask_matches_scalar_loop(probs):
         flags = genbound.covering._typical_mask(type_counts(3, 12), src.probs, eps)
         assert flags.tolist() == [is_typical(s, probs, eps)
                                   for s in enumerate_types(3, 12)]
-        assert typical_mass(src, 12, eps) == math.fsum(
+        # the reference's sum, within the n < 300 bar on each probability
+        assert math.isclose(typical_mass(src, 12, eps), math.fsum(
             type_probability(s, src)
             for s in enumerate_types(3, 12) if is_typical(s, probs, eps)
-        )
+        ), rel_tol=5e-14)
 
 
 @pytest.mark.parametrize("build, source", [
@@ -506,8 +508,13 @@ def test_verify_cover_matches_scalar_loop(monkeypatch, build, source):
 
 
 def test_typical_mass_whole_simplex():
+    # at epsilon 1 every count vector is typical: the mass is the whole
+    # lattice's, bit for bit, which is 1 within the n < 300 bar on each
+    # log-domain probability (no float form of P sums to 1 exactly)
     src = SourceDistribution([0.4, 0.6])
-    assert typical_mass(src, 6, 1.0) == 1.0
+    mass = typical_mass(src, 6, 1.0)
+    assert mass == math.fsum(type_probabilities(type_counts(2, 6), src).tolist())
+    assert abs(mass - 1.0) <= 5e-14
 
 
 def test_typical_mass_known_binomial_sum():

@@ -30,7 +30,6 @@ from genbound.oracle_harness import (
     default_loss_table,
     exact_expected_gen_error,
     exact_mutual_information,
-    exact_type_distribution,
     load_experiment_config,
     mc_expected_gen_error,
     per_dataset_kl_to_cover_mixture,
@@ -52,7 +51,8 @@ from genbound.types_core import (
     num_types,
     sigma_sub_gaussian,
     type_counts,
-    type_probability,
+    type_log_probabilities,
+    type_probabilities,
 )
 from divergence_reference import (
     MixtureSpec,
@@ -62,7 +62,7 @@ from divergence_reference import (
     mixture_kl_bound_min,
 )
 from config_reference import reference_configs
-from lattice_reference import enumerate_types, type_index
+from lattice_reference import enumerate_types, type_index, type_probability
 
 
 def small_identity_config(alphabet_size=2, n=4, source=None, seed=5,
@@ -99,7 +99,7 @@ def test_experiment_config_rejects_other_alphabets_and_table_shapes():
 
 
 def test_type_distribution_sums_to_one():
-    probs = exact_type_distribution(3, 5, SourceDistribution([0.2, 0.3, 0.5]))
+    probs = type_probabilities(type_counts(3, 5), SourceDistribution([0.2, 0.3, 0.5]))
     assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
     types = enumerate_types(3, 5)
     src = SourceDistribution([0.2, 0.3, 0.5])
@@ -179,7 +179,7 @@ def test_mi_survives_an_underflowed_marginal():
     # reads 0.0 at one hypothesis and is subnormal at five more, while
     # rows of positive probability put mass there
     config = underflow_config(250, [0.05, 0.95], 30.0)
-    p_types = exact_type_distribution(2, 250, config.source)
+    p_types = type_probabilities(type_counts(2, 250), config.source)
     assert (p_types @ config.mechanism.kernel == 0.0).any()
     mi = exact_mutual_information(config)
     reference = decimal_exponential_mi_m2(250, config.source, 30.0)
@@ -200,7 +200,7 @@ def test_mi_keeps_the_plain_marginal_where_nothing_underflows(make_config):
     # float; elsewhere the result is bit for bit the plain KL expectation
     config = make_config(alphabet_size=3, n=10, epsilon=0.8,
                          source=SourceDistribution([0.2, 0.3, 0.5]))
-    p_types = exact_type_distribution(3, 10, config.source)
+    p_types = type_probabilities(type_counts(3, 10), config.source)
     kernel = config.mechanism.kernel
     kls = kl_matrix(kernel, (p_types @ kernel)[None, :])[:, 0]
     assert exact_mutual_information(config) == math.fsum(
@@ -248,7 +248,8 @@ def emp_table(config):
 def emp_gen_error(config):
     """Exact expected generalization error through the emp table."""
     kernel = config.mechanism.kernel
-    p_types = exact_type_distribution(config.alphabet_size, config.n, config.source)
+    p_types = type_probabilities(type_counts(config.alphabet_size, config.n),
+                                 config.source)
     pop = config.loss_table @ config.source.probs
     return float(p_types @ (kernel @ pop - np.einsum("tw,wt->t", kernel,
                                                       emp_table(config))))
@@ -311,16 +312,23 @@ def test_experiment_config_adopts_its_loss_table():
 
 
 def test_run_verification_builds_one_type_distribution(make_config, monkeypatch):
-    config = make_config(alphabet_size=3, n=6, epsilon=0.5)
+    # one log P serves the type distribution and, where the marginal
+    # underflows (m2 n250 eps 30), its log: one call of the one routine
+    # per run, wherever it is bound
     calls = []
 
-    def counting(s, source):
-        calls.append(s)
-        return type_probability(s, source)
+    def counting(counts, source):
+        calls.append(len(counts))
+        return type_log_probabilities(counts, source)
 
-    monkeypatch.setattr(genbound.types_core, "type_probability", counting)
-    run_verification(config)
-    assert len(calls) == num_types(3, 6)
+    for module in (genbound.types_core, genbound.oracle_harness):
+        monkeypatch.setattr(module, "type_log_probabilities", counting)
+    for config in (make_config(alphabet_size=3, n=6, epsilon=0.5),
+                   underflow_config(250, [0.05, 0.95], 30.0)):
+        for call in (run_verification, exact_mutual_information):
+            calls.clear()
+            call(config)
+            assert calls == [num_types(config.alphabet_size, config.n)], call
 
 
 def test_run_verification_builds_each_cover_once(monkeypatch):
@@ -354,7 +362,7 @@ def test_mi_equals_expected_kl_to_exact_marginal(make_config):
     # the mixture of kernel rows weighted by type probabilities is the
     # output marginal; expected KL to it must equal the information
     config = make_config(alphabet_size=2, n=7, epsilon=0.6)
-    p_types = exact_type_distribution(2, 7, config.source)
+    p_types = type_probabilities(type_counts(2, 7), config.source)
     mix = MixtureSpec(list(config.mechanism.kernel), p_types)
     marginal = mixture_distribution(mix)
     expected_kl = math.fsum(
@@ -483,7 +491,7 @@ def test_verification_comparisons_match_scalar_expectation(name):
     report = run_verification(config)
     privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
-    p_types = exact_type_distribution(m, n, config.source)
+    p_types = type_probabilities(type_counts(m, n), config.source)
     kernel = config.mechanism.kernel
     for bid, value in report.bound_values.items():
         try:
@@ -498,6 +506,49 @@ def test_verification_comparisons_match_scalar_expectation(name):
         )
         comparison = value - report.per_bound_slack[bid]
         assert comparison == expected or abs(comparison - expected) <= 1e-12
+
+
+def certify_seed1_configs():
+    """The six verify-mi configs the benchmark's certify workload writes at
+    seed 1 (perfbench/workloads.py), built here from their values."""
+    configs = {}
+    for m, n, source, key, values in (
+        (3, 16, [0.208257, 0.236001, 0.555742], "epsilon", (0.414689, 0.684121)),
+        (4, 8, [0.055419, 0.092407, 0.084073, 0.768101], "epsilon",
+         (0.351649, 0.702822)),
+        (2, 150, [0.891447, 0.10855300000000001], "mu", (0.195052, 0.388691)),
+    ):
+        for value in values:
+            mech = (exponential_mechanism_over_types(m, n, value) if key == "epsilon"
+                    else Mechanism(uniform_mechanism(m, n).kernel, m, n,
+                                   PrivacyParams.mu_gdp(value)))
+            configs[f"certify-m{m}-n{n}-{key}{value}"] = ExperimentConfig(
+                SourceDistribution(source), mech, default_loss_table(m, n),
+                seed=1, mc_samples=10000)
+    return configs
+
+
+@pytest.mark.parametrize("config", [
+    *certify_seed1_configs().values(), *reference_configs().values(),
+], ids=[*certify_seed1_configs(), *reference_configs()])
+def test_per_dataset_exact_column_sums_to_the_comparison(config):
+    # the P-weighted exact column is, bit for bit, the value run_verification
+    # compares each count-based bound against: one mixture rule, and 0.0
+    # for a kernel whose rows are all the same
+    report = run_verification(config)
+    m, n, privacy = config.alphabet_size, config.n, config.mechanism.privacy
+    p_types = type_probabilities(type_counts(m, n), config.source)
+    checked = 0
+    for bid in report.bound_values:
+        try:
+            cover = cover_for_bound(bid, privacy, m, n)
+        except InputError:
+            continue  # typical and conversion rows are not cover-based
+        rows = per_dataset_kl_to_cover_mixture(config, cover)
+        total = math.fsum(float(p) * kl for p, kl in zip(p_types, rows.exact_kl) if p > 0)
+        assert total == report.comparison_values[bid], bid
+        checked += 1
+    assert checked > 0
 
 
 def test_per_dataset_kl_rejects_mismatched_cover(make_config):

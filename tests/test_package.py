@@ -29,13 +29,13 @@ PUBLIC_NAMES = [
     "load_experiment_config", "mc_expected_gen_error", "mi_bound_typical",
     "num_types", "optimal_grid_parameter", "pac_bayes_gen_bound",
     "per_dataset_kl_to_cover_mixture", "run_verification",
-    "sigma_sub_gaussian", "simplex_hypercube_count", "type_probability",
-    "typical_epsilon", "typical_mass", "verify_cover", "verify_kl_stability",
+    "sigma_sub_gaussian", "simplex_hypercube_count", "typical_epsilon",
+    "typical_mass", "verify_cover", "verify_kl_stability",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 45 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 44 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert genbound.__all__ == PUBLIC_NAMES
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genbound.types_core
 from genbound.errors import InputError, ResourceLimitError
 from genbound.types_core import (
     SourceDistribution,
@@ -22,7 +24,6 @@ from genbound.types_core import (
     type_counts,
     type_log_probabilities,
     type_probabilities,
-    type_probability,
     type_rank,
 )
 from lattice_reference import (
@@ -30,6 +31,7 @@ from lattice_reference import (
     enumerate_types,
     num_types_upper_bound,
     type_index,
+    type_probability,
 )
 
 count_vectors = st.integers(2, 4).flatmap(
@@ -69,26 +71,29 @@ def paired_counts(max_symbols=4, max_count=12):
 
 
 class TestCountVector:
-    """The checks on one count vector, made where it enters
-    type_probability."""
+    """The checks on count vectors, made once per array where they enter
+    type_log_probabilities (and so type_probabilities): one bad row
+    refuses the array."""
 
     SOURCE = SourceDistribution.uniform(2)
 
     def test_rejects_negative(self):
         with pytest.raises(InputError, match="non-negative"):
-            type_probability((3, -1), self.SOURCE)
+            type_log_probabilities([(2, 2), (3, -1)], self.SOURCE)
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(InputError, match="non-empty"):
-            type_probability((0, 0), self.SOURCE)
+            type_log_probabilities([(1, 0), (0, 0)], self.SOURCE)
 
     def test_rejects_single_symbol(self):
         with pytest.raises(InputError, match="two symbols"):
-            type_probability((4,), self.SOURCE)
+            type_log_probabilities([(4,)], self.SOURCE)
+        with pytest.raises(InputError, match="two symbols"):
+            type_log_probabilities((1, 3), self.SOURCE)  # one vector, not rows
 
     def test_rejects_alphabet_mismatch(self):
         with pytest.raises(InputError, match="does not match"):
-            type_probability((1, 2, 3), self.SOURCE)
+            type_probabilities([(1, 2, 3)], self.SOURCE)
 
 
 class TestSourceDistribution:
@@ -251,15 +256,15 @@ def test_cap_env_var(monkeypatch):
 def test_type_probability_binomial_case():
     src = SourceDistribution([0.3, 0.7])
     expected = math.comb(5, 2) * 0.3**2 * 0.7**3
-    # any sequence of counts: a tuple, a list, an int64 array row
-    for s in ((2, 3), [2, 3], np.array([2, 3])):
-        assert math.isclose(type_probability(s, src), expected, rel_tol=1e-12)
+    # any array-like of count vectors: tuples, lists, an int64 array
+    for rows in (((2, 3),), [[2, 3]], np.array([[2, 3]])):
+        (got,) = type_probabilities(rows, src)
+        assert math.isclose(got, expected, rel_tol=1e-12)
 
 
 def test_type_probability_zero_outside_support():
     src = SourceDistribution([1.0, 0.0])
-    assert type_probability((1, 1), src) == 0.0
-    assert type_probability((2, 0), src) == 1.0
+    assert type_probabilities([(1, 1), (2, 0)], src).tolist() == [0.0, 1.0]
 
 
 @given(
@@ -271,26 +276,8 @@ def test_type_probability_zero_outside_support():
 def test_type_probabilities_sum_to_one(m, n, raw):
     total = math.fsum(raw[:m])
     src = SourceDistribution([x / total for x in raw[:m]])
-    mass = math.fsum(type_probability(s, src) for s in enumerate_types(m, n))
+    mass = math.fsum(type_probabilities(type_counts(m, n), src).tolist())
     assert math.isclose(mass, 1.0, abs_tol=1e-12)
-
-
-def test_type_probabilities_are_the_scalar_values_in_row_order():
-    src = SourceDistribution([0.2, 0.5, 0.3])
-    counts = type_counts(3, 7)
-    probs = type_probabilities(counts, src)
-    assert probs.dtype == np.float64 and probs.shape == (len(counts),)
-    expected = [type_probability(s, src) for s in enumerate_types(3, 7)]
-    assert probs.tolist() == expected  # bit for bit
-    empty = type_probabilities(counts[:0], src)
-    assert empty.dtype == np.float64 and empty.shape == (0,)
-
-
-def test_type_probability_large_n_stays_finite():
-    # big multinomial coefficients must not overflow to inf
-    src = SourceDistribution.uniform(2)
-    p = type_probability((600, 600), src)
-    assert 0.0 < p < 1.0
 
 
 def exact_type_probability(counts, probs):
@@ -304,6 +291,29 @@ def exact_type_probability(counts, probs):
     return value
 
 
+def test_type_probabilities_are_the_scalar_values_in_row_order():
+    # row i is the i-th count vector of the recursive enumeration, within
+    # the n < 300 bar of the exact value (the scalar path's big-integer
+    # rounding is not the log-domain one, so no bit-equality)
+    src = SourceDistribution([0.2, 0.5, 0.3])
+    counts = type_counts(3, 7)
+    probs = type_probabilities(counts, src)
+    assert probs.dtype == np.float64 and probs.shape == (len(counts),)
+    for got, s in zip(probs.tolist(), enumerate_types(3, 7)):
+        exact = exact_type_probability(s, src.probs)
+        assert abs(Fraction(got) - exact) <= Fraction(5, 10**14) * exact, s
+        assert math.isclose(got, type_probability(s, src), rel_tol=5e-14)
+    empty = type_probabilities(counts[:0], src)
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_type_probability_large_n_stays_finite():
+    # big multinomial coefficients must not overflow to inf
+    src = SourceDistribution.uniform(2)
+    (p,) = type_probabilities([(600, 600)], src)
+    assert 0.0 < p < 1.0
+
+
 @pytest.mark.parametrize("counts, probs", [
     # the float mass 0.001**110 * 0.999**890 underflows to 0.0
     ((110, 890), (0.001, 0.999)),
@@ -314,7 +324,7 @@ def exact_type_probability(counts, probs):
 ])
 def test_type_probability_keeps_relative_accuracy(counts, probs):
     exact = exact_type_probability(counts, probs)
-    got = type_probability(counts, SourceDistribution(probs))
+    (got,) = type_probabilities([counts], SourceDistribution(probs))
     assert got > 0.0
     assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact
 
@@ -334,13 +344,113 @@ def test_type_log_probability_follows_the_exact_value(counts, probs):
 
 
 def test_type_log_probabilities_row_order_and_zero_symbols():
+    # a symbol of probability 0 that occurs gives -inf, and one that does
+    # not leaves the row its binomial value
     src = SourceDistribution([0.5, 0.5, 0.0])
-    counts = type_counts(3, 6)
+    logs = type_log_probabilities(type_counts(3, 6), src)
+    reference = [type_probability(s, src) for s in enumerate_types(3, 6)]
+    assert np.isneginf(logs).tolist() == [p == 0.0 for p in reference]
+    finite = np.isfinite(logs)
+    np.testing.assert_allclose(np.exp(logs[finite]),
+                               np.array(reference)[finite], rtol=1e-13)
+    assert np.exp(logs).tolist()[0] == 0.0  # (0, 0, 6)
+
+
+def dec_pi():
+    """pi to the context's precision: the series of the decimal module's
+    documentation."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def decimal_stirlerr(k):
+    """log k! - log(sqrt(2 pi k) (k/e)**k) in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dk = Decimal(k)
+        return (Decimal(math.factorial(k)).ln() - (dk + Decimal("0.5")) * dk.ln()
+                + dk - (2 * dec_pi()).ln() / 2)
+
+
+def test_stirlerr_literals_are_the_nearest_doubles():
+    table = genbound.types_core._STIRLERR
+    assert table.shape == (16,)
+    for k in range(1, 16):
+        assert table[k] == float(decimal_stirlerr(k)), k
+
+
+def test_stirlerr_series_above_the_table():
+    ks = [16, 17, 20, 35, 36, 80, 81, 500, 501, 4999]
+    got = genbound.types_core._stirlerr(np.array(ks))
+    for k, value in zip(ks, got.tolist()):
+        assert abs(Decimal(value) - decimal_stirlerr(k)) <= Decimal("2e-16"), k
+
+
+def decimal_type_probabilities(counts, probs):
+    """n! / prod(c!) * prod(p ** c) of each row in 60-digit decimal, with
+    each probability the exact value of its float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        n = int(counts[0].sum())
+        fact = [Decimal(1)]
+        for k in range(1, n + 1):
+            fact.append(fact[-1] * k)
+        powers = []
+        for p in probs:
+            column = [Decimal(1)]
+            for _ in range(n):
+                column.append(column[-1] * Decimal(float(p)))
+            powers.append(column)
+        values = []
+        for row in counts.tolist():
+            value = fact[n]
+            for a, c in enumerate(row):
+                value = value / fact[c] * powers[a][c]
+            values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("m, n, probs, bar", [
+    # below n = 300: 5e-14
+    (3, 16, (1 / 3,) * 3, 5e-14),
+    (3, 40, (1 / 3,) * 3, 5e-14),
+    (4, 29, (0.25,) * 4, 5e-14),
+    (4, 60, (0.25,) * 4, 5e-14),
+    (4, 60, (0.05, 0.05, 0.05, 0.85), 5e-14),
+    (3, 98, (1 / 3,) * 3, 5e-14),
+    # at n = 300 and n = 4999: 1e-12
+    (2, 300, (0.3, 0.7), 1e-12),
+    (2, 4999, (0.3, 0.7), 1e-12),
+])
+def test_type_probability_accuracy_ladder(m, n, probs, bar):
+    # relative error of P against 60-digit decimal wherever P is a normal
+    # float; where it underflows, log P within 1e-10. exp(log P) loses
+    # about |log P| * 1.1e-16 in far tails, which sets the bars
+    src = SourceDistribution(probs)
+    counts = type_counts(m, n)
     logs = type_log_probabilities(counts, src)
-    probs = type_probabilities(counts, src)
-    assert (np.isneginf(logs) == (probs == 0.0)).all()
-    finite = probs > 0
-    np.testing.assert_allclose(np.exp(logs[finite]), probs[finite], rtol=1e-13)
+    probs_out = type_probabilities(counts, src)
+    assert probs_out.tolist() == np.exp(logs).tolist()
+    tiny = Decimal(np.finfo(float).tiny)
+    underflowed = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for got, log_got, exact in zip(probs_out.tolist(), logs.tolist(),
+                                       decimal_type_probabilities(counts, src.probs)):
+            if exact >= tiny:
+                assert abs(Decimal(got) - exact) <= Decimal(bar) * exact, exact
+            else:
+                underflowed += 1
+                assert abs(log_got - float(exact.ln())) <= 1e-10, exact
+    assert (underflowed > 0) == (n == 4999)  # 2637 of its 5000 rows
 
 
 def test_check_cap_counts_and_guards(monkeypatch):
