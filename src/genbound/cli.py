@@ -20,7 +20,9 @@ ones they run, so a command loads (besides errors and records):
 - cover: types_core and covering;
 - stability: privacy, types_core, privacy_mechanisms, divergence_core;
 - simulate: privacy, types_core, privacy_mechanisms, oracle_harness;
-- verify-mi: all seven layers.
+- verify-mi: simulate's layers, bounds_catalog and covering. Its
+  expected KLs come from one entropy pass over the kernel by the chain
+  rule (oracle_harness), so it does not load divergence_core.
 
 json is imported only to write --format jsonl.
 

@@ -5,11 +5,11 @@ H_i - P_i @ log(Q_j), in nats, with the usual conventions exactly:
 0 * log(0 / q) = 0; +infinity (a value, not an error) where P_i puts
 mass on a zero of Q_j; and exactly 0.0 for identical rows.
 kl_matrix returns the whole matrix; kl_row_blocks yields the same
-values types_core.BLOCK_ROWS rows of P at a time. Both take the log of Q
-from the caller where Q's floats have underflowed but its logs are
-known (exact mutual information's marginal). logsumexp is the max-shifted
-log-sum-exp that per_dataset_kl_to_cover_mixture takes across each row
-of its KL matrix, unweighted, since every cover center weighs the same.
+values types_core.BLOCK_ROWS rows of P at a time. logsumexp is the
+max-shifted log-sum-exp that per_dataset_kl_to_cover_mixture takes
+across each row of its KL matrix, unweighted, since every cover center
+weighs the same. This layer serves that and the stability audit:
+verify-mi's expected KLs take the chain rule (oracle_harness).
 The one-row KL, the mixture bounds and a weighted log-sum-exp these are
 tested against live in tests/divergence_reference.py, which imports
 nothing from this module.
@@ -48,27 +48,14 @@ def _kl_operands(P, Q) -> tuple[np.ndarray, np.ndarray]:
 def kl_row_blocks(
     P: "Sequence[Sequence[float]] | np.ndarray",
     Q: "Sequence[Sequence[float]] | np.ndarray",
-    log_Q: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first_row, block) for each BLOCK_ROWS rows of P, where
     block[i, j] = KL(P[first_row + i] || Q_j) as in kl_matrix. log(Q), Q's
-    support mask and its row ids are computed once, not once per block.
-
-    log_Q, when given, is log(Q) from the caller, -inf exactly at Q's
-    zeros, and is read in place of log(Q): where an entry of Q has
-    underflowed to 0 or a subnormal, its log still counts.
-    """
+    support mask and its row ids are computed once, not once per block."""
     pa, qa = _kl_operands(P, Q)
-    if log_Q is None:
-        # masked logs: zeros contribute 0 to the products and never make nan
-        log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
-        q_zero = qa <= 0
-    else:
-        log_q = np.array(log_Q, dtype=float)
-        if log_q.shape != qa.shape:
-            raise InputError(f"log_Q has shape {log_q.shape}, Q {qa.shape}")
-        q_zero = log_q == -math.inf
-        log_q[q_zero] = 0.0
+    # masked logs: zeros contribute 0 to the products and never make nan
+    log_q = np.log(qa, where=qa > 0, out=np.zeros_like(qa))
+    q_zero = qa <= 0
     # support mask: only columns where some row of Q is zero can give +inf
     zero_cols = np.flatnonzero(q_zero.any(axis=0))
     q_zero = q_zero[:, zero_cols].astype(float)
@@ -94,7 +81,6 @@ def kl_row_blocks(
 def kl_matrix(
     P: "Sequence[Sequence[float]] | np.ndarray",
     Q: "Sequence[Sequence[float]] | np.ndarray",
-    log_Q: np.ndarray | None = None,
 ) -> np.ndarray:
     """KL(P_i || Q_j) in nats for every row pair, shape (len(P), len(Q)).
 
@@ -102,12 +88,11 @@ def kl_matrix(
     for identical rows. Other entries agree with the one-row reference
     in tests/divergence_reference.py to rounding (the two differ in
     summation order). The result is filled from kl_row_blocks, so
-    memory beyond it is one block, O(BLOCK_ROWS * len(Q)); log_Q is
-    kl_row_blocks'.
+    memory beyond it is one block, O(BLOCK_ROWS * len(Q)).
     """
     pa, qa = _kl_operands(P, Q)
     out = np.empty((pa.shape[0], qa.shape[0]))
-    for lo, block in kl_row_blocks(pa, qa, log_Q):
+    for lo, block in kl_row_blocks(pa, qa):
         out[lo:lo + block.shape[0]] = block
         del block  # so kl_row_blocks can free it before the next block
     return out

@@ -23,12 +23,16 @@ rows are all the same ignores its input: every expected KL to a mixture
 of its rows, exact MI included, is then exactly 0.0.
 
 The kernel is the one T x hypotheses array a run holds; everything else
-is reduced from it in place or one block of rows at a time. A cover's
-mixture is a masked mean over the kernel, not a gathered copy of the
-center rows, and a hypothesis's empirical risk on a count vector is its
-loss row dotted with the vector's frequencies, so no hypotheses x T
-risk table exists. Exact MI reads the output marginal's log from
-log-probabilities where the float marginal underflows.
+is reduced from it in place or one block of rows at a time. Every
+comparison but the gen error has the form sum_s P(s) KL(K_s || q), with
+q the output marginal (exact MI) or a cover's mixture. By the chain rule
+that is -H(W | S) - sum_w qbar_w log q_w for the marginal qbar = P @ K,
+so a run takes the kernel's logs once, and each target costs one sum
+over hypotheses. A marginal entry that underflows weighs ~0 in that sum,
+so it needs no log domain. A cover's mixture is a 0/1 weight vector
+times the kernel, not a gathered copy of the center rows, and a
+hypothesis's empirical risk on a count vector is its loss row dotted
+with the vector's frequencies, so no hypotheses x T risk table exists.
 
 Monte Carlo draws each chunk of _MC_CHUNK samples from its own Philox
 counter-based stream keyed (seed, chunk index) and reduces the chunks in
@@ -60,13 +64,13 @@ from .types_core import (
     check_cap,
     sigma_sub_gaussian,
     type_counts,
-    type_log_probabilities,
     type_probabilities,
     type_rank,
 )
 
 # The closed-form catalog, the covers and the KL layer are imported by the
-# functions that use them, so Monte Carlo (simulate) loads none of them.
+# functions that use them, so Monte Carlo (simulate) loads none of them,
+# and verify-mi does not load the KL layer.
 if TYPE_CHECKING:
     from .bounds_catalog import BoundId
     from .covering import CoverSpec
@@ -176,48 +180,11 @@ def random_mechanism(
 
 
 def exact_mutual_information(config: ExperimentConfig) -> float:
-    """I(S; W) as a finite sum: the type-weighted KL of each kernel row
-    against the exact output marginal. Exactly 0.0 when every kernel row
-    is the same, i.e. the output ignores the input."""
-    log_p = type_log_probabilities(type_counts(config.alphabet_size, config.n),
-                                   config.source)
-    return _mutual_information(config.mechanism.kernel, np.exp(log_p), log_p)
-
-
-def _mutual_information(kernel: np.ndarray, p_types: np.ndarray,
-                        log_p: np.ndarray) -> float:
-    marginal = p_types @ kernel
-    log_q = _log_marginal(kernel, marginal, log_p)
-    total = _expected_kl(p_types, kernel, marginal, log_q)
-    if total < 0 and total > -1e-12:
-        return 0.0
-    return total
-
-
-def _log_marginal(kernel: np.ndarray, marginal: np.ndarray,
-                  log_p: np.ndarray) -> np.ndarray | None:
-    """log of the output marginal as a 1 x hypotheses row where some entry
-    is below the smallest normal float, else None (its plain log serves).
-
-    Such an entry has underflowed, or kept too few digits, while kernel
-    rows of positive probability may still put mass on it; its log is
-    recomputed as logsumexp_s(log P(s) + log K_sw) from the run's log P,
-    which stays finite where P(s) underflows, BLOCK_ROWS such columns at
-    a time. A column no row reaches stays -inf.
-    """
-    small = np.flatnonzero(marginal < np.finfo(float).tiny)
-    if small.size == 0:
-        return None
-    from .divergence_core import logsumexp
-
-    with np.errstate(divide="ignore"):
-        log_q = np.log(marginal)
-        for lo in range(0, small.size, BLOCK_ROWS):
-            cols = small[lo:lo + BLOCK_ROWS]
-            terms = np.log(kernel[:, cols].T)
-            terms += log_p
-            log_q[cols] = logsumexp(terms)
-    return log_q[None, :]
+    """I(S; W) as a finite sum, H(W) - H(W | S) by _KernelSums. Exactly 0.0
+    when every kernel row is the same, i.e. the output ignores the input."""
+    p_types = type_probabilities(type_counts(config.alphabet_size, config.n),
+                                 config.source)
+    return _KernelSums(config.mechanism.kernel, p_types).mi
 
 
 class PerDatasetKl(Record):
@@ -240,22 +207,55 @@ def _rows_identical(kernel: np.ndarray) -> bool:
                for lo in range(0, kernel.shape[0], BLOCK_ROWS))
 
 
-def _expected_kl(p_types: np.ndarray, kernel: np.ndarray, target: np.ndarray,
-                 log_target: np.ndarray | None = None) -> float:
-    """sum_s P(s) * KL(kernel[s] || target) over count vectors of positive
-    probability, for a target that mixes kernel rows; O(T x hypotheses).
-    log_target, if given, is kl_matrix's log_Q for the one target row.
+def _neg_conditional_entropy(kernel: np.ndarray, p_types: np.ndarray) -> float:
+    """-H(W | S) = sum_s P(s) sum_w K_sw log K_sw, with 0 log 0 = 0: the
+    one pass over the kernel that takes logs, BLOCK_ROWS rows at a time."""
+    row_sums = np.empty(kernel.shape[0])
+    for lo in range(0, kernel.shape[0], BLOCK_ROWS):
+        rows = kernel[lo:lo + BLOCK_ROWS]
+        # one expression, so a block's logs are freed before the next's
+        row_sums[lo:lo + rows.shape[0]] = np.einsum(
+            "ij,ij->i", rows, np.log(rows, where=rows > 0, out=np.zeros_like(rows)))
+    return math.fsum((p_types * row_sums).tolist())
 
-    Exactly 0.0 when every kernel row is the same: the target is then
-    that row in exact arithmetic, but a float mean or marginal can miss
-    it by rounding and leave a ~1e-15 residue of either sign.
+
+class _KernelSums:
+    """The reductions of (kernel, P) that every sum_s P(s) KL(K_s || q)
+    reads, computed once per run: by the chain rule that sum is
+    neg_entropy - sum_w marginal_w log q_w (module docstring). It is +inf
+    where a row of positive probability reaches a zero of q, and exactly
+    0.0 when every kernel row is the same: q is then that row in exact
+    arithmetic, but a float mean or marginal can miss it by rounding and
+    leave a ~1e-15 residue of either sign. mi is the sum at q = marginal,
+    where a reached zero is an underflow, so it has no inf rule; a
+    rounding residue in (-1e-12, 0) reads 0.0.
     """
-    from .divergence_core import kl_matrix
 
-    if _rows_identical(kernel):
-        return 0.0
-    kls = kl_matrix(kernel, target[None, :], log_target)[:, 0]
-    return math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
+    __slots__ = ("identical", "marginal", "reached", "neg_entropy", "mi")
+
+    def __init__(self, kernel: np.ndarray, p_types: np.ndarray) -> None:
+        self.identical = _rows_identical(kernel)
+        self.mi = 0.0
+        if self.identical:
+            return
+        self.marginal = p_types @ kernel
+        self.reached = (p_types > 0).astype(float) @ kernel > 0
+        self.neg_entropy = _neg_conditional_entropy(kernel, p_types)
+        mi = self.neg_entropy - self._cross_entropy(self.marginal)
+        self.mi = 0.0 if -1e-12 < mi < 0 else mi
+
+    def _cross_entropy(self, target: np.ndarray) -> float:
+        weighted = self.marginal > 0
+        return math.fsum(
+            (self.marginal[weighted] * np.log(target[weighted])).tolist())
+
+    def expected_kl(self, target: np.ndarray) -> float:
+        """sum_s P(s) KL(K_s || target) for a target that mixes kernel rows."""
+        if self.identical:
+            return 0.0
+        if np.any(self.reached & (target == 0)):
+            return math.inf
+        return self.neg_entropy - self._cross_entropy(target)
 
 
 def _center_ranks(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
@@ -269,13 +269,13 @@ def _center_ranks(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
 
 
 def _cover_mixture(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
-    """The uniform mixture of the cover centers' kernel rows: a masked mean
-    over the kernel in place, not a gathered copy of the center rows (a
-    t = n + 1 simplex cover has every count vector as a center)."""
+    """The uniform mixture of the cover centers' kernel rows: one 0/1
+    weight vector times the kernel, not a gathered copy of the center rows
+    (a t = n + 1 simplex cover has every count vector as a center)."""
     kernel = config.mechanism.kernel
-    mask = np.zeros(kernel.shape[0], dtype=bool)
-    mask[_center_ranks(config, cover)] = True
-    return np.mean(kernel, axis=0, where=mask[:, None])
+    weights = np.zeros(kernel.shape[0])
+    weights[_center_ranks(config, cover)] = 1.0
+    return weights @ kernel / weights.sum()
 
 
 def per_dataset_kl_to_cover_mixture(
@@ -284,7 +284,9 @@ def per_dataset_kl_to_cover_mixture(
     """For every count vector: KL of its kernel row against the uniform
     mixture of the cover centers' rows, plus the log-sum-exp and
     single-component bounds on the same quantity. The exact column is
-    run_verification's: KL to _cover_mixture, all 0.0 if the rows agree.
+    the KL to _cover_mixture, all 0.0 if the rows agree; its P-weighted
+    sum is run_verification's comparison up to rounding, which that
+    computes by the chain rule (_KernelSums) instead.
 
     The three columns are the variational sandwich, row by row:
     KL(row || mixture) <= -log sum_c w_c exp(-KL_c) <= min_c [KL_c - log w_c]
@@ -324,14 +326,15 @@ def exact_expected_gen_error(config: ExperimentConfig) -> float:
     the same."""
     p_types = type_probabilities(type_counts(config.alphabet_size, config.n),
                                  config.source)
-    return _gen_error(config, p_types)
+    return _gen_error(config, p_types, _rows_identical(config.mechanism.kernel))
 
 
-def _gen_error(config: ExperimentConfig, p_types: np.ndarray) -> float:
-    kernel = config.mechanism.kernel
-    if _rows_identical(kernel):
+def _gen_error(config: ExperimentConfig, p_types: np.ndarray,
+               identical: bool) -> float:
+    if identical:
         # E[empirical frequency] = source: the sum cancels, up to rounding
         return 0.0
+    kernel = config.mechanism.kernel
     pop, freqs = _risk_tables(config)
     emp = np.einsum("ta,ta->t", kernel @ config.loss_table, freqs)
     return float(p_types @ (kernel @ pop - emp))
@@ -498,12 +501,11 @@ def run_verification(
 
     privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
-    log_p = type_log_probabilities(type_counts(m, n), config.source)
-    p_types = np.exp(log_p)
-    mi = _mutual_information(config.mechanism.kernel, p_types, log_p)
-    gen = _gen_error(config, p_types)
+    p_types = type_probabilities(type_counts(m, n), config.source)
+    sums = _KernelSums(config.mechanism.kernel, p_types)
+    gen = _gen_error(config, p_types, sums.identical)
     scale = sigma_sub_gaussian(config.loss_table) if sigma is None else float(sigma)
-    gen_bound = gen_error_from_mi(scale, n, mi)
+    gen_bound = gen_error_from_mi(scale, n, sums.mi)
 
     values: dict[BoundId, float] = {}
     comparisons: dict[BoundId, float] = {}
@@ -518,12 +520,11 @@ def run_verification(
         if report.bound_id.value in _COVER_OF:
             grid = _cover_grid(report.bound_id, privacy, m, n)
             if grid not in expectations:
-                mixture = _cover_mixture(config, _build_cover(*grid, m, n))
-                expectations[grid] = _expected_kl(
-                    p_types, config.mechanism.kernel, mixture)
+                expectations[grid] = sums.expected_kl(
+                    _cover_mixture(config, _build_cover(*grid, m, n)))
             comparisons[report.bound_id] = expectations[grid]
         else:
-            comparisons[report.bound_id] = mi
+            comparisons[report.bound_id] = sums.mi
 
     values[BoundId.GEN_SUB_GAUSSIAN] = gen_bound
     comparisons[BoundId.GEN_SUB_GAUSSIAN] = abs(gen)
@@ -533,7 +534,7 @@ def run_verification(
         bid.value for bid, s in slack.items() if not (s >= -SLACK_TOL)
     )
     return VerificationReport(
-        exact_mi=mi,
+        exact_mi=sums.mi,
         exact_gen_error=gen,
         sigma=scale,
         gen_bound=gen_bound,

@@ -136,10 +136,11 @@ def kl_stability_bound(privacy: PrivacyParams, k: int) -> float:
         raise InputError("no privacy guarantee: stability bound undefined")
     if k == 0:
         return 0.0
+    x = k * privacy.value
     if privacy.kind is PrivacyKind.EPS_DP:
-        x = k * privacy.value
         return min(x * math.tanh(x / 2.0), x * x / 2.0, x)
-    return 0.5 * (k * privacy.value) ** 2
+    # a product, not ** 2, so a huge mu overflows to inf, not to an error
+    return 0.5 * (x * x)
 
 
 # How far a measured quantity may exceed its certified bound and still
@@ -259,8 +260,9 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
     Covers all ordered row pairs (KL is asymmetric), one kl_row_blocks
     block at a time with one scatter-max by distance per block, so beyond
     the kernel's log and row ids memory stays one block of KL values and
-    distances. A distance passes when its worst observed KL stays within
-    bound + SLACK_TOL.
+    distances. A distance passes when its worst observed KL is finite and
+    stays within bound + SLACK_TOL: a finite declared parameter has a
+    finite true envelope, even where the float envelope overflows to inf.
     Its witness is the first pair in row-major order that attains the
     worst value; on exactly tied pairs that is judged on kl_matrix
     values, which can break a tie that the one-row reference
@@ -294,7 +296,8 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
         worst, bound = float(max_kl[k]), kl_stability_bound(mech.privacy, k)
         rows.append(
             StabilityRow(
-                k=k, max_kl=worst, bound=bound, passed=worst <= bound + SLACK_TOL,
+                k=k, max_kl=worst, bound=bound,
+                passed=worst < math.inf and worst <= bound + SLACK_TOL,
                 worst_pair=divmod(int(witness[k]), total),
             )
         )

@@ -245,6 +245,25 @@ class TestStability:
         assert ",false" in result.output
         assert "inf" in result.output
 
+    @pytest.mark.parametrize("privacy", [
+        PrivacyParams.mu_gdp(1e200), PrivacyParams.eps_dp(1e308),
+    ], ids=["mu1e200", "eps1e308"])
+    def test_an_overflowed_envelope_never_passes_inf(self, runner, tmp_path,
+                                                      privacy):
+        # the float envelope overflows to inf, but a finite declared
+        # parameter has a finite true envelope: the identity kernel's inf
+        # fails at every distance, and the failure is a one-line verdict
+        path = str(tmp_path / "liar.csv")
+        save_mechanism_csv(
+            Mechanism(identity_mechanism(2, 6).kernel, 2, 6, privacy), path)
+        result = runner.invoke(main, ["stability", "--mechanism", path])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(k) for k in range(1, 7)]
+        assert all(row[1] == "inf" and row[3] == "false" for row in rows)
+        assert result.stderr.startswith("stability audit failed at distance 1: ")
+        assert result.stderr.count("\n") == 1
+
     def test_requires_exactly_one_mode(self, runner):
         result = runner.invoke(main, ["stability", "--alphabet-size", "2",
                                       "--n", "6"])
@@ -819,8 +838,7 @@ _SAMPLING = _BASE | {"genbound.privacy", "genbound.types_core",
     (["simulate", "--config", "exp.cfg"], _SAMPLING),
     (["simulate", "--config", "exp.cfg", "--format", "jsonl"], _SAMPLING),
     (["verify-mi", "--config", "exp.cfg"],
-     _SAMPLING | {"genbound.bounds_catalog", "genbound.covering",
-                  "genbound.divergence_core"}),
+     _SAMPLING | {"genbound.bounds_catalog", "genbound.covering"}),
 ], ids=["catalog", "bounds", "cover", "stability", "simulate", "simulate-jsonl",
         "verify-mi"])
 def test_each_command_loads_exactly_its_layers(tmp_path, args, layers):

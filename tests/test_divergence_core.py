@@ -249,27 +249,6 @@ def test_kl_row_blocks_concatenate_to_kl_matrix(case):
         assert (matrix == 0.0).sum() >= len(P)
 
 
-@pytest.mark.parametrize("case", ["dense", "zeros"])
-def test_kl_matrix_reads_a_log_target_as_its_own_log(case):
-    P, Q = block_cases()[case]
-    with np.errstate(divide="ignore"):
-        log_Q = np.log(Q)
-    assert kl_matrix(P, Q, log_Q).tobytes() == kl_matrix(P, Q).tobytes()
-    with pytest.raises(InputError, match="log_Q has shape"):
-        kl_matrix(P, Q, log_Q[:, 1:])
-
-
-def test_kl_matrix_log_target_counts_an_underflowed_entry():
-    # Q's second entry has underflowed to 0.0; its log is known
-    P = np.array([[0.5, 0.5]])
-    log_Q = np.array([[math.log1p(-1e-320), -1000.0]])
-    Q = np.exp(log_Q)
-    assert Q[0, 1] == 0.0 and kl_matrix(P, Q)[0, 0] == math.inf
-    expected = 0.5 * math.log(0.5 / math.exp(log_Q[0, 0])) + 0.5 * (
-        math.log(0.5) + 1000.0)
-    assert math.isclose(kl_matrix(P, Q, log_Q)[0, 0], expected, rel_tol=1e-14)
-
-
 def test_kl_matrix_of_no_rows():
     Q = np.full((4, 3), 1.0 / 3)
     assert list(kl_row_blocks(np.empty((0, 3)), Q)) == []

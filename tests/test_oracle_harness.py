@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -36,6 +37,7 @@ from genbound.oracle_harness import (
     random_mechanism,
     run_verification,
 )
+from genbound.oracle_harness import _cover_mixture, _KernelSums
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyKind,
@@ -144,26 +146,36 @@ def test_input_independent_kernel_reads_exactly_zero():
     assert report.all_pass
 
 
-def decimal_exponential_mi_m2(n, source, epsilon):
-    """I(S; W) of the two-symbol exponential mechanism in 40-digit decimal
-    arithmetic: P(s), the kernel and the marginal never underflow, and
-    log K_sw = -eps d(s, w) / 2 - log Z_s is exact in the kernel's form."""
+@functools.lru_cache(maxsize=None)
+def decimal_exponential_kl_m2(n, probs, epsilon):
+    """The expected KL of the two-symbol exponential mechanism's rows to
+    the output marginal, I(S; W), and to the uniform mixture of every row
+    (the t = n + 1 simplex cover's, which type_count is compared with),
+    in 40-digit decimal arithmetic: P(s), the kernel and the mixtures
+    never underflow, and log K_sw = -eps d(s, w) / 2 - log Z_s is exact in
+    the kernel's form. Each is a direct sum over (s, w) cells."""
     with localcontext() as ctx:
         ctx.prec = 40
-        p0, p1 = (Decimal(float(p)) for p in source.probs)
+        p0, p1 = (Decimal(float(p)) for p in probs)
         half = Decimal(epsilon) / 2
         weights = [(-half * d).exp() for d in range(n + 1)]
         # count vector i is (i, n - i): lexicographic order
-        probs = [math.comb(n, i) * p0**i * p1**(n - i) for i in range(n + 1)]
+        types = [math.comb(n, i) * p0**i * p1**(n - i) for i in range(n + 1)]
         norms = [sum(weights[abs(i - j)] for j in range(n + 1)) for i in range(n + 1)]
-        marginal = [sum(probs[i] * weights[abs(i - j)] / norms[i]
+        marginal = [sum(types[i] * weights[abs(i - j)] / norms[i]
                         for i in range(n + 1)) for j in range(n + 1)]
+        mixture = [sum(weights[abs(i - j)] / norms[i] for i in range(n + 1)) / (n + 1)
+                   for j in range(n + 1)]
         log_norms = [z.ln() for z in norms]
-        log_marginal = [q.ln() for q in marginal]
-        return float(sum(
-            probs[i] * weights[abs(i - j)] / norms[i]
-            * (-half * abs(i - j) - log_norms[i] - log_marginal[j])
-            for i in range(n + 1) for j in range(n + 1)))
+
+        def expected_kl(target):
+            log_target = [q.ln() for q in target]
+            return float(sum(
+                types[i] * weights[abs(i - j)] / norms[i]
+                * (-half * abs(i - j) - log_norms[i] - log_target[j])
+                for i in range(n + 1) for j in range(n + 1)))
+
+        return expected_kl(marginal), expected_kl(mixture)
 
 
 def underflow_config(n, source, epsilon):
@@ -182,7 +194,7 @@ def test_mi_survives_an_underflowed_marginal():
     p_types = type_probabilities(type_counts(2, 250), config.source)
     assert (p_types @ config.mechanism.kernel == 0.0).any()
     mi = exact_mutual_information(config)
-    reference = decimal_exponential_mi_m2(250, config.source, 30.0)
+    reference = decimal_exponential_kl_m2(250, (0.05, 0.95), 30.0)[0]
     assert abs(mi - reference) <= 1e-12 * reference
     report = run_verification(config)
     assert report.exact_mi == mi and report.all_pass, report.violations
@@ -195,16 +207,81 @@ def test_mi_of_an_underflowed_marginal_stays_within_its_cap():
     assert run_verification(config).all_pass
 
 
+@pytest.mark.parametrize("n, probs, epsilon", [
+    (40, (0.5, 0.5), 0.05), (300, (0.3, 0.7), 0.01),
+    (250, (0.05, 0.95), 30.0), (800, (0.1, 0.9), 4.0),
+], ids=["n40-eps0.05", "n300-eps0.01", "underflow-n250-eps30",
+        "underflow-n800-eps4"])
+def test_chain_rule_matches_the_decimal_reference(n, probs, epsilon):
+    # low MI (the chain rule's two sums nearly cancel) and an underflowed
+    # marginal (the reached hypotheses where it reads 0 weigh nothing). The
+    # float kernel alone puts the cover's value up to 1.3e-13 off at n800,
+    # so that is held to the per-row route's error, not to a fixed bar
+    config = underflow_config(n, list(probs), epsilon)
+    mi, type_count = decimal_exponential_kl_m2(n, probs, epsilon)
+    report = run_verification(config)
+    assert abs(report.exact_mi - mi) <= 5e-14
+    cover = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, n)
+    p_types = type_probabilities(type_counts(2, n), config.source)
+    kls = kl_matrix(config.mechanism.kernel, _cover_mixture(config, cover)[None, :])
+    per_row = math.fsum(float(p) * kl for p, kl in zip(p_types, kls[:, 0]) if p > 0)
+    assert (abs(report.comparison_values[BoundId.TYPE_COUNT] - type_count)
+            <= abs(per_row - type_count) + 1e-15)
+
+
 def test_mi_keeps_the_plain_marginal_where_nothing_underflows(make_config):
-    # the log-domain path only replaces entries below the smallest normal
-    # float; elsewhere the result is bit for bit the plain KL expectation
-    config = make_config(alphabet_size=3, n=10, epsilon=0.8,
-                         source=SourceDistribution([0.2, 0.3, 0.5]))
-    p_types = type_probabilities(type_counts(3, 10), config.source)
-    kernel = config.mechanism.kernel
-    kls = kl_matrix(kernel, (p_types @ kernel)[None, :])[:, 0]
-    assert exact_mutual_information(config) == math.fsum(
-        float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
+    # the chain rule reads the float marginal p_types @ kernel as it is;
+    # it agrees with the per-row route, the P-weighted KL of each row to
+    # that marginal, to rounding
+    for m, n, epsilon, probs in ((3, 10, 0.8, [0.2, 0.3, 0.5]),
+                                 (2, 60, 0.05, [0.5, 0.5]),
+                                 (2, 40, 2.0, [0.1, 0.9]),
+                                 (4, 8, 0.35, [0.05, 0.1, 0.1, 0.75])):
+        config = make_config(alphabet_size=m, n=n, epsilon=epsilon,
+                             source=SourceDistribution(probs))
+        p_types = type_probabilities(type_counts(m, n), config.source)
+        kernel = config.mechanism.kernel
+        kls = kl_matrix(kernel, (p_types @ kernel)[None, :])[:, 0]
+        per_row = math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
+        assert abs(exact_mutual_information(config) - per_row) <= 1e-14, (m, n)
+
+
+def test_only_rows_of_positive_probability_reach_a_target_zero():
+    # row 2 puts mass on hypothesis 2, where the target is 0: its KL is
+    # +inf, which counts only if the row has positive probability
+    kernel = np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.0, 0.5, 0.5]])
+    target = np.array([0.375, 0.625, 0.0])
+    per_row = kl_matrix(kernel, target[None, :])[:, 0]
+    assert per_row[2] == math.inf
+    sums = _KernelSums(kernel, np.array([0.5, 0.5, 0.0]))
+    assert math.isclose(sums.expected_kl(target),
+                        0.5 * per_row[0] + 0.5 * per_row[1], rel_tol=1e-14)
+    sums = _KernelSums(kernel, np.array([0.5, 0.25, 0.25]))
+    assert sums.expected_kl(target) == math.inf
+    assert math.isfinite(sums.mi)
+
+
+def test_one_entropy_pass_and_one_identical_rows_scan_per_run(make_config,
+                                                              monkeypatch):
+    # every cover's comparison and the MI read the same reductions
+    config = make_config(alphabet_size=3, n=10, epsilon=0.8)
+    calls, builds = [], []
+    for name in ("_neg_conditional_entropy", "_rows_identical"):
+        def counting(*args, _name=name, _real=getattr(genbound.oracle_harness, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(genbound.oracle_harness, name, counting)
+    for name in ("build_full_grid_cover", "build_simplex_grid_cover"):
+        def counting(*args, _real=getattr(genbound.covering, name)):
+            builds.append(args)
+            return _real(*args)
+        monkeypatch.setattr(genbound.covering, name, counting)
+    run_verification(config)
+    assert len(builds) >= 3
+    assert sorted(calls) == ["_neg_conditional_entropy", "_rows_identical"]
+    calls.clear()
+    exact_mutual_information(config)
+    assert sorted(calls) == ["_neg_conditional_entropy", "_rows_identical"]
 
 
 def test_identical_rows_rule_reads_every_block(block_rows):
@@ -312,17 +389,17 @@ def test_experiment_config_adopts_its_loss_table():
 
 
 def test_run_verification_builds_one_type_distribution(make_config, monkeypatch):
-    # one log P serves the type distribution and, where the marginal
-    # underflows (m2 n250 eps 30), its log: one call of the one routine
-    # per run, wherever it is bound
+    # one type distribution per run, also where the marginal underflows
+    # (m2 n250 eps 30): one call of the one log-probability routine, which
+    # only types_core binds
     calls = []
 
     def counting(counts, source):
         calls.append(len(counts))
         return type_log_probabilities(counts, source)
 
-    for module in (genbound.types_core, genbound.oracle_harness):
-        monkeypatch.setattr(module, "type_log_probabilities", counting)
+    assert not hasattr(genbound.oracle_harness, "type_log_probabilities")
+    monkeypatch.setattr(genbound.types_core, "type_log_probabilities", counting)
     for config in (make_config(alphabet_size=3, n=6, epsilon=0.5),
                    underflow_config(250, [0.05, 0.95], 30.0)):
         for call in (run_verification, exact_mutual_information):
@@ -532,12 +609,15 @@ def certify_seed1_configs():
     *certify_seed1_configs().values(), *reference_configs().values(),
 ], ids=[*certify_seed1_configs(), *reference_configs()])
 def test_per_dataset_exact_column_sums_to_the_comparison(config):
-    # the P-weighted exact column is, bit for bit, the value run_verification
-    # compares each count-based bound against: one mixture rule, and 0.0
-    # for a kernel whose rows are all the same
+    # the exact column is the per-row KL to the one cover mixture, and its
+    # P-weighted sum is, to rounding, the chain-rule value run_verification
+    # compares each count-based bound against; both read exactly 0.0 for
+    # a kernel whose rows are all the same
     report = run_verification(config)
     m, n, privacy = config.alphabet_size, config.n, config.mechanism.privacy
     p_types = type_probabilities(type_counts(m, n), config.source)
+    kernel = config.mechanism.kernel
+    identical = (kernel == kernel[0]).all()
     checked = 0
     for bid in report.bound_values:
         try:
@@ -545,8 +625,13 @@ def test_per_dataset_exact_column_sums_to_the_comparison(config):
         except InputError:
             continue  # typical and conversion rows are not cover-based
         rows = per_dataset_kl_to_cover_mixture(config, cover)
+        if identical:
+            assert not rows.exact_kl.any() and report.comparison_values[bid] == 0.0
+        else:
+            per_row = kl_matrix(kernel, _cover_mixture(config, cover)[None, :])
+            assert rows.exact_kl.tobytes() == per_row[:, 0].tobytes(), bid
         total = math.fsum(float(p) * kl for p, kl in zip(p_types, rows.exact_kl) if p > 0)
-        assert total == report.comparison_values[bid], bid
+        assert abs(total - report.comparison_values[bid]) <= 1e-14, bid
         checked += 1
     assert checked > 0
 

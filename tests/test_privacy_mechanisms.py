@@ -72,6 +72,13 @@ def test_stability_bound_gdp_is_quadratic():
     assert kl_stability_bound(PrivacyParams.mu_gdp(0.5), 3) == 0.5 * 1.5**2
 
 
+def test_stability_bound_overflows_to_inf_not_an_error():
+    # (k mu) ** 2 raised OverflowError past k mu ~ 1.3e154
+    assert kl_stability_bound(PrivacyParams.mu_gdp(1e200), 1) == math.inf
+    assert kl_stability_bound(PrivacyParams.eps_dp(1e308), 2) == math.inf
+    assert kl_stability_bound(PrivacyParams.mu_gdp(1e150), 1) == 0.5 * (1e150 * 1e150)
+
+
 @given(st.floats(0.01, 2.0), st.integers(1, 20))
 def test_stability_bound_dp_tanh_term_wins_below_two(eps, k):
     x = k * eps
