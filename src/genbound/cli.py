@@ -18,11 +18,18 @@ ones they run, so a command loads (besides errors and records):
 
 - bounds, catalog: privacy and bounds_catalog, and no numpy;
 - cover: types_core and covering;
-- stability: privacy, types_core, privacy_mechanisms, divergence_core;
+- stability: privacy, types_core, privacy_mechanisms and
+  divergence_core, whose kl_row_blocks is the audit's KL between rows;
 - simulate: privacy, types_core, privacy_mechanisms, oracle_harness;
 - verify-mi: simulate's layers, bounds_catalog and covering. Its
   expected KLs come from one entropy pass over the kernel by the chain
   rule (oracle_harness), so it does not load divergence_core.
+
+A failed stability audit prints one stderr line that starts "stability
+audit failed at distance K: " and names the worst pair there. Where the
+declared envelope overflows to inf in floating point, the line says so:
+the envelope of a finite declared parameter is finite, so an infinite
+observed KL still exceeds it.
 
 json is imported only to write --format jsonl.
 
@@ -411,10 +418,16 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
         worst = next(r for r in report.rows if not r.passed)
         counts = type_counts(mech.alphabet_size, mech.n)
         first, second = (tuple(counts[i].tolist()) for i in worst.worst_pair)
+        if worst.bound == math.inf:
+            privacy = mech.privacy
+            exceeds = (f"exceeds the envelope of {privacy.kind.value} "
+                       f"{privacy.value!r}, finite but overflowing to inf in "
+                       f"floating point,")
+        else:
+            exceeds = f"exceeds bound {worst.bound!r}"
         _fail(
             f"stability audit failed at distance {worst.k}: observed KL "
-            f"{worst.max_kl!r} exceeds bound {worst.bound!r} for count vectors "
-            f"{first} -> {second}", 1,
+            f"{worst.max_kl!r} {exceeds} for count vectors {first} -> {second}", 1,
         )
 
 

@@ -50,7 +50,6 @@ from .types_core import (
     distance_matrix,
     enforce_cap,
     type_counts,
-    type_probabilities,
 )
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "build_full_grid_cover",
     "build_simplex_grid_cover",
     "typical_epsilon",
-    "typical_mass",
     "build_typical_cover",
     "optimal_grid_parameter",
     "verify_cover",
@@ -288,15 +286,6 @@ def _typical_mask(counts: np.ndarray, probs: np.ndarray, epsilon: float) -> np.n
     return np.where(
         probs == 0.0, counts == 0, np.abs(freqs - probs) <= epsilon
     ).all(axis=-1)
-
-
-def typical_mass(source: SourceDistribution, n: int, epsilon: float) -> float:
-    """Exact probability of the typical set: sum of multinomial masses
-    over typical count vectors. Enumerates all count vectors, so the
-    type-enumeration cap applies."""
-    counts = type_counts(source.alphabet_size, n)
-    typical = counts[_typical_mask(counts, source.probs, epsilon)]
-    return float(math.fsum(type_probabilities(typical, source).tolist()))
 
 
 def _typical_range(n: int, p: float, epsilon: float) -> tuple[int, int]:

@@ -29,10 +29,12 @@ q the output marginal (exact MI) or a cover's mixture. By the chain rule
 that is -H(W | S) - sum_w qbar_w log q_w for the marginal qbar = P @ K,
 so a run takes the kernel's logs once, and each target costs one sum
 over hypotheses. A marginal entry that underflows weighs ~0 in that sum,
-so it needs no log domain. A cover's mixture is a 0/1 weight vector
-times the kernel, not a gathered copy of the center rows, and a
-hypothesis's empirical risk on a count vector is its loss row dotted
-with the vector's frequencies, so no hypotheses x T risk table exists.
+so it needs no log domain. run_verification is the one entry point for
+exact MI (VerificationReport.exact_mi). A cover's mixture is a 0/1
+weight vector times the kernel, not a gathered copy of the center rows,
+and a hypothesis's empirical risk on a count vector is its loss row
+dotted with the vector's frequencies, so no hypotheses x T risk table
+exists.
 
 Monte Carlo draws each chunk of _MC_CHUNK samples from its own Philox
 counter-based stream keyed (seed, chunk index) and reduces the chunks in
@@ -68,22 +70,19 @@ from .types_core import (
     type_rank,
 )
 
-# The closed-form catalog, the covers and the KL layer are imported by the
-# functions that use them, so Monte Carlo (simulate) loads none of them,
-# and verify-mi does not load the KL layer.
+# The closed-form catalog and the covers are imported by the functions
+# that use them, so Monte Carlo (simulate) loads neither. Nothing here
+# reads the KL layer (divergence_core), which only the audit runs.
 if TYPE_CHECKING:
     from .bounds_catalog import BoundId
     from .covering import CoverSpec
 
 __all__ = [
     "ExperimentConfig",
-    "PerDatasetKl",
     "McResult",
     "VerificationReport",
     "default_loss_table",
     "random_mechanism",
-    "exact_mutual_information",
-    "per_dataset_kl_to_cover_mixture",
     "exact_expected_gen_error",
     "mc_expected_gen_error",
     "cover_for_bound",
@@ -179,27 +178,6 @@ def random_mechanism(
     )
 
 
-def exact_mutual_information(config: ExperimentConfig) -> float:
-    """I(S; W) as a finite sum, H(W) - H(W | S) by _KernelSums. Exactly 0.0
-    when every kernel row is the same, i.e. the output ignores the input."""
-    p_types = type_probabilities(type_counts(config.alphabet_size, config.n),
-                                 config.source)
-    return _KernelSums(config.mechanism.kernel, p_types).mi
-
-
-class PerDatasetKl(Record):
-    """Exact divergence of every input's output row against a cover
-    mixture, with the two variational upper bounds: one column each.
-    counts is the T x m array of count vectors; row i of counts goes with
-    entry i of the three float arrays."""
-
-    __slots__ = ("counts", "exact_kl", "bound_logsumexp", "bound_min")
-
-    def __init__(self, counts: np.ndarray, exact_kl: np.ndarray,
-                 bound_logsumexp: np.ndarray, bound_min: np.ndarray) -> None:
-        self._assign(counts, exact_kl, bound_logsumexp, bound_min)
-
-
 def _rows_identical(kernel: np.ndarray) -> bool:
     """Whether every kernel row equals the first, compared BLOCK_ROWS rows
     at a time and stopping at the first block that differs."""
@@ -258,57 +236,15 @@ class _KernelSums:
         return self.neg_entropy - self._cross_entropy(target)
 
 
-def _center_ranks(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
-    """The kernel row of each cover center, one per center."""
-    if (cover.alphabet_size, cover.n) != (config.alphabet_size, config.n):
-        raise InputError(
-            f"cover built for alphabet size {cover.alphabet_size}, n={cover.n}; "
-            f"experiment uses {config.alphabet_size}, n={config.n}"
-        )
-    return type_rank(cover.centers)
-
-
 def _cover_mixture(config: ExperimentConfig, cover: CoverSpec) -> np.ndarray:
     """The uniform mixture of the cover centers' kernel rows: one 0/1
     weight vector times the kernel, not a gathered copy of the center rows
-    (a t = n + 1 simplex cover has every count vector as a center)."""
+    (a t = n + 1 simplex cover has every count vector as a center). The
+    cover is one run_verification built for the config's lattice."""
     kernel = config.mechanism.kernel
     weights = np.zeros(kernel.shape[0])
-    weights[_center_ranks(config, cover)] = 1.0
+    weights[type_rank(cover.centers)] = 1.0
     return weights @ kernel / weights.sum()
-
-
-def per_dataset_kl_to_cover_mixture(
-    config: ExperimentConfig, cover: CoverSpec
-) -> PerDatasetKl:
-    """For every count vector: KL of its kernel row against the uniform
-    mixture of the cover centers' rows, plus the log-sum-exp and
-    single-component bounds on the same quantity. The exact column is
-    the KL to _cover_mixture, all 0.0 if the rows agree; its P-weighted
-    sum is run_verification's comparison up to rounding, which that
-    computes by the chain rule (_KernelSums) instead.
-
-    The three columns are the variational sandwich, row by row:
-    KL(row || mixture) <= -log sum_c w_c exp(-KL_c) <= min_c [KL_c - log w_c]
-    for the center KLs KL_c and weights w_c = 1/C. Both bound columns come
-    from one count-vector x center KL matrix; the one-row reference in
-    tests/divergence_reference.py computes the same values a row at a time.
-    """
-    from .divergence_core import kl_matrix, logsumexp
-
-    kernel = config.mechanism.kernel
-    center_rows = kernel[_center_ranks(config, cover)]
-    check_kernel_cells(kernel.shape[0], center_rows.shape[0], "cover centers")
-    log_w = -math.log(center_rows.shape[0])
-    component = kl_matrix(kernel, center_rows)
-    exact = (np.zeros(kernel.shape[0]) if _rows_identical(kernel) else
-             kl_matrix(kernel, _cover_mixture(config, cover)[None, :])[:, 0])
-    bound_logsumexp = -logsumexp(-component) - log_w
-    bound_min = np.min(component, axis=1) - log_w
-    columns = [exact, bound_logsumexp, bound_min]
-    for column in columns:
-        column.flags.writeable = False
-    return PerDatasetKl(type_counts(config.alphabet_size, config.n), *columns)
 
 
 def _risk_tables(config: ExperimentConfig):

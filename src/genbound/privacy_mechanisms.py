@@ -153,15 +153,14 @@ SLACK_TOL = 1e-9
 KERNEL_CELL_BUDGET = 25_000_000
 
 
-def check_kernel_cells(total: int, width: int, columns: str = "hypotheses") -> None:
-    """Refuse a T x width array over KERNEL_CELL_BUDGET cells with
-    ResourceLimitError; called before allocating or reading one. columns
-    names what the width counts: a kernel's hypotheses by default."""
+def check_kernel_cells(total: int, width: int) -> None:
+    """Refuse a T x width kernel over KERNEL_CELL_BUDGET cells with
+    ResourceLimitError; called before allocating or reading one."""
     cells = total * width
     if cells > KERNEL_CELL_BUDGET:
         raise ResourceLimitError(
             f"a kernel over T={total} count vectors and {width} "
-            f"{columns} has {cells} cells, over the budget of "
+            f"hypotheses has {cells} cells, over the budget of "
             f"{KERNEL_CELL_BUDGET} cells"
         )
 
@@ -259,13 +258,14 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
 
     Covers all ordered row pairs (KL is asymmetric), one kl_row_blocks
     block at a time with one scatter-max by distance per block, so beyond
-    the kernel's log and row ids memory stays one block of KL values and
-    distances. A distance passes when its worst observed KL is finite and
-    stays within bound + SLACK_TOL: a finite declared parameter has a
-    finite true envelope, even where the float envelope overflows to inf.
-    Its witness is the first pair in row-major order that attains the
-    worst value; on exactly tied pairs that is judged on kl_matrix
-    values, which can break a tie that the one-row reference
+    the kernel and its log it holds a block or two of KL values and
+    distances.
+    A distance passes when its worst observed KL is finite and stays
+    within bound + SLACK_TOL: a finite declared parameter has a finite
+    true envelope, even where the float envelope overflows to inf. Its
+    witness is the first pair in row-major order that attains the worst
+    value; on exactly tied pairs that is judged on kl_row_blocks values,
+    which can break a tie that the one-row reference
     (tests/divergence_reference.py) would round differently (symmetric
     rows are the usual case).
     """
@@ -274,12 +274,11 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
     if mech.privacy.kind is PrivacyKind.NONE:
         raise InputError("mechanism declares no privacy guarantee to audit")
     counts = type_counts(mech.alphabet_size, mech.n)
-    kernel = mech.kernel
     total = counts.shape[0]
     # worst KL so far at each distance 0..n, and its pair's flat T x T index
     max_kl = np.full(mech.n + 1, -math.inf)
     witness = np.zeros(mech.n + 1, dtype=np.int64)
-    for lo, block in kl_row_blocks(kernel, kernel):
+    for lo, block in kl_row_blocks(mech.kernel):
         kl = block.ravel()
         dist = distance_matrix(counts[lo:lo + len(block)], counts).ravel()
         block_max = np.full(mech.n + 1, -math.inf)

@@ -1,11 +1,12 @@
 """One-row KL divergence and variational mixture bounds, kept in the tests.
 
-The package computes KL divergences only as matrices
-(genbound.divergence_core.kl_matrix and kl_row_blocks), and the mixture
-bounds only per count vector, from one count-vector x center KL matrix
-(genbound.oracle_harness.per_dataset_kl_to_cover_mixture). These
-functions take one probability row at a time and are what the matrix
-paths are checked against. They import nothing from the package but its
+The package computes KL divergences only as blocks of the KL matrix
+between a kernel's rows (genbound.divergence_core.kl_row_blocks, the
+stability audit's), and expected KLs to a mixture only by the chain
+rule (genbound.oracle_harness); it does not compute the mixture bounds.
+These functions take one probability row at a time and are what the
+package's values are checked against, and the variational sandwich is
+tested on them alone. They import nothing from the package but its
 error class, so no check here runs the code it checks:
 weighted_logsumexp is this module's own.
 

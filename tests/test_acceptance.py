@@ -27,7 +27,6 @@ from genbound.covering import (
     build_typical_cover,
     simplex_hypercube_count,
     typical_epsilon,
-    typical_mass,
     verify_cover,
 )
 from genbound.oracle_harness import (
@@ -35,10 +34,9 @@ from genbound.oracle_harness import (
     cover_for_bound,
     default_loss_table,
     exact_expected_gen_error,
-    exact_mutual_information,
     mc_expected_gen_error,
-    per_dataset_kl_to_cover_mixture,
     random_mechanism,
+    run_verification,
 )
 from genbound.privacy_mechanisms import (
     PrivacyParams,
@@ -62,7 +60,12 @@ from divergence_reference import (
     mixture_kl_bound_logsumexp,
     mixture_kl_bound_min,
 )
-from lattice_reference import num_types_upper_bound
+from lattice_reference import (
+    enumerate_types,
+    is_typical,
+    num_types_upper_bound,
+    type_index,
+)
 
 
 def test_criterion_01_simplex_cell_counting_exact():
@@ -138,7 +141,7 @@ def test_criterion_05_expected_kl_to_marginal_equals_information():
             float(p) * kl_divergence(row, marginal)
             for p, row in zip(p_types, mech.kernel) if p > 0
         )
-        mi = exact_mutual_information(config)
+        mi = run_verification(config).exact_mi
         assert abs(expected_kl - mi) <= 1e-10, trial
 
 
@@ -177,7 +180,7 @@ def test_criterion_07_universal_information_cap():
             source=source, mechanism=mech,
             loss_table=np.zeros((hypotheses, m)), seed=0, mc_samples=100,
         )
-        mi = exact_mutual_information(config)
+        mi = run_verification(config).exact_mi
         assert mi <= kl_bound_simple(m, n).value + 1e-9, trial
 
 
@@ -191,7 +194,7 @@ def test_criterion_08_cover_bounds_hold_per_dataset():
                     source=SourceDistribution.uniform(m), mechanism=mech,
                     loss_table=default_loss_table(m, n), seed=0, mc_samples=100,
                 )
-                mi = exact_mutual_information(config)
+                mi = run_verification(config).exact_mi
                 for report in (
                     kl_bound_cover_dp(eps, m, n),
                     kl_bound_refined(privacy, m, n),
@@ -199,8 +202,11 @@ def test_criterion_08_cover_bounds_hold_per_dataset():
                     if not report.applicable:
                         continue
                     cover = cover_for_bound(report.bound_id, privacy, m, n)
-                    worst = float(per_dataset_kl_to_cover_mixture(
-                        config, cover).exact_kl.max())
+                    centers = [mech.kernel[type_index(c)]
+                               for c in cover.centers.tolist()]
+                    mixture = mixture_distribution(MixtureSpec(
+                        centers, [1.0 / len(centers)] * len(centers)))
+                    worst = max(kl_divergence(row, mixture) for row in mech.kernel)
                     assert report.value - worst >= -1e-9, (eps, m, n, report)
                     assert report.value - mi >= -1e-9, (eps, m, n, report)
 
@@ -214,7 +220,7 @@ def test_criterion_09_typical_bound_and_mass_floor():
                     source=SourceDistribution.uniform(m), mechanism=mech,
                     loss_table=default_loss_table(m, n), seed=0, mc_samples=100,
                 )
-                mi = exact_mutual_information(config)
+                mi = run_verification(config).exact_mi
                 bound = mi_bound_typical(PrivacyParams.eps_dp(eps), m, n)
                 assert bound.bound_id is BoundId.DP_TYPICAL_LOW
                 assert mi <= bound.value + 1e-9, (eps, m, n)
@@ -225,14 +231,18 @@ def test_criterion_09_typical_bound_and_mass_floor():
             SourceDistribution.uniform(3),
             SourceDistribution([0.2, 0.3, 0.5]),
         ):
-            mass = typical_mass(source, n, typical_epsilon(n))
+            probs = type_probabilities(type_counts(source.alphabet_size, n), source)
+            mass = math.fsum(
+                p for p, s in zip(probs.tolist(),
+                                  enumerate_types(source.alphabet_size, n))
+                if is_typical(s, source.probs.tolist(), typical_epsilon(n)))
             floor = 1.0 - 2.0 * source.alphabet_size / n**2
             assert mass >= floor, (n, source)
 
 
 def test_criterion_10_generalization_within_information_budget():
     for name, config in reference_configs().items():
-        mi = exact_mutual_information(config)
+        mi = run_verification(config).exact_mi
         gen = exact_expected_gen_error(config)
         sigma = sigma_sub_gaussian(config.loss_table)
         budget = math.sqrt(2.0 * sigma * sigma * mi / config.n)

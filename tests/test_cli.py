@@ -264,6 +264,28 @@ class TestStability:
         assert result.stderr.startswith("stability audit failed at distance 1: ")
         assert result.stderr.count("\n") == 1
 
+    def test_failure_line_names_an_overflowed_envelope(self, runner, tmp_path):
+        # mu = 1e200: the envelope overflows to inf at every distance, and
+        # the line names the declaration instead of a bound of inf; at
+        # eps = 1e308 the envelope at distance 1 is 1e308, a finite bound
+        path = str(tmp_path / "huge.csv")
+        identity = identity_mechanism(2, 6).kernel
+        save_mechanism_csv(
+            Mechanism(identity, 2, 6, PrivacyParams.mu_gdp(1e200)), path)
+        result = runner.invoke(main, ["stability", "--mechanism", path])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "stability audit failed at distance 1: observed KL inf exceeds the "
+            "envelope of mu_gdp 1e+200, finite but overflowing to inf in "
+            "floating point, for count vectors (0, 6) -> (1, 5)\n")
+        save_mechanism_csv(
+            Mechanism(identity, 2, 6, PrivacyParams.eps_dp(1e308)), path)
+        result = runner.invoke(main, ["stability", "--mechanism", path])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "stability audit failed at distance 1: observed KL inf exceeds "
+            "bound 1e+308 for count vectors (0, 6) -> (1, 5)\n")
+
     def test_requires_exactly_one_mode(self, runner):
         result = runner.invoke(main, ["stability", "--alphabet-size", "2",
                                       "--n", "6"])

@@ -1,18 +1,25 @@
-"""KL divergence and the variational mixture sandwich."""
+"""KL divergence, the variational mixture sandwich, and the KL matrix of
+a kernel's rows that kl_row_blocks yields block by block."""
 
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbound.divergence_core import kl_matrix, kl_row_blocks, logsumexp
+import genbound.divergence_core
+from genbound.divergence_core import kl_row_blocks
 from genbound.errors import InputError
-from genbound.types_core import BLOCK_ROWS
+from genbound.privacy_mechanisms import (
+    Mechanism,
+    PrivacyParams,
+    load_mechanism_csv,
+    save_mechanism_csv,
+)
+from genbound.types_core import BLOCK_ROWS, num_types
 from divergence_reference import (
     DiscreteDistribution,
     MixtureSpec,
@@ -167,14 +174,24 @@ sparse_rows = st.lists(
 ).filter(lambda raw: sum(raw) > 0).map(normalized)
 
 
-@given(st.lists(sparse_rows, min_size=1, max_size=6),
-       st.lists(sparse_rows, min_size=1, max_size=6))
+def kl_matrix(kernel):
+    """The KL matrix of a kernel's rows, stacked from kl_row_blocks, after
+    checking that the blocks start every BLOCK_ROWS rows."""
+    kernel = np.asarray(kernel, dtype=float)
+    blocks = list(kl_row_blocks(kernel))
+    assert [lo for lo, _ in blocks] == list(range(0, len(kernel), BLOCK_ROWS))
+    if not blocks:
+        return np.empty((0, len(kernel)))
+    return np.concatenate([block for _, block in blocks])
+
+
+@given(st.lists(sparse_rows, min_size=1, max_size=12))
 @settings(max_examples=200)
-def test_kl_matrix_matches_scalar(P, Q):
-    matrix = kl_matrix(P, Q)
-    assert matrix.shape == (len(P), len(Q))
-    for i, p in enumerate(P):
-        for j, q in enumerate(Q):
+def test_kl_matrix_matches_scalar(rows):
+    matrix = kl_matrix(rows)
+    assert matrix.shape == (len(rows), len(rows))
+    for i, p in enumerate(rows):
+        for j, q in enumerate(rows):
             expected = kl_divergence(p, q)
             if math.isinf(expected):
                 assert matrix[i, j] == math.inf
@@ -183,38 +200,31 @@ def test_kl_matrix_matches_scalar(P, Q):
 
 
 def test_kl_matrix_conventions():
-    P = [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]]
-    matrix = kl_matrix(P, [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-    assert matrix[0, 0] == math.inf  # mass where q has none
-    assert matrix[1, 0] == 0.0  # 0 * log 0 = 0
-    assert matrix[2, 1] == math.inf
+    matrix = kl_matrix([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    assert matrix[0, 1] == math.inf  # mass where q has none
+    assert matrix[1, 0] == math.log(2.0)  # 0 * log 0 = 0
+    assert matrix[2, 0] == math.inf
+    assert (np.diag(matrix) == 0.0).all()
     assert not np.isnan(matrix).any()
 
 
 def test_kl_matrix_identical_rows_are_exactly_zero():
-    # H_i - P_i @ log Q_j does not cancel exactly on its own
-    rows = np.full((231, 231), 1.0 / 231)
-    assert np.all(kl_matrix(rows, rows) == 0.0)
+    # H_i - K_i @ log K_j does not cancel exactly on its own; 300 rows
+    # span two blocks
+    rows = np.full((300, 300), 1.0 / 300)
+    assert np.all(kl_matrix(rows) == 0.0)
 
 
 def test_kl_matrix_spans_several_row_blocks():
     rng = np.random.default_rng(3)
-    P = rng.dirichlet(np.ones(5), size=600)
-    Q = rng.dirichlet(np.ones(5), size=3)
-    matrix = kl_matrix(P, Q)
+    rows = rng.dirichlet(np.ones(5), size=600)
+    matrix = kl_matrix(rows)
     for i in (0, 255, 256, 599):
-        for j in range(3):
-            assert abs(matrix[i, j] - kl_divergence(P[i], Q[j])) <= 1e-12
+        for j in (0, 1, 300, 599):
+            assert abs(matrix[i, j] - kl_divergence(rows[i], rows[j])) <= 1e-12
 
 
-def test_kl_matrix_shape_mismatch():
-    with pytest.raises(InputError):
-        kl_matrix([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
-    with pytest.raises(InputError):
-        kl_matrix([0.5, 0.5], [0.5, 0.5])
-
-
-def sparse_rows(rng, rows, width):
+def sparse_kernel(rng, rows, width):
     """Random distributions with about a third of their entries zero."""
     raw = rng.dirichlet(np.ones(width), size=rows) * (rng.random((rows, width)) > 0.3)
     raw[raw.sum(axis=1) == 0, 0] = 1.0
@@ -223,60 +233,89 @@ def sparse_rows(rng, rows, width):
 
 def block_cases():
     rng = np.random.default_rng(8)
-    dense = rng.dirichlet(np.ones(5), size=600)
-    sparse = sparse_rows(rng, 700, 6)
-    repeated = np.repeat(rng.dirichlet(np.ones(4), size=3), 200, axis=0)
     return {
-        "dense": (dense, rng.dirichlet(np.ones(5), size=40)),
-        "zeros": (sparse, sparse_rows(rng, 90, 6)),
-        "identical": (repeated, repeated[::7]),
-        "uniform": (np.full((300, 300), 1.0 / 300),) * 2,
+        "dense": rng.dirichlet(np.ones(5), size=600),
+        "zeros": sparse_kernel(rng, 700, 6),
+        "identical": np.repeat(rng.dirichlet(np.ones(4), size=3), 200, axis=0),
+        "uniform": np.full((300, 300), 1.0 / 300),
     }
+
+
+def definition_kl_matrix(kernel):
+    """sum_w p_w log(p_w / q_w) over p_w > 0 for every row pair at once,
+    +inf where such a q_w is 0: rows x rows x width cells, so small
+    kernels only."""
+    p, q = kernel[:, None, :], kernel[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * np.log(p / q), 0.0).sum(axis=2)
 
 
 @pytest.mark.parametrize("case", list(block_cases()))
 def test_kl_row_blocks_concatenate_to_kl_matrix(case):
-    P, Q = block_cases()[case]
-    blocks = list(kl_row_blocks(P, Q))
-    assert [lo for lo, _ in blocks] == list(range(0, len(P), BLOCK_ROWS))
-    stacked = np.concatenate([block for _, block in blocks])
-    matrix = kl_matrix(P, Q)
-    assert stacked.shape == matrix.shape == (len(P), len(Q))
-    assert stacked.tobytes() == matrix.tobytes()
+    kernel = block_cases()[case]
+    matrix = kl_matrix(kernel)
+    assert matrix.shape == (len(kernel), len(kernel))
+    equal = (kernel[:, None, :] == kernel[None, :, :]).all(axis=2)
+    assert (matrix[equal] == 0.0).all()
+    if case == "uniform":
+        assert equal.all()
+        return
+    reference = definition_kl_matrix(kernel)
+    assert (np.isinf(matrix) == np.isinf(reference)).all()
+    finite = np.isfinite(reference)
+    assert np.abs(matrix[finite] - reference[finite]).max() <= 1e-12
     if case == "zeros":
         assert np.isinf(matrix).any()
-    if case in ("identical", "uniform"):
-        assert (matrix == 0.0).sum() >= len(P)
 
 
 def test_kl_matrix_of_no_rows():
-    Q = np.full((4, 3), 1.0 / 3)
-    assert list(kl_row_blocks(np.empty((0, 3)), Q)) == []
-    assert kl_matrix(np.empty((0, 3)), Q).shape == (0, 4)
+    assert list(kl_row_blocks(np.empty((0, 3)))) == []
 
 
-def test_kl_matrix_peak_memory_is_the_result_plus_one_block():
-    # P spans eight row blocks, so one block is an eighth of the result
-    rng = np.random.default_rng(9)
-    P = sparse_rows(rng, 8 * BLOCK_ROWS, 4)
-    Q = sparse_rows(rng, 2048, 4)
-    tracemalloc.start()
-    try:
-        result = kl_matrix(P, Q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.isinf(result).any()  # the support-mask path ran
-    assert peak < 1.5 * result.nbytes
+def test_equal_rows_on_either_side_of_a_block_boundary(tmp_path):
+    # a saved and reloaded kernel whose rows 255 and 256, the last of the
+    # first block and the first of the second, are equal
+    rng = np.random.default_rng(11)
+    kernel = rng.dirichlet(np.ones(5), size=num_types(2, 299))
+    kernel[256] = kernel[255]
+    path = str(tmp_path / "kernel.csv")
+    save_mechanism_csv(Mechanism(kernel, 2, 299, PrivacyParams.eps_dp(1.0)), path)
+    matrix = kl_matrix(load_mechanism_csv(path).kernel)
+    assert matrix[255, 256] == matrix[256, 255] == 0.0
+    assert (matrix == 0.0).sum() == len(kernel) + 2
 
 
-def test_logsumexp_values():
-    # row-wise, the one form per_dataset_kl_to_cover_mixture takes
-    a = np.log([[0.1, 0.2, 0.7], [0.5, 0.5, 1e-300]])
-    np.testing.assert_allclose(logsumexp(a), [0.0, 0.0], atol=1e-15)
-    assert logsumexp([[-math.inf, -math.inf]])[0] == -math.inf
-    assert math.isclose(logsumexp([[1000.0, 1000.0]])[0], 1000.0 + math.log(2.0),
-                        rel_tol=1e-15)
+def test_rows_equal_by_value_are_equal_across_signed_zeros():
+    # -0.0 == 0.0: the one row pair tobytes keys would tell apart. Here
+    # H - cross alone leaves a residue of about -9e-16 (OpenBLAS, x86-64)
+    rng = np.random.default_rng(12)
+    row = np.append(rng.dirichlet(np.ones(99)), 0.0)
+    kernel = np.vstack([row, row, rng.dirichlet(np.ones(100))])
+    kernel[1, -1] = -0.0
+    assert kernel[0].tobytes() != kernel[1].tobytes()
+    matrix = kl_matrix(kernel)
+    assert matrix[0, 1] == matrix[1, 0] == 0.0
+
+
+def test_distinct_rows_with_equal_sums_are_not_forced_to_zero():
+    kernel = np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]])
+    matrix = kl_matrix(kernel)
+    expected = kl_divergence([0.2, 0.8], [0.8, 0.2])
+    assert expected > 0.0
+    assert abs(matrix[0, 1] - expected) <= 1e-15
+    assert abs(matrix[1, 2] - expected) <= 1e-15
+    assert matrix[0, 2] == matrix[2, 0] == 0.0
+
+
+def test_a_key_tie_between_distinct_rows_is_confirmed_row_by_row(monkeypatch):
+    # every row keyed alike: the ids must still come from the values
+    rng = np.random.default_rng(13)
+    kernel = np.repeat(rng.dirichlet(np.ones(6), size=5), 70, axis=0)
+    rng.shuffle(kernel)
+    honest = kl_matrix(kernel)
+    monkeypatch.setattr(genbound.divergence_core, "_row_keys",
+                        lambda k: np.zeros(len(k), dtype=np.uint64))
+    assert kl_matrix(kernel).tobytes() == honest.tobytes()
 
 
 def test_reference_weighted_logsumexp_values():

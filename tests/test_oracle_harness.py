@@ -20,20 +20,16 @@ from genbound.covering import (
     build_full_grid_cover,
     build_simplex_grid_cover,
     optimal_grid_parameter,
-    typical_mass,
     verify_cover,
 )
-from genbound.divergence_core import kl_matrix
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import (
     ExperimentConfig,
     cover_for_bound,
     default_loss_table,
     exact_expected_gen_error,
-    exact_mutual_information,
     load_experiment_config,
     mc_expected_gen_error,
-    per_dataset_kl_to_cover_mixture,
     random_mechanism,
     run_verification,
 )
@@ -60,8 +56,6 @@ from divergence_reference import (
     MixtureSpec,
     kl_divergence,
     mixture_distribution,
-    mixture_kl_bound_logsumexp,
-    mixture_kl_bound_min,
 )
 from config_reference import reference_configs
 from lattice_reference import enumerate_types, type_index, type_probability
@@ -112,7 +106,7 @@ def test_type_distribution_sums_to_one():
 
 def test_identity_mechanism_mi_is_type_entropy():
     config = small_identity_config()
-    mi = exact_mutual_information(config)
+    mi = run_verification(config).exact_mi
     entropy = -math.fsum(
         math.comb(4, c) / 16 * math.log(math.comb(4, c) / 16) for c in range(5)
     )
@@ -126,7 +120,7 @@ def test_input_independent_mechanism_has_zero_mi():
         mechanism=uniform_mechanism(2, 6),
         loss_table=default_loss_table(2, 6), seed=0, mc_samples=100,
     )
-    assert exact_mutual_information(config) == 0.0
+    assert run_verification(config).exact_mi == 0.0
 
 
 def test_input_independent_kernel_reads_exactly_zero():
@@ -138,7 +132,6 @@ def test_input_independent_kernel_reads_exactly_zero():
                             PrivacyParams.mu_gdp(0.2)),
         loss_table=default_loss_table(2, 150), seed=0, mc_samples=100,
     )
-    assert exact_mutual_information(config) == 0.0
     assert exact_expected_gen_error(config) == 0.0
     report = run_verification(config)
     assert report.exact_mi == 0.0 and report.exact_gen_error == 0.0
@@ -178,6 +171,13 @@ def decimal_exponential_kl_m2(n, probs, epsilon):
         return expected_kl(marginal), expected_kl(mixture)
 
 
+def expected_kl_by_rows(kernel, p_types, target):
+    """sum_s P(s) KL(K_s || target), one-row reference by row: the
+    per-row route the chain rule's two sums are checked against."""
+    return math.fsum(float(p) * kl_divergence(row, target)
+                     for p, row in zip(p_types, kernel) if p > 0)
+
+
 def underflow_config(n, source, epsilon):
     return ExperimentConfig(
         source=SourceDistribution(source),
@@ -193,18 +193,16 @@ def test_mi_survives_an_underflowed_marginal():
     config = underflow_config(250, [0.05, 0.95], 30.0)
     p_types = type_probabilities(type_counts(2, 250), config.source)
     assert (p_types @ config.mechanism.kernel == 0.0).any()
-    mi = exact_mutual_information(config)
-    reference = decimal_exponential_kl_m2(250, (0.05, 0.95), 30.0)[0]
-    assert abs(mi - reference) <= 1e-12 * reference
     report = run_verification(config)
-    assert report.exact_mi == mi and report.all_pass, report.violations
+    reference = decimal_exponential_kl_m2(250, (0.05, 0.95), 30.0)[0]
+    assert abs(report.exact_mi - reference) <= 1e-12 * reference
+    assert report.all_pass, report.violations
 
 
 def test_mi_of_an_underflowed_marginal_stays_within_its_cap():
-    config = underflow_config(800, [0.1, 0.9], 4.0)
-    mi = exact_mutual_information(config)
-    assert 0.0 < mi <= math.log(801)
-    assert run_verification(config).all_pass
+    report = run_verification(underflow_config(800, [0.1, 0.9], 4.0))
+    assert 0.0 < report.exact_mi <= math.log(801)
+    assert report.all_pass
 
 
 @pytest.mark.parametrize("n, probs, epsilon", [
@@ -223,8 +221,8 @@ def test_chain_rule_matches_the_decimal_reference(n, probs, epsilon):
     assert abs(report.exact_mi - mi) <= 5e-14
     cover = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, n)
     p_types = type_probabilities(type_counts(2, n), config.source)
-    kls = kl_matrix(config.mechanism.kernel, _cover_mixture(config, cover)[None, :])
-    per_row = math.fsum(float(p) * kl for p, kl in zip(p_types, kls[:, 0]) if p > 0)
+    per_row = expected_kl_by_rows(config.mechanism.kernel, p_types,
+                                  _cover_mixture(config, cover))
     assert (abs(report.comparison_values[BoundId.TYPE_COUNT] - type_count)
             <= abs(per_row - type_count) + 1e-15)
 
@@ -241,9 +239,8 @@ def test_mi_keeps_the_plain_marginal_where_nothing_underflows(make_config):
                              source=SourceDistribution(probs))
         p_types = type_probabilities(type_counts(m, n), config.source)
         kernel = config.mechanism.kernel
-        kls = kl_matrix(kernel, (p_types @ kernel)[None, :])[:, 0]
-        per_row = math.fsum(float(p) * kl for p, kl in zip(p_types, kls) if p > 0)
-        assert abs(exact_mutual_information(config) - per_row) <= 1e-14, (m, n)
+        per_row = expected_kl_by_rows(kernel, p_types, p_types @ kernel)
+        assert abs(run_verification(config).exact_mi - per_row) <= 1e-14, (m, n)
 
 
 def test_only_rows_of_positive_probability_reach_a_target_zero():
@@ -251,7 +248,7 @@ def test_only_rows_of_positive_probability_reach_a_target_zero():
     # +inf, which counts only if the row has positive probability
     kernel = np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.0, 0.5, 0.5]])
     target = np.array([0.375, 0.625, 0.0])
-    per_row = kl_matrix(kernel, target[None, :])[:, 0]
+    per_row = [kl_divergence(row, target) for row in kernel]
     assert per_row[2] == math.inf
     sums = _KernelSums(kernel, np.array([0.5, 0.5, 0.0]))
     assert math.isclose(sums.expected_kl(target),
@@ -279,9 +276,6 @@ def test_one_entropy_pass_and_one_identical_rows_scan_per_run(make_config,
     run_verification(config)
     assert len(builds) >= 3
     assert sorted(calls) == ["_neg_conditional_entropy", "_rows_identical"]
-    calls.clear()
-    exact_mutual_information(config)
-    assert sorted(calls) == ["_neg_conditional_entropy", "_rows_identical"]
 
 
 def test_identical_rows_rule_reads_every_block(block_rows):
@@ -295,7 +289,7 @@ def test_identical_rows_rule_reads_every_block(block_rows):
         loss_table=default_loss_table(2, 9), seed=0, mc_samples=100,
     )
     block_rows(3)
-    assert exact_mutual_information(config) > 0.0
+    assert run_verification(config).exact_mi > 0.0
     assert exact_expected_gen_error(config) != 0.0
 
 
@@ -402,10 +396,9 @@ def test_run_verification_builds_one_type_distribution(make_config, monkeypatch)
     monkeypatch.setattr(genbound.types_core, "type_log_probabilities", counting)
     for config in (make_config(alphabet_size=3, n=6, epsilon=0.5),
                    underflow_config(250, [0.05, 0.95], 30.0)):
-        for call in (run_verification, exact_mutual_information):
-            calls.clear()
-            call(config)
-            assert calls == [num_types(config.alphabet_size, config.n)], call
+        calls.clear()
+        run_verification(config)
+        assert calls == [num_types(config.alphabet_size, config.n)]
 
 
 def test_run_verification_builds_each_cover_once(monkeypatch):
@@ -431,7 +424,7 @@ def test_run_verification_builds_each_cover_once(monkeypatch):
 
 def test_mi_never_exceeds_output_entropy_cap(make_config):
     config = make_config(alphabet_size=2, n=10, epsilon=0.8)
-    mi = exact_mutual_information(config)
+    mi = run_verification(config).exact_mi
     assert 0.0 <= mi <= math.log(config.mechanism.hypothesis_count)
 
 
@@ -446,61 +439,8 @@ def test_mi_equals_expected_kl_to_exact_marginal(make_config):
         float(p) * kl_divergence(row, marginal)
         for p, row in zip(p_types, config.mechanism.kernel) if p > 0
     )
-    mi = exact_mutual_information(config)
+    mi = run_verification(config).exact_mi
     assert math.isclose(expected_kl, mi, abs_tol=1e-10)
-
-
-def test_per_dataset_kl_rows(make_config):
-    config = make_config(alphabet_size=2, n=6, epsilon=0.5)
-    cover = cover_for_bound(
-        BoundId.DP_GRID, PrivacyParams.eps_dp(0.5), 2, 6
-    )
-    rows = per_dataset_kl_to_cover_mixture(config, cover)
-    assert rows.counts.shape == (num_types(2, 6), 2)
-    for column in (rows.exact_kl, rows.bound_logsumexp, rows.bound_min):
-        assert column.shape == (num_types(2, 6),) and not column.flags.writeable
-    assert (rows.exact_kl <= rows.bound_logsumexp + 1e-10).all()
-    assert (rows.bound_logsumexp <= rows.bound_min + 1e-10).all()
-
-
-def test_per_dataset_kl_sandwich_on_random_kernels():
-    # exact <= log-sum-exp <= min on every row of every count-based
-    # bound's cover, from the package's own matrix path
-    rng = np.random.default_rng(20261019)
-    checked, single_center = set(), 0
-    for trial in range(30):
-        m = int(rng.integers(2, 4))
-        n = int(rng.integers(2, 9))
-        hypotheses = int(rng.integers(2, 13))
-        mech = random_mechanism(m, n, hypotheses, seed=int(rng.integers(0, 2**31)))
-        config = ExperimentConfig(
-            source=SourceDistribution.uniform(m), mechanism=mech,
-            loss_table=np.zeros((hypotheses, m)), seed=0, mc_samples=100,
-        )
-        declarations = (PrivacyParams.eps_dp(float(rng.uniform(0.05, 3.0))),
-                        PrivacyParams.mu_gdp(float(rng.uniform(0.05, 3.0))))
-        for bid in BoundId:
-            for privacy in declarations:
-                try:
-                    cover = cover_for_bound(bid, privacy, m, n)
-                except InputError:
-                    continue  # no cover, or one for the other privacy kind
-                checked.add(bid)
-                rows = per_dataset_kl_to_cover_mixture(config, cover)
-                where = (trial, bid, privacy)
-                assert (rows.exact_kl <= rows.bound_logsumexp + 1e-10).all(), where
-                assert (rows.bound_logsumexp <= rows.bound_min + 1e-10).all(), where
-                if len(cover.centers) == 1:
-                    single_center += 1
-                    np.testing.assert_allclose(
-                        rows.bound_logsumexp, rows.exact_kl, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(
-                        rows.bound_min, rows.exact_kl, rtol=0, atol=1e-12)
-    assert checked == {BoundId.TYPE_COUNT, BoundId.DP_GRID, BoundId.GDP_GRID,
-                       BoundId.DP_SIMPLEX_LOW, BoundId.DP_SIMPLEX_MID,
-                       BoundId.GDP_SIMPLEX_LOW, BoundId.GDP_SIMPLEX_MID,
-                       BoundId.SIMPLEX_ANY}
-    assert single_center > 0
 
 
 def test_exactly_the_count_based_bounds_have_a_cover():
@@ -522,42 +462,6 @@ def test_exactly_the_count_based_bounds_have_a_cover():
         else:
             with pytest.raises(InputError, match="no cover construction"):
                 cover_for_bound(bid, privacy, 3, 6)
-
-
-@pytest.mark.parametrize("bound_id, privacy", [
-    (BoundId.DP_GRID, PrivacyParams.eps_dp(0.5)),
-    (BoundId.DP_SIMPLEX_MID, PrivacyParams.eps_dp(0.5)),
-    (BoundId.TYPE_COUNT, PrivacyParams.none()),
-])
-def test_per_dataset_kl_matches_scalar_bounds(make_config, bound_id, privacy):
-    config = make_config(alphabet_size=3, n=6, epsilon=0.5)
-    cover = cover_for_bound(bound_id, privacy, 3, 6)
-    kernel = config.mechanism.kernel
-    centers = [kernel[type_index(c)] for c in cover.centers.tolist()]
-    mix = MixtureSpec(centers, [1.0 / len(centers)] * len(centers))
-    mixture = mixture_distribution(mix)
-    rows = per_dataset_kl_to_cover_mixture(config, cover)
-    types = enumerate_types(3, 6)
-    assert [tuple(row) for row in rows.counts.tolist()] == types
-    for i, s in enumerate(types):
-        p = kernel[type_index(s)]
-        assert abs(rows.exact_kl[i] - kl_divergence(p, mixture)) <= 1e-12
-        assert abs(rows.bound_logsumexp[i] - mixture_kl_bound_logsumexp(p, mix)) <= 1e-12
-        assert abs(rows.bound_min[i] - mixture_kl_bound_min(p, mix)) <= 1e-12
-
-
-def test_per_dataset_kl_infinite_rows_match_scalar():
-    # identity kernel: a row off every center's support is +inf in all three
-    config = small_identity_config(alphabet_size=2, n=4)
-    cover = cover_for_bound(BoundId.DP_SIMPLEX_LOW, PrivacyParams.eps_dp(0.5), 2, 4)
-    kernel = config.mechanism.kernel
-    mix = MixtureSpec([kernel[type_index(c)] for c in cover.centers.tolist()], [1.0])
-    rows = per_dataset_kl_to_cover_mixture(config, cover)
-    for i, s in enumerate(rows.counts.tolist()):
-        p = kernel[type_index(s)]
-        assert rows.exact_kl[i] == kl_divergence(p, mixture_distribution(mix))
-        assert rows.bound_logsumexp[i] == mixture_kl_bound_logsumexp(p, mix)
-        assert rows.bound_min[i] == mixture_kl_bound_min(p, mix)
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
@@ -609,10 +513,10 @@ def certify_seed1_configs():
     *certify_seed1_configs().values(), *reference_configs().values(),
 ], ids=[*certify_seed1_configs(), *reference_configs()])
 def test_per_dataset_exact_column_sums_to_the_comparison(config):
-    # the exact column is the per-row KL to the one cover mixture, and its
-    # P-weighted sum is, to rounding, the chain-rule value run_verification
-    # compares each count-based bound against; both read exactly 0.0 for
-    # a kernel whose rows are all the same
+    # the per-dataset KL of each row to the one cover mixture, one-row
+    # reference by row, P-weighted, is to rounding the chain-rule value
+    # run_verification compares each count-based bound against, which
+    # reads exactly 0.0 for a kernel whose rows are all the same
     report = run_verification(config)
     m, n, privacy = config.alphabet_size, config.n, config.mechanism.privacy
     p_types = type_probabilities(type_counts(m, n), config.source)
@@ -624,45 +528,19 @@ def test_per_dataset_exact_column_sums_to_the_comparison(config):
             cover = cover_for_bound(bid, privacy, m, n)
         except InputError:
             continue  # typical and conversion rows are not cover-based
-        rows = per_dataset_kl_to_cover_mixture(config, cover)
+        total = expected_kl_by_rows(kernel, p_types, _cover_mixture(config, cover))
         if identical:
-            assert not rows.exact_kl.any() and report.comparison_values[bid] == 0.0
-        else:
-            per_row = kl_matrix(kernel, _cover_mixture(config, cover)[None, :])
-            assert rows.exact_kl.tobytes() == per_row[:, 0].tobytes(), bid
-        total = math.fsum(float(p) * kl for p, kl in zip(p_types, rows.exact_kl) if p > 0)
+            assert report.comparison_values[bid] == 0.0
         assert abs(total - report.comparison_values[bid]) <= 1e-14, bid
         checked += 1
     assert checked > 0
 
 
-def test_per_dataset_kl_rejects_mismatched_cover(make_config):
-    config = make_config(alphabet_size=2, n=6, epsilon=0.5)
-    other = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, 8)
-    with pytest.raises(InputError):
-        per_dataset_kl_to_cover_mixture(config, other)
-
-
-def test_per_dataset_kl_respects_the_cell_budget(make_config, monkeypatch):
-    # T = 5 count vectors against the 5 centers of the type-count cover
-    config = make_config(alphabet_size=2, n=4)
-    cover = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, 4)
-    assert len(cover.centers) == 5
-    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 25)
-    assert per_dataset_kl_to_cover_mixture(config, cover).counts.shape == (5, 2)
-    monkeypatch.setattr(genbound.privacy_mechanisms, "KERNEL_CELL_BUDGET", 24)
-    with pytest.raises(ResourceLimitError,
-                       match="T=5 .* 5 cover centers .* budget of 24 cells"):
-        per_dataset_kl_to_cover_mixture(config, cover)
-
-
 @pytest.mark.parametrize("call", [
-    lambda config, cover: exact_mutual_information(config),
     lambda config, cover: exact_expected_gen_error(config),
     lambda config, cover: mc_expected_gen_error(config),
     lambda config, cover: run_verification(config),
     lambda config, cover: verify_cover(cover),
-    lambda config, cover: typical_mass(config.source, 4, 0.2),
     lambda config, cover: verify_kl_stability(config.mechanism),
     lambda config, cover: exponential_mechanism_over_types(2, 4, 0.5),
     lambda config, cover: identity_mechanism(2, 4),
@@ -670,9 +548,8 @@ def test_per_dataset_kl_respects_the_cell_budget(make_config, monkeypatch):
     lambda config, cover: random_mechanism(2, 4, 3, seed=1),
     lambda config, cover: default_loss_table(2, 4),
 ], ids=[
-    "exact_mutual_information", "exact_expected_gen_error",
-    "mc_expected_gen_error", "run_verification", "verify_cover",
-    "typical_mass", "verify_kl_stability", "exponential_mechanism",
+    "exact_expected_gen_error", "mc_expected_gen_error", "run_verification",
+    "verify_cover", "verify_kl_stability", "exponential_mechanism",
     "identity_mechanism", "uniform_mechanism", "random_mechanism",
     "default_loss_table",
 ])

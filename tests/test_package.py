@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,31 +21,61 @@ from genbound.covering import CoverKind
 
 PUBLIC_NAMES = [
     "BoundId", "BoundReport", "CoverKind", "CoverSpec", "ExperimentConfig",
-    "GenboundError", "InputError", "Mechanism", "PrivacyKind", "PrivacyParams",
-    "ResourceLimitError", "SourceDistribution", "asymptotic_report",
-    "best_bound", "build_full_grid_cover", "build_simplex_grid_cover",
-    "build_typical_cover", "catalog_entries", "exact_expected_gen_error",
-    "exact_mutual_information", "exponential_mechanism_over_types",
+    "GenboundError", "InputError", "Mechanism", "PrivacyKind",
+    "PrivacyParams", "ResourceLimitError", "SourceDistribution",
+    "asymptotic_report", "best_bound", "build_full_grid_cover",
+    "build_simplex_grid_cover", "build_typical_cover", "catalog_entries",
+    "exact_expected_gen_error", "exponential_mechanism_over_types",
     "gdp_param_noisy_sgd", "gen_error_from_mi", "identity_mechanism",
     "kl_bound_cover_dp", "kl_bound_cover_gdp", "kl_bound_refined",
-    "kl_bound_simple", "kl_matrix", "kl_stability_bound",
-    "load_experiment_config", "mc_expected_gen_error", "mi_bound_typical",
-    "num_types", "optimal_grid_parameter", "pac_bayes_gen_bound",
-    "per_dataset_kl_to_cover_mixture", "run_verification",
+    "kl_bound_simple", "kl_stability_bound", "load_experiment_config",
+    "mc_expected_gen_error", "mi_bound_typical", "num_types",
+    "optimal_grid_parameter", "pac_bayes_gen_bound", "run_verification",
     "sigma_sub_gaussian", "simplex_hypercube_count", "typical_epsilon",
-    "typical_mass", "verify_cover", "verify_kl_stability",
+    "verify_cover", "verify_kl_stability",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 44 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 40 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert genbound.__all__ == PUBLIC_NAMES
 
 
 def test_divergence_core_exports_only_the_matrix_layer():
-    assert sorted(genbound.divergence_core.__all__) == [
-        "kl_matrix", "kl_row_blocks", "logsumexp",
-    ]
+    # the audit's KL between kernel rows, and nothing the package
+    # re-exports
+    assert genbound.divergence_core.__all__ == ["kl_row_blocks"]
+    assert not {"divergence_core"} & set(
+        genbound._MODULE_OF[name] for name in genbound.__all__)
+
+
+# a fresh interpreter runs one command, then says whether the KL layer
+# was loaded
+KL_LAYER_LOADED = """
+import sys
+from genbound.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print("genbound.divergence_core" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["verify-mi", "--config", "exp.cfg"], False),
+    (["simulate", "--config", "exp.cfg"], False),
+    (["stability", "--alphabet-size", "2", "--n", "6", "--epsilon", "0.5"], True),
+], ids=["verify-mi", "simulate", "stability"])
+def test_only_the_audit_loads_the_kl_layer(tmp_path, args, loaded):
+    (tmp_path / "exp.cfg").write_text(
+        "alphabet_size = 2\nn = 6\nsource = 0.5, 0.5\n"
+        "mechanism = exponential\nepsilon = 0.5\nmc_samples = 200\n")
+    src = str(Path(genbound.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", KL_LAYER_LOADED, *args],
+                         capture_output=True, text=True, check=True, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.splitlines()[-1] == str(loaded)
 
 
 @pytest.mark.parametrize("layer", [

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genbound.privacy_mechanisms
-from genbound.divergence_core import kl_matrix
+from genbound.divergence_core import kl_row_blocks
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import random_mechanism
 from genbound.privacy_mechanisms import (
@@ -29,7 +29,6 @@ from genbound.privacy_mechanisms import (
     verify_kl_stability,
 )
 from genbound.types_core import (
-    BLOCK_ROWS,
     distance_matrix,
     num_types,
     type_counts,
@@ -292,14 +291,13 @@ def test_audit_spans_several_row_blocks():
 
 def per_distance_stability_worst(mech):
     """Reference blocked audit: one masked argmax per distance per block
-    over the same kl_matrix and distance_matrix values, merged with a
+    over the same kl_row_blocks and distance_matrix values, merged with a
     strict > so an earlier block keeps a tie."""
     counts = type_counts(mech.alphabet_size, mech.n)
     total = counts.shape[0]
     worst = {}
-    for lo in range(0, total, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, total)
-        kl = kl_matrix(mech.kernel[lo:hi], mech.kernel)
+    for lo, kl in kl_row_blocks(mech.kernel):
+        hi = lo + len(kl)
         dist = distance_matrix(counts[lo:hi], counts)
         dist[np.arange(hi - lo), np.arange(lo, hi)] = -1  # skip i == j
         for k in np.flatnonzero(np.bincount(dist[dist > 0])).tolist():
@@ -330,6 +328,16 @@ def test_audit_matches_per_distance_reference_bitwise(mech):
         assert row.max_kl == reference[row.k][0]
         assert row.worst_pair == reference[row.k][1]
         assert row.passed == (row.max_kl <= row.bound + 1e-9)
+
+
+def test_audit_holds_one_log_of_the_kernel_and_a_few_blocks():
+    # T = 2000 at m2 n1999, so a 256-row block is an eighth of the kernel;
+    # the kernel is built before tracing starts. Row ids keyed by each
+    # row's bytes held a second copy of the kernel, 2.53x in all
+    mech = exponential_mechanism_over_types(2, 1999, 0.5)
+    report, peak = traced_peak(lambda: verify_kl_stability(mech))
+    assert report.passed
+    assert peak <= 1.75 * mech.kernel.nbytes
 
 
 def test_audit_catches_a_false_claim():

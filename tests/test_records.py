@@ -12,7 +12,7 @@ import pytest
 
 from genbound.bounds_catalog import BoundId, BoundReport, CatalogEntry
 from genbound.covering import CoverKind, CoverSpec, CoverVerification, GridParameter
-from genbound.oracle_harness import McResult, PerDatasetKl, VerificationReport
+from genbound.oracle_harness import McResult, VerificationReport
 from genbound.privacy import PrivacyKind, PrivacyParams
 from genbound.privacy_mechanisms import StabilityReport, StabilityRow
 from genbound.types_core import type_rank
@@ -34,10 +34,6 @@ RECORDS = [
     (CoverVerification, {"achieved_radius": 1, "certified_radius": 1.25,
                          "verified": True, "checked_vectors": 4, "worst": (1, 2)}, {}),
     (GridParameter, {"t": 3, "clamped": False, "raw_value": 2.8}, {}),
-    (PerDatasetKl, {"counts": np.array([[1, 2], [3, 0]]),
-                    "exact_kl": np.array([0.1, 0.2]),
-                    "bound_logsumexp": np.array([0.2, 0.3]),
-                    "bound_min": np.array([0.3, np.inf])}, {}),
     (McResult, {"estimate": 0.01, "standard_error": 0.001, "samples": 100}, {}),
     (VerificationReport, {"exact_mi": 0.1, "exact_gen_error": 0.01,
                           "sigma": 0.5, "gen_bound": 0.2,
