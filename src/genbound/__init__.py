@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "bounds_catalog": (
         "BoundId", "BoundReport",
-        "asymptotic_report", "best_bound", "catalog_entries",
+        "asymptotic_report", "catalog_entries",
         "gen_error_from_mi", "kl_bound_cover_dp", "kl_bound_cover_gdp",
         "kl_bound_refined", "kl_bound_simple", "mi_bound_typical",
         "pac_bayes_gen_bound",

@@ -9,7 +9,7 @@ MI-to-generalization and a PAC-Bayes high-probability variant).
 
 A BoundReport is self-describing: value, applicability, the regime that
 produced it, and whether it is asymptotic-only. Asymptotic-only reports
-are never used in certification and never compete in best_bound.
+are never used in certification.
 
 The module needs nothing beyond the standard library. It re-exports
 PrivacyKind and PrivacyParams from genbound.privacy.
@@ -39,17 +39,12 @@ __all__ = [
     "pac_bayes_gen_bound",
     "asymptotic_report",
     "kl_candidates",
-    "best_bound",
     "catalog_entries",
 ]
 
 
 class BoundId(enum.Enum):
-    """Stable identifiers for every reported bound.
-
-    Declaration order of the twelve closed-form branches doubles as the
-    tie-break priority in best_bound.
-    """
+    """Stable identifiers for every reported bound."""
 
     TYPE_COUNT = "type_count"
     DP_GRID = "dp_grid"
@@ -354,38 +349,6 @@ def kl_candidates(
     if privacy.kind is not PrivacyKind.NONE and n >= 2:
         candidates.append(mi_bound_typical(privacy, alphabet_size, n))
     return candidates
-
-
-_ENUM_ORDER = {bid: i for i, bid in enumerate(BoundId)}
-
-
-def best_bound(
-    privacy: PrivacyParams, sigma: float, alphabet_size: int, n: int
-) -> BoundReport:
-    """Smallest certified generalization bound across applicable branches.
-
-    Converts each applicable non-asymptotic KL/MI branch through
-    gen_error_from_mi and returns the minimum; ties go to the branch
-    declared earliest in BoundId.
-    """
-    _check_sigma(sigma)
-    candidates = [c for c in kl_candidates(privacy, alphabet_size, n) if c.applicable]
-    best = None
-    best_gen = math.inf
-    for cand in sorted(candidates, key=lambda c: _ENUM_ORDER[c.bound_id]):
-        gen = gen_error_from_mi(sigma, n, cand.value)
-        if gen < best_gen:
-            best, best_gen = cand, gen
-    assert best is not None  # type_count is always applicable
-    return BoundReport(
-        best.bound_id,
-        best_gen,
-        applicable=True,
-        regime_note=(
-            f"smallest generalization bound among {len(candidates)} applicable "
-            f"branches; source value {best.value!r} nats"
-        ),
-    )
 
 
 class CatalogEntry(Record):

@@ -10,7 +10,12 @@ row always, and LF line endings.
 Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
 (including an exceeded enumeration cap, which the message names, an
 input file that cannot be read as UTF-8 text, and every usage error the
-option parser reports).
+option parser reports). A command returns its status, 1 after printing
+why its check failed; main maps InputError and ResourceLimitError to
+"error: ..." and 2, and raises SystemExit for a nonzero status, in
+process too. The program is run(): main(), a flush of both streams and
+os._exit, which skips the interpreter's teardown and its final garbage
+collection over every object numpy and the layers made at import.
 
 Options are parsed with the standard library's argparse. Each subcommand
 imports the layers it needs in its own body, and the layers import the
@@ -44,10 +49,7 @@ doing the work.
 from __future__ import annotations
 
 import argparse
-import atexit
 import csv
-import functools
-import gc
 import io
 import math
 import os
@@ -55,13 +57,7 @@ import sys
 
 from .errors import InputError, ResourceLimitError
 
-__all__ = ["main"]
-
-# A run is one command and then exit. Freezing the heap at exit keeps the
-# interpreter's final collection from walking every object numpy and the
-# layers created at import (tens of milliseconds); collection runs as
-# usual while a command works, and in-process callers are unaffected.
-atexit.register(gc.freeze)
+__all__ = ["main", "run"]
 
 
 class UsageError(Exception):
@@ -122,11 +118,10 @@ class Group:
     def __call__(self, args: list[str] | None = None,
                  prog_name: str | None = None,
                  standalone_mode: bool = True) -> None:
-        """Parse `args` (default: the command line) and run the command.
-
-        Usage errors print to stderr and exit 2. In standalone mode a
-        successful run also ends with exit status 0; otherwise it returns.
-        Standalone mode also sets the OpenBLAS thread timeout default.
+        """Parse `args` (default: the command line), run the command and
+        raise SystemExit with its status unless that is 0. Standalone mode
+        raises SystemExit(0) too, and sets the OpenBLAS thread timeout
+        default.
         """
         if standalone_mode:
             os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
@@ -138,11 +133,14 @@ class Group:
         if extra:  # reported with the subcommand's usage, not the program's
             by_name[name].error(f"unrecognized arguments: {' '.join(extra)}")
         try:
-            self.commands[name].callback(**namespace)
+            status = self.commands[name].callback(**namespace) or 0
         except UsageError as exc:
             by_name[name].error(str(exc))
-        if standalone_mode:
-            sys.exit(0)
+        except (InputError, ResourceLimitError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+        if status or standalone_mode:
+            raise SystemExit(status)
 
 
 def option(*flags: str, **kwargs) -> tuple:
@@ -218,22 +216,6 @@ def _emit(text: str, output: str | None) -> None:
         fh.write(text)
 
 
-def _fail(message: str, code: int) -> None:
-    print(message, file=sys.stderr)
-    sys.exit(code)
-
-
-def _translate_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InputError, ResourceLimitError) as exc:
-            _fail(f"error: {exc}", 2)
-
-    return wrapper
-
-
 def _privacy_from_flags(epsilon: float | None, mu: float | None):
     from .privacy import PrivacyParams
 
@@ -261,7 +243,6 @@ main = Group("Certified generalization bounds for finite-alphabet mechanisms.")
            help="Failure probability for an extra PAC-Bayes row."),
     OUTPUT,
 )
-@_translate_errors
 def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
     """Evaluate every bound branch for one parameter point."""
     from .bounds_catalog import (
@@ -328,8 +309,7 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
            help="Comma-separated probabilities (typical covers; default uniform)."),
     OUTPUT,
 )
-@_translate_errors
-def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
+def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> int | None:
     """Build one cover and verify its certified radius exhaustively."""
     if source_text is not None and kind != "typical_grid":
         raise UsageError(f"--source applies only to --kind typical_grid, not {kind}")
@@ -368,11 +348,10 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
           cover.certified_radius, check.achieved_radius, check.verified]],
     ), output)
     if not check.verified:
-        _fail(
-            f"cover verification failed: achieved radius {check.achieved_radius} "
-            f"exceeds certified {cover.certified_radius!r} at count vector "
-            f"{check.worst}", 1,
-        )
+        print(f"cover verification failed: achieved radius {check.achieved_radius} "
+              f"exceeds certified {cover.certified_radius!r} at count vector "
+              f"{check.worst}", file=sys.stderr)
+        return 1
 
 
 @main.command(
@@ -385,8 +364,7 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> None:
            metavar="FILE", help="Audit a saved kernel instead."),
     OUTPUT,
 )
-@_translate_errors
-def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
+def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> int | None:
     """Audit a mechanism's KL stability at every replacement distance."""
     if (epsilon is None) == (mechanism_path is None):
         raise UsageError("pass exactly one of --epsilon or --mechanism")
@@ -425,10 +403,10 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> None:
                        f"floating point,")
         else:
             exceeds = f"exceeds bound {worst.bound!r}"
-        _fail(
-            f"stability audit failed at distance {worst.k}: observed KL "
-            f"{worst.max_kl!r} {exceeds} for count vectors {first} -> {second}", 1,
-        )
+        print(f"stability audit failed at distance {worst.k}: observed KL "
+              f"{worst.max_kl!r} {exceeds} for count vectors {first} -> {second}",
+              file=sys.stderr)
+        return 1
 
 
 def _verification_records(report) -> list[dict]:
@@ -455,8 +433,7 @@ FORMAT = option("--format", dest="fmt", choices=["csv", "jsonl"], default="csv")
 
 
 @main.command("verify-mi", CONFIG, FORMAT, OUTPUT)
-@_translate_errors
-def verify_mi_cmd(config_path, fmt, output) -> None:
+def verify_mi_cmd(config_path, fmt, output) -> int | None:
     """Certify every applicable bound against exact quantities."""
     from .oracle_harness import load_experiment_config, run_verification
 
@@ -471,7 +448,8 @@ def verify_mi_cmd(config_path, fmt, output) -> None:
         text = _jsonl_text(records)
     _emit(text, output)
     if not report.all_pass:
-        _fail("verification failed: " + ", ".join(report.violations), 1)
+        print("verification failed: " + ", ".join(report.violations), file=sys.stderr)
+        return 1
 
 
 @main.command(
@@ -482,8 +460,7 @@ def verify_mi_cmd(config_path, fmt, output) -> None:
     FORMAT,
     OUTPUT,
 )
-@_translate_errors
-def simulate_cmd(config_path, workers, fmt, output) -> None:
+def simulate_cmd(config_path, workers, fmt, output) -> int | None:
     """Monte-Carlo estimate of the generalization error vs. the exact value."""
     from .oracle_harness import (
         exact_expected_gen_error,
@@ -515,14 +492,12 @@ def simulate_cmd(config_path, workers, fmt, output) -> None:
         text = _jsonl_text([record])
     _emit(text, output)
     if not within:
-        _fail(
-            f"simulation inconsistent with exact value: |{result.estimate!r} - "
-            f"{exact!r}| > 4 * {result.standard_error!r}", 1,
-        )
+        print(f"simulation inconsistent with exact value: |{result.estimate!r} - "
+              f"{exact!r}| > 4 * {result.standard_error!r}", file=sys.stderr)
+        return 1
 
 
 @main.command("catalog", OUTPUT)
-@_translate_errors
 def catalog_cmd(output) -> None:
     """List every implemented bound branch with formula and regime."""
     from .bounds_catalog import catalog_entries
@@ -554,5 +529,26 @@ def catalog_cmd(output) -> None:
     _emit("\n".join(lines) + "\n", output)
 
 
+def run() -> None:
+    """The program: main() on the command line, then flush stdout and
+    stderr and os._exit with the status. A stream that cannot be flushed
+    gives status 120, as the interpreter's own exit does; stdout's error
+    is reported on stderr."""
+    try:
+        main()
+    except SystemExit as exc:
+        status = exc.code or 0
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        status = 120
+    try:
+        sys.stderr.flush()
+    except OSError:
+        status = 120
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    run()

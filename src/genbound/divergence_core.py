@@ -26,9 +26,13 @@ def _row_keys(kernel: np.ndarray) -> np.ndarray:
     """A uint64 key per row, equal for rows equal by value: each entry's
     bits (-0.0 read as 0.0) times a fixed odd multiplier per column,
     summed mod 2**64, which no summation order can change. Taken one
-    BLOCK_ROWS block at a time."""
-    multipliers = np.random.default_rng(0).integers(
-        1, 2**63, size=kernel.shape[1], dtype=np.uint64) | np.uint64(1)
+    BLOCK_ROWS block at a time. The multipliers are splitmix64's output
+    for the column index, so no random generator is loaded."""
+    z = np.arange(1, kernel.shape[1] + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    multipliers = (z ^ (z >> np.uint64(31))) | np.uint64(1)
     keys = np.empty(kernel.shape[0], dtype=np.uint64)
     for lo in range(0, kernel.shape[0], BLOCK_ROWS):
         bits = (kernel[lo:lo + BLOCK_ROWS] + 0.0).view(np.uint64)

@@ -258,7 +258,7 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
 
     Covers all ordered row pairs (KL is asymmetric), one kl_row_blocks
     block at a time with one scatter-max by distance per block, so beyond
-    the kernel and its log it holds a block or two of KL values and
+    the kernel and its log it holds one block of KL values and
     distances.
     A distance passes when its worst observed KL is finite and stays
     within bound + SLACK_TOL: a finite declared parameter has a finite
@@ -289,6 +289,8 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
         better = block_max > max_kl  # strict: an earlier block keeps a tie
         max_kl[better] = block_max[better]
         witness[better] = lo * total + first[better]
+        # freed before kl_row_blocks computes the next block
+        del block, kl, dist, hits
     rows = []
     # with m >= 2 symbols every distance 1..n occurs; 0 is only i == j
     for k in range(1, mech.n + 1):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from genbound.bounds_catalog import (
     BoundId,
     asymptotic_report,
-    best_bound,
     catalog_entries,
     gen_error_from_mi,
     kl_bound_cover_dp,
@@ -183,21 +182,6 @@ def test_asymptotic_report_frozen_values():
 def test_asymptotic_report_flags_vacuous_log():
     by_id = {r.bound_id: r for r in asymptotic_report(1.0, 0.01, 2, 4)}
     assert math.isnan(by_id[BoundId.GEN_PRIVATE_ASYMPTOTIC].value)
-
-
-def test_best_bound_prefers_tighter_branch():
-    # at eps = 0.1, the grid-cover branch beats the universal count bound
-    report = best_bound(PrivacyParams.eps_dp(0.1), 1.0, 2, 50)
-    assert report.bound_id is BoundId.DP_GRID
-    expected = gen_error_from_mi(1.0, 50, kl_bound_cover_dp(0.1, 2, 50).value)
-    assert math.isclose(report.value, expected, rel_tol=1e-15)
-    assert repr(kl_bound_cover_dp(0.1, 2, 50).value) in report.regime_note
-
-
-def test_best_bound_without_privacy_uses_counting():
-    report = best_bound(PrivacyParams.none(), 1.0, 2, 50)
-    assert report.bound_id in (BoundId.TYPE_COUNT, BoundId.SIMPLEX_ANY)
-    assert report.applicable
 
 
 def test_gap_approaches_stirling_constant():

@@ -754,32 +754,89 @@ def test_help_names_every_option(runner, command):
         assert flags + ["--help"] == HELP_NAMES[command]
 
 
-def run_cli(*args, cwd=None):
-    """A fresh `python -m genbound.cli` process: exit code and stdout bytes."""
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
+    """A fresh `python -m genbound.cli` process with stdout block-buffered,
+    as by default: exit code, stdout bytes and stderr text."""
     src = os.path.dirname(os.path.dirname(genbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-m", "genbound.cli", *args],
-                          capture_output=True, cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=src))
-    return proc.returncode, proc.stdout
+                          stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def failing_inputs(tmp_path):
+    """A saved identity kernel that falsely declares 1.0-DP (its audit
+    exits 1) and a config that is not UTF-8 (exit 2)."""
+    liar = str(tmp_path / "liar.csv")
+    save_mechanism_csv(Mechanism(identity_mechanism(2, 4).kernel, 2, 4,
+                                 PrivacyParams.eps_dp(1.0)), liar)
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\n")
+    return liar, str(binary)
 
 
 def test_process_output_is_complete(runner, tmp_path):
-    """Output written before the exit-time heap freeze reaches its file or
-    pipe whole: byte-equal to an in-process run of the same command."""
-    bounds = ["bounds", "--alphabet-size", "3", "--n", "50", "--epsilon", "0.4",
-              "--sigma", "0.5", "--beta", "0.05", "--output"]
-    assert runner.invoke(main, bounds + [str(tmp_path / "a.csv")]).exit_code == 0
-    rc, stdout = run_cli(*bounds, str(tmp_path / "b.csv"))
-    assert (rc, stdout) == (0, b"")
-    expected = (tmp_path / "a.csv").read_bytes()
-    assert expected.endswith(b"\n")
-    assert expected.splitlines()[-1].startswith(b"pac_bayes_gen,")
-    assert (tmp_path / "b.csv").read_bytes() == expected
+    """A process's exit code, stdout bytes and stderr equal an in-process
+    run of the same command at statuses 0, 1 and 2, through a pipe and
+    with --output: run() flushes both streams before the process ends."""
+    liar, binary = failing_inputs(tmp_path)
+    piped = [
+        (["verify-mi", "--config", write_config(tmp_path, GOOD_CONFIG)], 0),
+        (["stability", "--mechanism", liar], 1),
+        (["verify-mi", "--config", binary], 2),
+    ]
+    for args, status in piped:
+        in_process = runner.invoke(main, args)
+        assert in_process.exit_code == status
+        assert run_cli(*args) == (status, in_process.stdout.encode(),
+                                  in_process.stderr)
 
-    verify = ["verify-mi", "--config", write_config(tmp_path, GOOD_CONFIG)]
-    in_process = runner.invoke(main, verify)
-    assert in_process.exit_code == 0
-    assert run_cli(*verify) == (0, in_process.stdout.encode())
+    bounds = ["bounds", "--alphabet-size", "3", "--n", "50", "--epsilon", "0.4",
+              "--sigma", "0.5", "--beta", "0.05"]
+    for args, status in [(bounds, 0), (["stability", "--mechanism", liar], 1)]:
+        in_process = runner.invoke(main, args + ["--output", str(tmp_path / "a")])
+        assert in_process.exit_code == status and in_process.stdout == ""
+        assert run_cli(*args, "--output", str(tmp_path / "b")) == (
+            status, b"", in_process.stderr)
+        expected = (tmp_path / "a").read_bytes()
+        assert expected.endswith(b"\n")
+        assert (tmp_path / "b").read_bytes() == expected
+    assert expected.count(b"\n") == 5  # the header and distances 1..4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unflushable_stdout_exits_120():
+    # the catalog fits stdout's buffer, so the write fails at the flush
+    with open("/dev/full", "wb") as full:
+        assert run_cli("catalog", stdout=full) == (
+            120, None, "error: cannot write stdout: No space left on device\n")
+
+
+def test_in_process_runs_return_or_raise_their_status(tmp_path):
+    liar, binary = failing_inputs(tmp_path)
+    assert main(["catalog", "--output", os.devnull],
+                standalone_mode=False) is None
+    for args, status in [(["stability", "--mechanism", liar], 1),
+                         (["verify-mi", "--config", binary], 2),
+                         (["stability"], 2)]:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                pytest.raises(SystemExit) as exc:
+            main(args, standalone_mode=False)
+        assert exc.value.code == status
+
+
+def test_cli_import_registers_no_exit_handler():
+    # the program ends through run(); a program that imports the CLI
+    # exits as it would without it
+    src = os.path.dirname(os.path.dirname(genbound.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import atexit; before = atexit._ncallbacks(); "
+         "import genbound.cli; print(atexit._ncallbacks() - before)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0\n"
 
 
 RUN_AND_LIST_MODULES = """
@@ -880,14 +937,15 @@ def test_each_command_loads_exactly_its_layers(tmp_path, args, layers):
     (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
       "--kind", "typical_grid"],
      {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma",
-      "fractions", "decimal", "genbound.bounds_catalog"}),
+      "numpy.random", "fractions", "decimal", "genbound.bounds_catalog"}),
     (["cover", "--alphabet-size", "3", "--n", "10", "--t", "3",
       "--kind", "full_grid"],
      {"genbound.oracle_harness", "genbound.privacy_mechanisms", "numpy.ma",
-      "fractions", "decimal", "genbound.bounds_catalog"}),
+      "numpy.random", "fractions", "decimal", "genbound.bounds_catalog"}),
     (["stability", "--alphabet-size", "3", "--n", "8", "--epsilon", "0.5"],
-     {"genbound.covering", "genbound.oracle_harness", "numpy.ma"}),
-    (["verify-mi", "--config", "exp.cfg"], {"numpy.ma", "fractions", "decimal"}),
+     {"genbound.covering", "genbound.oracle_harness", "numpy.ma", "numpy.random"}),
+    (["verify-mi", "--config", "exp.cfg"],
+     {"numpy.ma", "numpy.random", "fractions", "decimal"}),
 ], ids=["cover-typical", "cover-full", "stability", "verify-mi"])
 def test_array_commands_load_only_their_layers(tmp_path, args, absent):
     write_config(tmp_path, GOOD_CONFIG)

@@ -333,11 +333,13 @@ def test_audit_matches_per_distance_reference_bitwise(mech):
 def test_audit_holds_one_log_of_the_kernel_and_a_few_blocks():
     # T = 2000 at m2 n1999, so a 256-row block is an eighth of the kernel;
     # the kernel is built before tracing starts. Row ids keyed by each
-    # row's bytes held a second copy of the kernel, 2.53x in all
+    # row's bytes held a second copy of the kernel, 2.53x in all; keeping
+    # the last block's KL values and distances while the next block was
+    # computed held two blocks, 1.55x
     mech = exponential_mechanism_over_types(2, 1999, 0.5)
     report, peak = traced_peak(lambda: verify_kl_stability(mech))
     assert report.passed
-    assert peak <= 1.75 * mech.kernel.nbytes
+    assert peak < 1.5 * mech.kernel.nbytes
 
 
 def test_audit_catches_a_false_claim():
