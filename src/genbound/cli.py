@@ -9,13 +9,17 @@ row always, and LF line endings.
 
 Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
 (including an exceeded enumeration cap, which the message names, an
-input file that cannot be read as UTF-8 text, and every usage error the
-option parser reports). A command returns its status, 1 after printing
-why its check failed; main maps InputError and ResourceLimitError to
-"error: ..." and 2, and raises SystemExit for a nonzero status, in
-process too. The program is run(): main(), a flush of both streams and
-os._exit, which skips the interpreter's teardown and its final garbage
-collection over every object numpy and the layers made at import.
+input file that cannot be read as UTF-8 text, an --output file that
+cannot be opened or written, and every usage error the option parser
+reports), 120 a stdout that refused the report. A command returns its
+status, 1 after printing why its check failed; main maps InputError and
+ResourceLimitError to "error: ..." and 2, and raises SystemExit for a
+nonzero status, in process too. The program is run(): main(), a flush
+of both streams and os._exit, which skips the interpreter's teardown
+and its final garbage collection over every object numpy and the layers
+made at import. run() maps a stdout write that fails, in the command or
+in the flush, to the one line "error: cannot write stdout: ..." and 120,
+the interpreter's own status for it.
 
 Options are parsed with the standard library's argparse. Each subcommand
 imports the layers it needs in its own body, and the layers import the
@@ -204,16 +208,22 @@ def _jsonl_text(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class StdoutError(Exception):
+    """stdout refused a report; run() prints why and exits 120."""
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise StdoutError(exc.strerror) from None
         return
     try:
-        fh = open(output, "w", newline="")
+        with open(output, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write --output {output}: {exc.strerror}") from None
-    with fh:
-        fh.write(text)
 
 
 def _privacy_from_flags(epsilon: float | None, mu: float | None):
@@ -531,17 +541,21 @@ def catalog_cmd(output) -> None:
 
 def run() -> None:
     """The program: main() on the command line, then flush stdout and
-    stderr and os._exit with the status. A stream that cannot be flushed
-    gives status 120, as the interpreter's own exit does; stdout's error
-    is reported on stderr."""
+    stderr and os._exit with the status. A stdout that refuses the
+    command's report or the flush gives one stderr line and status 120,
+    as the interpreter's own exit does; an unflushable stderr gives 120
+    too."""
     try:
-        main()
-    except SystemExit as exc:
-        status = exc.code or 0
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        try:
+            main()
+        except SystemExit as exc:
+            status = exc.code or 0
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise StdoutError(exc.strerror) from None
+    except StdoutError as exc:  # the flush is not retried: one line only
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         status = 120
     try:
         sys.stderr.flush()

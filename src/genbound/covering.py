@@ -238,7 +238,7 @@ def _grid_cover(alphabet_size: int, n: int, t: int, kind: CoverKind) -> CoverSpe
     k = alphabet_size - 1
     # at t = 1 both grids are the one cell at the origin
     simplex = kind is CoverKind.SIMPLEX_GRID and t > 1
-    cells = math.comb(t + k - 1, k) if simplex else t**k
+    cells = simplex_hypercube_count(k, t) if simplex else t**k
     enforce_cap(cells, f"building {cells} grid cells ({kind.value}, alphabet "
                        f"size {alphabet_size}, t={t})")
     if simplex:

@@ -754,12 +754,15 @@ def test_help_names_every_option(runner, command):
         assert flags + ["--help"] == HELP_NAMES[command]
 
 
-def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE, unbuffered=False):
     """A fresh `python -m genbound.cli` process with stdout block-buffered,
-    as by default: exit code, stdout bytes and stderr text."""
+    as by default, or unbuffered: exit code, stdout bytes and stderr
+    text."""
     src = os.path.dirname(os.path.dirname(genbound.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run([sys.executable, "-m", "genbound.cli", *args],
                           stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=env)
     return proc.returncode, proc.stdout, proc.stderr.decode()
@@ -805,12 +808,36 @@ def test_process_output_is_complete(runner, tmp_path):
     assert expected.count(b"\n") == 5  # the header and distances 1..4
 
 
+NO_SPACE = "No space left on device"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_unflushable_stdout_exits_120():
     # the catalog fits stdout's buffer, so the write fails at the flush
     with open("/dev/full", "wb") as full:
         assert run_cli("catalog", stdout=full) == (
-            120, None, "error: cannot write stdout: No space left on device\n")
+            120, None, f"error: cannot write stdout: {NO_SPACE}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args, unbuffered", [
+    (["bounds", "--alphabet-size", "2", "--n", "10", "--sigma", "1"], True),
+    (["stability", "--alphabet-size", "3", "--n", "60", "--epsilon", "0.5"], True),
+    # 400 rows overflow stdout's buffer, so the report's write fails
+    (["stability", "--alphabet-size", "2", "--n", "400", "--epsilon", "0.5"], False),
+], ids=["bounds-unbuffered", "stability-unbuffered", "stability-large"])
+def test_stdout_refused_while_the_command_runs_exits_120(args, unbuffered):
+    # one line: the flush in run() does not report the refused write again
+    with open("/dev/full", "wb") as full:
+        assert run_cli(*args, stdout=full, unbuffered=unbuffered) == (
+            120, None, f"error: cannot write stdout: {NO_SPACE}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_file_refused_mid_write_exits_2():
+    assert run_cli("bounds", "--alphabet-size", "2", "--n", "10", "--sigma", "1",
+                   "--output", "/dev/full") == (
+        2, b"", f"error: cannot write --output /dev/full: {NO_SPACE}\n")
 
 
 def test_in_process_runs_return_or_raise_their_status(tmp_path):

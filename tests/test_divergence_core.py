@@ -286,7 +286,7 @@ def test_equal_rows_on_either_side_of_a_block_boundary(tmp_path):
 
 
 def test_rows_equal_by_value_are_equal_across_signed_zeros():
-    # -0.0 == 0.0: the one row pair tobytes keys would tell apart. Here
+    # -0.0 == 0.0: the one row pair the raw row bytes tell apart. Here
     # H - cross alone leaves a residue of about -9e-16 (OpenBLAS, x86-64)
     rng = np.random.default_rng(12)
     row = np.append(rng.dirichlet(np.ones(99)), 0.0)
@@ -308,14 +308,45 @@ def test_distinct_rows_with_equal_sums_are_not_forced_to_zero():
 
 
 def test_a_key_tie_between_distinct_rows_is_confirmed_row_by_row(monkeypatch):
-    # every row keyed alike: the ids must still come from the values
+    # every row hashed alike, so all share one group: the ids must still
+    # come from the values
     rng = np.random.default_rng(13)
     kernel = np.repeat(rng.dirichlet(np.ones(6), size=5), 70, axis=0)
     rng.shuffle(kernel)
     honest = kl_matrix(kernel)
-    monkeypatch.setattr(genbound.divergence_core, "_row_keys",
-                        lambda k: np.zeros(len(k), dtype=np.uint64))
+    monkeypatch.setattr(genbound.divergence_core, "hash", lambda _: 0,
+                        raising=False)
     assert kl_matrix(kernel).tobytes() == honest.tobytes()
+
+
+def first_equal_rows(kernel):
+    """Each row's first equal row by value, pair by pair."""
+    return [next(j for j in range(i + 1) if (kernel[j] == kernel[i]).all())
+            for i in range(len(kernel))]
+
+
+def row_id_cases():
+    rng = np.random.default_rng(14)
+    spread = rng.dirichlet(np.ones(4), size=2 * BLOCK_ROWS + 10)
+    # repeats within a block and across both block boundaries
+    for i, j in [(3, 200), (BLOCK_ROWS - 1, BLOCK_ROWS), (5, BLOCK_ROWS + 7),
+                 (BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2), (3, 2 * BLOCK_ROWS + 9)]:
+        spread[j] = spread[i]
+    signed = np.vstack([[0.5, 0.0, 0.5], [0.5, -0.0, 0.5], [0.0, 0.5, 0.5],
+                        [-0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    return {
+        "spread": spread,
+        "signed_zeros": signed,
+        "all_equal": np.full((BLOCK_ROWS + 3, 5), 0.2),
+        "identity": np.eye(7),
+    }
+
+
+@pytest.mark.parametrize("case", list(row_id_cases()))
+def test_row_ids_are_the_first_equal_row(case):
+    kernel = row_id_cases()[case]
+    ids = genbound.divergence_core._row_ids(kernel)
+    assert ids.tolist() == first_equal_rows(kernel)
 
 
 def test_reference_weighted_logsumexp_values():

@@ -332,7 +332,7 @@ def test_audit_matches_per_distance_reference_bitwise(mech):
 
 def test_audit_holds_one_log_of_the_kernel_and_a_few_blocks():
     # T = 2000 at m2 n1999, so a 256-row block is an eighth of the kernel;
-    # the kernel is built before tracing starts. Row ids keyed by each
+    # the kernel is built before tracing starts. Row ids that kept each
     # row's bytes held a second copy of the kernel, 2.53x in all; keeping
     # the last block's KL values and distances while the next block was
     # computed held two blocks, 1.55x
@@ -340,6 +340,17 @@ def test_audit_holds_one_log_of_the_kernel_and_a_few_blocks():
     report, peak = traced_peak(lambda: verify_kl_stability(mech))
     assert report.passed
     assert peak < 1.5 * mech.kernel.nbytes
+
+
+def test_audit_of_a_kernel_with_zeros_in_every_column_stays_small():
+    # the identity kernel's support mask is T x T: float32, filled a block
+    # at a time, it is half a kernel; float64 through a gathered copy,
+    # 2.53x the kernel in all
+    identity = identity_mechanism(2, 1999)
+    liar = Mechanism(identity.kernel, 2, 1999, PrivacyParams.eps_dp(0.5))
+    report, peak = traced_peak(lambda: verify_kl_stability(liar))
+    assert not report.passed
+    assert peak < 2.25 * liar.kernel.nbytes
 
 
 def test_audit_catches_a_false_claim():
