@@ -11,15 +11,15 @@ Exit codes: 0 success, 1 a certified bound or audit failed, 2 bad input
 (including an exceeded enumeration cap, which the message names, an
 input file that cannot be read as UTF-8 text, an --output file that
 cannot be opened or written, and every usage error the option parser
-reports), 120 a stdout that refused the report. A command returns its
-status, 1 after printing why its check failed; main maps InputError and
-ResourceLimitError to "error: ..." and 2, and raises SystemExit for a
-nonzero status, in process too. The program is run(): main(), a flush
-of both streams and os._exit, which skips the interpreter's teardown
-and its final garbage collection over every object numpy and the layers
-made at import. run() maps a stdout write that fails, in the command or
-in the flush, to the one line "error: cannot write stdout: ..." and 120,
-the interpreter's own status for it.
+reports), 120 a stdout that refused the report or the --help text. A
+command returns its status, 1 after printing why its check failed; main
+maps InputError and ResourceLimitError to "error: ..." and 2, and raises
+SystemExit for a nonzero status, in process too. The program is run():
+main(), a flush of both streams and os._exit, which skips the
+interpreter's teardown and its final garbage collection over every
+object numpy and the layers made at import. run() maps a stdout write
+that fails, in the command, its --help or the flush, to the one line
+"error: cannot write stdout: ..." and 120, the interpreter's own status.
 
 Options are parsed with the standard library's argparse. Each subcommand
 imports the layers it needs in its own body, and the layers import the
@@ -69,6 +69,14 @@ class UsageError(Exception):
     parse error (usage line, exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but --help writes to stdout through _emit, so a
+    refused write exits 120 where argparse would drop it and exit 0."""
+
+    def print_help(self, file=None) -> None:  # argparse passes no file
+        _emit(self.format_help(), None)
+
+
 class Command:
     """One subcommand: its options and the function that runs it.
 
@@ -102,7 +110,7 @@ class Group:
         # --help only, no -h, and no abbreviated options: the flags are
         # exactly the ones listed
         common = {"add_help": False, "allow_abbrev": False}
-        parser = argparse.ArgumentParser(prog=prog, description=self.help, **common)
+        parser = _Parser(prog=prog, description=self.help, **common)
         parser.add_argument("--help", action="help",
                             help="Show this message and exit.")
         sub = parser.add_subparsers(dest="command", metavar="COMMAND",
@@ -196,14 +204,9 @@ def _jsonl_text(records: list[dict]) -> str:
 
     lines = []
     for record in records:
-        clean = {}
-        for key, val in record.items():
-            if isinstance(val, float) and not math.isfinite(val):
-                clean[key] = "inf" if val == math.inf else (
-                    "-inf" if val == -math.inf else "nan"
-                )
-            else:
-                clean[key] = val
+        # a non-finite float is written as the string "inf", "-inf" or "nan"
+        clean = {key: str(val) if isinstance(val, float) and not math.isfinite(val)
+                 else val for key, val in record.items()}
         lines.append(json.dumps(clean, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -495,9 +498,7 @@ def simulate_cmd(config_path, workers, fmt, output) -> int | None:
         "within_4se": within,
     }
     if fmt == "csv":
-        header = ["samples", "estimate", "standard_error", "exact_value",
-                  "abs_error", "within_4se"]
-        text = _csv_text(header, [[record[h] for h in header]])
+        text = _csv_text(list(record), [list(record.values())])
     else:
         text = _jsonl_text([record])
     _emit(text, output)

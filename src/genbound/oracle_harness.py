@@ -38,7 +38,8 @@ exists.
 
 Monte Carlo draws each chunk of _MC_CHUNK samples from its own Philox
 counter-based stream keyed (seed, chunk index) and reduces the chunks in
-order, so estimates depend on (seed, mc_samples) alone.
+order, so estimates depend on (seed, mc_samples) alone. A round of
+_MC_ROUND chunks takes the CDF of each kernel row it drew, once.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .types_core import (
     BLOCK_ROWS,
     SourceDistribution,
     check_cap,
+    enforce_cap,
     sigma_sub_gaussian,
     type_counts,
     type_probabilities,
@@ -91,6 +93,7 @@ __all__ = [
 ]
 
 _MC_CHUNK = 4096
+_MC_ROUND = 8  # chunks drawn, then searched together
 
 
 class ExperimentConfig:
@@ -99,8 +102,9 @@ class ExperimentConfig:
     The alphabet size and dataset length are the mechanism's. The source
     must be over that alphabet and the loss table have one row per
     hypothesis and one column per symbol; both are validated here so
-    downstream code can assume shapes line up. Like Mechanism's kernel,
-    a float64 loss table is adopted: made read-only and kept, not copied.
+    downstream code can assume shapes line up, as is mc_samples against
+    the enumeration cap. Like Mechanism's kernel, a float64 loss table
+    is adopted: made read-only and kept, not copied.
     """
 
     __slots__ = ("source", "mechanism", "loss_table", "seed", "mc_samples")
@@ -131,6 +135,7 @@ class ExperimentConfig:
             raise InputError(f"seed must fit in 64 bits, got {seed}")
         if mc_samples < 1:
             raise InputError(f"mc_samples must be positive, got {mc_samples}")
+        enforce_cap(mc_samples, f"mc_samples={mc_samples}")
         table.flags.writeable = False
         self.source = source
         self.mechanism = mechanism
@@ -292,29 +297,38 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
     Chunk j of _MC_CHUNK samples draws its count vectors (one multinomial
     call), then its inverse-CDF uniforms, from one Philox stream keyed
     (seed, j), and partial sums are reduced in chunk order: the result is
-    a pure function of (seed, mc_samples). workers must be >= 1 and has
-    no effect.
+    a pure function of (seed, mc_samples). A round of _MC_ROUND chunks
+    searches the CDF of each kernel row it drew once, for all the row's
+    samples. workers must be >= 1 and has no effect.
     """
-    if config.mc_samples < 100:
-        raise InputError(
-            f"mc_samples must be at least 100, got {config.mc_samples}"
-        )
+    m = config.mc_samples
+    if m < 100:
+        raise InputError(f"mc_samples must be at least 100, got {m}")
     if workers < 1:
         raise InputError(f"worker count must be positive, got {workers}")
     pop, freqs = _risk_tables(config)
-    kernel_cdf = np.cumsum(config.mechanism.kernel, axis=1)
-    w_max = kernel_cdf.shape[1] - 1
-    m = config.mc_samples
+    # the smallest unsigned type that holds a rank: numpy radix-sorts it
+    rank_type = np.min_scalar_type(len(freqs) - 1)
+    sizes = [min(_MC_CHUNK, m - lo) for lo in range(0, m, _MC_CHUNK)]
     partials = []
-    for j, lo in enumerate(range(0, m, _MC_CHUNK)):
-        size = min(_MC_CHUNK, m - lo)
-        gen = np.random.Generator(np.random.Philox(key=[config.seed, j]))
-        t_idx = type_rank(gen.multinomial(config.n, config.source.probs, size=size))
-        u = gen.random(size)
-        w = np.minimum(_inverse_cdf(kernel_cdf, t_idx, u), w_max)
-        emp = np.einsum("sa,sa->s", config.loss_table[w], freqs[t_idx])
-        vals = pop[w] - emp
-        partials.append((float(np.sum(vals)), float(np.sum(vals * vals))))
+    for first in range(0, len(sizes), _MC_ROUND):
+        chunks = [(np.random.Generator(np.random.Philox(key=[config.seed, j])), size)
+                  for j, size in enumerate(sizes[first:first + _MC_ROUND], start=first)]
+        t_idx = type_rank(np.concatenate([
+            gen.multinomial(config.n, config.source.probs, size=size)
+            for gen, size in chunks]))
+        u = np.concatenate([gen.random(size) for gen, size in chunks])
+        ranks = t_idx.astype(rank_type)
+        order = np.argsort(ranks, kind="stable")
+        w = np.empty(u.size, dtype=np.int64)
+        for drawn in np.split(order, np.flatnonzero(np.diff(ranks[order])) + 1):
+            # searching all but the last CDF entry clamps to the last hypothesis
+            cdf = np.cumsum(config.mechanism.kernel[t_idx[drawn[0]]])[:-1]
+            w[drawn] = np.searchsorted(cdf, u[drawn], side="right")
+        for lo in range(0, u.size, _MC_CHUNK):
+            t, h = t_idx[lo:lo + _MC_CHUNK], w[lo:lo + _MC_CHUNK]
+            vals = pop[h] - np.einsum("sa,sa->s", config.loss_table[h], freqs[t])
+            partials.append((float(np.sum(vals)), float(np.sum(vals * vals))))
 
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
@@ -325,22 +339,6 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
         standard_error=math.sqrt(variance / m),
         samples=m,
     )
-
-
-def _inverse_cdf(kernel_cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(kernel_cdf[r], u, side="right") for every (r, u) pair
-    at once: a branchless bisection over the flattened rows that grows w
-    by powers of two while the CDF entry before it is <= u."""
-    width = kernel_cdf.shape[1]
-    flat = kernel_cdf.ravel()
-    row_start = rows * width - 1
-    w = np.zeros(u.shape, dtype=np.int64)
-    step = 1 << (width.bit_length() - 1)
-    while step:
-        trial = np.minimum(w + step, width)
-        w = np.where(flat[row_start + trial] <= u, trial, w)
-        step >>= 1
-    return w
 
 
 # The cover each count-based bound dominates the mixture KL of, keyed by

@@ -834,6 +834,26 @@ def test_stdout_refused_while_the_command_runs_exits_120(args, unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["--help"], ["stability", "--help"]],
+                         ids=["program", "stability"])
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_help_refused_by_stdout_exits_120(args, unbuffered):
+    # argparse drops a failed write of its help text; the CLI reports it
+    with open("/dev/full", "wb") as full:
+        assert run_cli(*args, stdout=full, unbuffered=unbuffered) == (
+            120, None, f"error: cannot write stdout: {NO_SPACE}\n")
+
+
+def test_mc_samples_over_the_cap_exit_2_at_once(tmp_path):
+    config = write_config(tmp_path, GOOD_CONFIG.replace(
+        "mc_samples = 2000", "mc_samples = 100000000000000000000"))
+    assert run_cli("simulate", "--config", config) == (
+        2, b"", "error: mc_samples=100000000000000000000 exceeds the "
+        "enumeration cap of 10000000; raise GENBOUND_TYPE_CAP to override\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_output_file_refused_mid_write_exits_2():
     assert run_cli("bounds", "--alphabet-size", "2", "--n", "10", "--sigma", "1",
                    "--output", "/dev/full") == (

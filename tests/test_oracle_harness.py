@@ -595,9 +595,11 @@ def test_mc_deterministic_across_worker_counts(make_config):
     assert one.standard_error == three.standard_error
 
 
-@pytest.mark.parametrize("samples", [100, 4097])
+@pytest.mark.parametrize("samples", [100, 4097, 32769, 65536])
 def test_mc_partial_chunks(make_config, samples):
-    # 100 is less than one chunk; 4097 is one full chunk plus one sample
+    # 100 is less than one chunk; 4097 is one full chunk plus one sample;
+    # 32769 is one round of _MC_ROUND chunks plus one sample; 65536 is two
+    # full rounds
     config = make_config(alphabet_size=3, n=6, epsilon=0.5, mc_samples=samples)
     one = mc_expected_gen_error(config, workers=1)
     assert mc_expected_gen_error(config, workers=1) == one
@@ -618,27 +620,87 @@ def searchsorted_per_type(kernel_cdf, t_idx, u):
     return w
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 33])
-def test_inverse_cdf_matches_per_type_searchsorted(width):
-    rng = np.random.default_rng(width)
-    kernel = rng.dirichlet(np.ones(width), size=6)
-    # zero-probability hypotheses leave flat CDF steps, leading and trailing too
-    kernel[1, : width // 2] = 0.0
-    kernel[2, width // 2:] = 0.0
-    kernel[3, ::2] = 0.0
-    kernel[kernel.sum(axis=1) == 0, 0] = 1.0
+def zero_entry_config():
+    """A random 28 x 9 kernel at m3 n6 whose rows have leading, trailing
+    and alternating zeros (flat CDF steps), with 40,000 samples: more than
+    one round of chunks."""
+    rng = np.random.default_rng(29)
+    width = 9
+    kernel = rng.dirichlet(np.ones(width), size=28)
+    kernel[0::3, :width // 2] = 0.0
+    kernel[1::3, width // 2:] = 0.0
+    kernel[2::3, ::2] = 0.0
     kernel /= kernel.sum(axis=1, keepdims=True)
-    kernel_cdf = np.cumsum(kernel, axis=1)
-    # every CDF entry, its float neighbours, the ends and random draws
-    entries = kernel_cdf.ravel()
-    u = np.concatenate([
-        entries, np.nextafter(entries, 0.0), np.nextafter(entries, 2.0),
-        [0.0, 1.0, np.nextafter(1.0, 0.0)], rng.random(200),
-    ])
-    rows = rng.integers(0, kernel.shape[0], size=u.size)
-    rows[: 3 * entries.size] = np.tile(np.repeat(np.arange(6), width), 3)
-    got = genbound.oracle_harness._inverse_cdf(kernel_cdf, rows, u)
-    np.testing.assert_array_equal(got, searchsorted_per_type(kernel_cdf, rows, u))
+    return ExperimentConfig(
+        source=SourceDistribution([0.2, 0.3, 0.5]),
+        mechanism=Mechanism(kernel, 3, 6, PrivacyParams.none()),
+        loss_table=rng.uniform(-1.0, 2.0, size=(width, 3)),
+        seed=11, mc_samples=40_000)
+
+
+@pytest.mark.parametrize("build, estimate, standard_error", [
+    (zero_entry_config, "-0x1.fa318c99870bcp-6", "0x1.b80dbf4bcfd98p-10"),
+    (lambda: ExperimentConfig(
+        SourceDistribution.uniform(3), exponential_mechanism_over_types(3, 6, 0.5),
+        default_loss_table(3, 6), seed=7, mc_samples=100_001),
+     "0x1.a9a817e40cb42p-6", "0x1.7d2fecc13bdecp-12"),
+], ids=["zero-entries", "m3-n6-100001"])
+def test_mc_estimates_are_pinned(build, estimate, standard_error):
+    # the Philox streams and the chunk order fix every bit of both, so a
+    # change to how hypotheses are searched must leave these values
+    result = mc_expected_gen_error(build())
+    assert (result.estimate.hex(), result.standard_error.hex()) == (
+        estimate, standard_error)
+
+
+def test_mc_search_at_the_ends_of_each_cdf(monkeypatch):
+    # rows that sum to 1 - 1e-11, within the kernel tolerance, so a uniform
+    # just below 1 lies past every row's last CDF entry and takes the last
+    # hypothesis, even where that hypothesis has probability 0
+    base = zero_entry_config()
+    config = ExperimentConfig(
+        base.source,
+        Mechanism(base.mechanism.kernel * (1 - 1e-11), 3, 6, PrivacyParams.none()),
+        base.loss_table, seed=base.seed, mc_samples=base.mc_samples)
+
+    class EdgeGenerator(np.random.Generator):
+        def random(self, size=None):
+            u = super().random(size)
+            u[0::5] = 0.0
+            u[1::5] = np.nextafter(1.0, 0.0)
+            return u
+
+    monkeypatch.setattr(np.random, "Generator", EdgeGenerator)
+    result = mc_expected_gen_error(config)
+    estimate, standard_error = emp_mc(config)
+    assert math.isclose(result.estimate, estimate, rel_tol=1e-12)
+    assert math.isclose(result.standard_error, standard_error, rel_tol=1e-9)
+
+
+def test_mc_holds_no_kernel_sized_array():
+    # the kernel is 30.5 MiB; a T x hypotheses CDF would be as much again
+    config = ExperimentConfig(
+        SourceDistribution([0.3, 0.7]), exponential_mechanism_over_types(2, 1999, 1.0),
+        default_loss_table(2, 1999), seed=3, mc_samples=100_000)
+    tracemalloc.start()
+    try:
+        mc_expected_gen_error(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_mc_samples_are_held_to_the_cap(make_config, monkeypatch):
+    monkeypatch.setenv("GENBOUND_TYPE_CAP", "1000")
+    assert make_config(mc_samples=1000).mc_samples == 1000
+    with pytest.raises(ResourceLimitError, match=(
+            r"^mc_samples=1001 exceeds the enumeration cap of 1000; "
+            "raise GENBOUND_TYPE_CAP to override$")):
+        make_config(mc_samples=1001)
+    monkeypatch.delenv("GENBOUND_TYPE_CAP")
+    with pytest.raises(ResourceLimitError, match="cap of 10000000;"):
+        make_config(mc_samples=10**20)
 
 
 def test_mc_sample_floor(make_config):
