@@ -272,18 +272,19 @@ def pac_bayes_gen_bound(sigma: float, n: int, kl_value: float, beta: float) -> f
 
 
 def asymptotic_report(
-    sigma: float, gamma: float, alphabet_size: int, n: int
+    sigma: float, gamma: float | None, alphabet_size: int, n: int
 ) -> list[BoundReport]:
     """Large-n reference expressions, reported but never certified.
 
     The first entry is the exact conversion of the type-count bound (it
-    is additionally marked applicable); the private expressions carry
+    is additionally marked applicable); the private expressions, which
+    only a privacy parameter gamma gives (none when gamma is None), carry
     unspecified constants and are shape-only; the last is the
     multinomial-entropy approximation, in nats.
     """
     k = _check_mn(alphabet_size, n)
     _check_sigma(sigma)
-    if not (gamma > 0):
+    if gamma is not None and not (gamma > 0):
         raise InputError(f"gamma must be positive, got {gamma}")
     m = alphabet_size
     reports = []
@@ -297,33 +298,24 @@ def asymptotic_report(
         )
     )
 
-    inner = math.log(gamma * math.sqrt(n * math.log(max(n, 2))))
-    if inner >= 0:
-        private = math.sqrt(2.0 * sigma * sigma * m * inner / n)
-        note = "shape only, constants unspecified; loss units"
-    else:
-        private = math.nan
-        note = "undefined here: log argument below 1; shape only"
-    reports.append(
-        BoundReport(
-            BoundId.GEN_PRIVATE_ASYMPTOTIC, private, applicable=False,
-            regime_note=note, asymptotic_only=True,
+    # sqrt(2 sigma^2 dim log(gamma scale) / n): the private expression
+    # over m dimensions, the grid-composed one over k = m - 1
+    shapes = [] if gamma is None else [
+        (BoundId.GEN_PRIVATE_ASYMPTOTIC, m, math.sqrt(n * math.log(max(n, 2)))),
+        (BoundId.GEN_GRID_ASYMPTOTIC, k, n),
+    ]
+    for bid, dim, scale in shapes:
+        inner = math.log(gamma * scale)
+        if inner >= 0:
+            value = math.sqrt(2.0 * sigma * sigma * dim * inner / n)
+            note = "shape only, constants unspecified; loss units"
+        else:
+            value = math.nan
+            note = "undefined here: log argument below 1; shape only"
+        reports.append(
+            BoundReport(bid, value, applicable=False, regime_note=note,
+                        asymptotic_only=True)
         )
-    )
-
-    inner2 = math.log(gamma * n)
-    if inner2 >= 0:
-        composed = math.sqrt(2.0 * sigma * sigma * k * inner2 / n)
-        note2 = "shape only, constants unspecified; loss units"
-    else:
-        composed = math.nan
-        note2 = "undefined here: log argument below 1; shape only"
-    reports.append(
-        BoundReport(
-            BoundId.GEN_GRID_ASYMPTOTIC, composed, applicable=False,
-            regime_note=note2, asymptotic_only=True,
-        )
-    )
 
     entropy = 0.5 * k * math.log(n / m) + 2.0 * m
     reports.append(

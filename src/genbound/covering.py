@@ -45,10 +45,10 @@ import numpy as np
 from .errors import InputError
 from .records import Record
 from .types_core import (
-    BLOCK_ROWS,
     SourceDistribution,
     distance_matrix,
     enforce_cap,
+    row_blocks,
     type_counts,
 )
 
@@ -395,8 +395,8 @@ def verify_cover(
     typical covers against the typical set only (a source is required).
     The witness is the first count vector, in lexicographic order, at
     the achieved radius (None when every vector is a center). Count
-    vectors are checked BLOCK_ROWS at a time, so memory stays
-    O(BLOCK_ROWS x centers).
+    vectors are checked a row block at a time against every center, so
+    beyond the lattice and the centers the check holds one block.
     """
     if cover.kind is CoverKind.TYPICAL_GRID:
         if source is None:
@@ -412,8 +412,8 @@ def verify_cover(
         counts = counts[_typical_mask(counts, source.probs, cover.typical_epsilon)]
     worst: tuple[int, ...] | None = None
     achieved = 0
-    for lo in range(0, counts.shape[0], BLOCK_ROWS):
-        block = counts[lo:lo + BLOCK_ROWS]
+    for rows in row_blocks(counts.shape[0], len(cover.centers)):
+        block = counts[rows]
         best = distance_matrix(block, cover.centers).min(axis=1)
         i = int(np.argmax(best))
         if best[i] > achieved:

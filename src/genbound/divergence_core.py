@@ -1,7 +1,7 @@
 """KL divergences between the rows of one kernel: the stability audit's.
 
-KL(K_i || K_j) is computed for every row pair, types_core.BLOCK_ROWS
-rows of i at a time, as H_i - K_i @ log(K_j), in nats, with the usual
+KL(K_i || K_j) is computed for every row pair, a types_core.row_blocks
+block of i at a time, as H_i - K_i @ log(K_j), in nats, with the usual
 conventions exactly: 0 * log(0 / q) = 0; +infinity (a value, not an
 error) where K_i puts mass on a zero of K_j; and exactly 0.0 for rows
 equal by value, which a dict of hashed row bytes finds. verify-mi's
@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .types_core import BLOCK_ROWS
+from .types_core import row_blocks
 
 __all__ = ["kl_row_blocks"]
 
@@ -41,8 +41,8 @@ def _row_ids(kernel: np.ndarray) -> np.ndarray:
 
 
 def kl_row_blocks(kernel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_row, block) for each BLOCK_ROWS rows of a 2-D kernel,
-    where block[i, j] = KL(kernel[first_row + i] || kernel[j]). The
+    """Yield (first_row, block) for each row block of a 2-D kernel, where
+    block[i, j] = KL(kernel[first_row + i] || kernel[j]). The
     kernel's log, its zero-column mask and its row ids are computed once,
     not once per block, so beyond the kernel the pass holds one log of
     it, a float32 mask and one block."""
@@ -52,18 +52,20 @@ def kl_row_blocks(kernel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     # only columns where some row is zero can give +inf; sums of 0/1
     # products are exact in float32 below 2**24 terms
     zero_cols = np.flatnonzero(~kernel.all(axis=0))
-    k_zero = np.empty((kernel.shape[0], zero_cols.size), dtype=np.float32)
-    for lo in range(0, kernel.shape[0], BLOCK_ROWS):
-        k_zero[lo:lo + BLOCK_ROWS] = kernel[lo:lo + BLOCK_ROWS, zero_cols] == 0
-    for lo in range(0, kernel.shape[0], BLOCK_ROWS):
-        p = kernel[lo:lo + BLOCK_ROWS]
-        p_log_p = np.einsum("ij,ij->i", p, log_k[lo:lo + BLOCK_ROWS])
+    total = kernel.shape[0]
+    k_zero = np.empty((total, zero_cols.size), dtype=np.float32)
+    for rows in row_blocks(total, zero_cols.size):
+        k_zero[rows] = kernel[rows, zero_cols] == 0
+    # a block's temporaries are its rows times T pairs or the zero columns
+    for rows in row_blocks(total, max(total, zero_cols.size)):
+        p = kernel[rows]
+        p_log_p = np.einsum("ij,ij->i", p, log_k[rows])
         block = p @ log_k.T
         np.subtract(p_log_p[:, None], block, out=block)
         if zero_cols.size:
             off_support = (p[:, zero_cols] > 0).astype(np.float32) @ k_zero.T > 0
             block[off_support] = math.inf
         # equal rows cancel exactly in the scalar sum, not in H - cross
-        block[ids[lo:lo + BLOCK_ROWS, None] == ids[None, :]] = 0.0
-        yield lo, block
+        block[ids[rows, None] == ids[None, :]] = 0.0
+        yield rows.start, block
         del block  # freed before the next block if the caller let it go

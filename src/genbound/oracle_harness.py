@@ -62,10 +62,10 @@ from .privacy_mechanisms import (
 )
 from .records import Record
 from .types_core import (
-    BLOCK_ROWS,
     SourceDistribution,
     check_cap,
     enforce_cap,
+    row_blocks,
     sigma_sub_gaussian,
     type_counts,
     type_probabilities,
@@ -184,21 +184,21 @@ def random_mechanism(
 
 
 def _rows_identical(kernel: np.ndarray) -> bool:
-    """Whether every kernel row equals the first, compared BLOCK_ROWS rows
-    at a time and stopping at the first block that differs."""
-    return all(np.all(kernel[lo:lo + BLOCK_ROWS] == kernel[0])
-               for lo in range(0, kernel.shape[0], BLOCK_ROWS))
+    """Whether every kernel row equals the first, compared a row block at
+    a time and stopping at the first block that differs."""
+    return all(np.all(kernel[rows] == kernel[0])
+               for rows in row_blocks(*kernel.shape))
 
 
 def _neg_conditional_entropy(kernel: np.ndarray, p_types: np.ndarray) -> float:
     """-H(W | S) = sum_s P(s) sum_w K_sw log K_sw, with 0 log 0 = 0: the
-    one pass over the kernel that takes logs, BLOCK_ROWS rows at a time."""
+    one pass over the kernel that takes logs, a row block at a time."""
     row_sums = np.empty(kernel.shape[0])
-    for lo in range(0, kernel.shape[0], BLOCK_ROWS):
-        rows = kernel[lo:lo + BLOCK_ROWS]
+    for rows in row_blocks(*kernel.shape):
+        block = kernel[rows]
         # one expression, so a block's logs are freed before the next's
-        row_sums[lo:lo + rows.shape[0]] = np.einsum(
-            "ij,ij->i", rows, np.log(rows, where=rows > 0, out=np.zeros_like(rows)))
+        row_sums[rows] = np.einsum("ij,ij->i", block, np.log(
+            block, where=block > 0, out=np.zeros_like(block)))
     return math.fsum((p_types * row_sums).tolist())
 
 

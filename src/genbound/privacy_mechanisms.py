@@ -9,8 +9,8 @@ re-exported here.
 A Mechanism adopts the float64 array it is given: it validates it, makes
 it read-only and keeps it, with no copy. The builders and the CSV loader
 each fill one T x hypotheses array in place and hand it over, so a
-kernel exists once per run; the exponential builder fills it
-types_core.BLOCK_ROWS rows at a time, so its distances never exist for
+kernel exists once per run; the exponential builder fills it a
+types_core.row_blocks block at a time, so its distances never exist for
 the whole lattice at once.
 
 Privacy translates into KL stability between neighboring inputs:
@@ -38,10 +38,10 @@ from .errors import InputError, ResourceLimitError, input_lines
 from .privacy import PrivacyKind, PrivacyParams
 from .records import Record
 from .types_core import (
-    BLOCK_ROWS,
     check_cap,
     distance_matrix,
     num_types,
+    row_blocks,
     type_counts,
 )
 
@@ -181,8 +181,8 @@ def exponential_mechanism_over_types(
     Hypothesis set = the count vectors themselves; the row for input s
     weights candidate w proportionally to exp(-eps * d(s, w) / 2). The
     replacement distance has sensitivity 1, so this is eps-DP. The T x T
-    kernel is the only array of its size: it is filled BLOCK_ROWS rows at
-    a time and normalised in place.
+    kernel is the only array of its size: it is filled a row block at a
+    time and normalised in place.
     """
     if not (0 < epsilon < math.inf):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
@@ -194,9 +194,8 @@ def exponential_mechanism_over_types(
     with np.errstate(over="ignore"):
         weights = np.exp(-epsilon * np.arange(n + 1) / 2.0)
     kernel = np.empty((total, total))
-    for lo in range(0, total, BLOCK_ROWS):
-        np.take(weights, distance_matrix(counts[lo:lo + BLOCK_ROWS], counts),
-                out=kernel[lo:lo + BLOCK_ROWS])
+    for rows in row_blocks(total, total):
+        np.take(weights, distance_matrix(counts[rows], counts), out=kernel[rows])
     kernel /= kernel.sum(axis=1, keepdims=True)
     return Mechanism(
         kernel,

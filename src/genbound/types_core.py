@@ -20,8 +20,8 @@ Counting is big-integer exact, and the int64 arrays hold no value above
 T; floats appear only at the probability and loss boundaries.
 Enumeration, and any other work that grows like it (a grid cover's
 cells, say), is guarded by one cap (default 10**7 items), set by the
-GENBOUND_TYPE_CAP environment variable. Work over a T x width array takes
-BLOCK_ROWS rows at a time, so its temporaries stay one block.
+GENBOUND_TYPE_CAP environment variable. A pass over a T x width array
+takes its rows from row_blocks, so its temporaries stay one block.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
 
 __all__ = [
-    "BLOCK_ROWS",
+    "BLOCK_ROWS", "BLOCK_CELLS", "row_blocks",
     "DEFAULT_TYPE_CAP",
     "TYPE_CAP_ENV_VAR",
     "SourceDistribution",
@@ -55,10 +55,18 @@ __all__ = [
 DEFAULT_TYPE_CAP = 10_000_000
 TYPE_CAP_ENV_VAR = "GENBOUND_TYPE_CAP"
 
-# Rows per block wherever a T x width array is built, reduced or compared
-# a block of rows at a time (the exponential kernel, KL blocks, cover
-# checks): the temporaries are BLOCK_ROWS x width arrays, whatever T is.
+# The most rows and cells of one row block (16 MiB as float64): every
+# pass up to 8192 wide takes BLOCK_ROWS rows.
 BLOCK_ROWS = 256
+BLOCK_CELLS = BLOCK_ROWS * 8192
+
+
+def row_blocks(total: int, width: int) -> Iterator[slice]:
+    """The row slices, in order, of a pass over a total x width array:
+    BLOCK_ROWS rows each, or fewer so that a block holds at most
+    BLOCK_CELLS cells, and never fewer than one row."""
+    step = max(1, min(BLOCK_ROWS, BLOCK_CELLS // max(width, 1)))
+    return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
 def type_enumeration_cap() -> int:

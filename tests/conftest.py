@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import sys
-
 import pytest
 
+import genbound.types_core
 from genbound.oracle_harness import ExperimentConfig, default_loss_table
 from genbound.privacy_mechanisms import exponential_mechanism_over_types
 from genbound.types_core import SourceDistribution
@@ -28,12 +27,10 @@ def make_config():
 
 @pytest.fixture
 def block_rows(monkeypatch):
-    """Set the row-block size (types_core.BLOCK_ROWS) in every loaded
-    package module that reads it, for this test only."""
+    """Set the row-block size, types_core.BLOCK_ROWS, which every blocked
+    pass reads through types_core.row_blocks, for this test only."""
 
     def shrink(rows):
-        for name, module in list(sys.modules.items()):
-            if name.startswith("genbound.") and hasattr(module, "BLOCK_ROWS"):
-                monkeypatch.setattr(module, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(genbound.types_core, "BLOCK_ROWS", rows)
 
     return shrink

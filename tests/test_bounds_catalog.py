@@ -179,6 +179,14 @@ def test_asymptotic_report_frozen_values():
                         0.5 * math.log(50) + 4, rel_tol=1e-15)
 
 
+def test_asymptotic_report_without_privacy_builds_no_private_rows():
+    private = asymptotic_report(1.0, 0.5, 2, 100)
+    plain = asymptotic_report(1.0, None, 2, 100)
+    assert [r.bound_id for r in plain] == [BoundId.GEN_TYPE_COUNT,
+                                           BoundId.MULTINOMIAL_ENTROPY]
+    assert plain == [private[0], private[-1]]
+
+
 def test_asymptotic_report_flags_vacuous_log():
     by_id = {r.bound_id: r for r in asymptotic_report(1.0, 0.01, 2, 4)}
     assert math.isnan(by_id[BoundId.GEN_PRIVATE_ASYMPTOTIC].value)

@@ -12,6 +12,11 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 
 import genbound
@@ -138,6 +143,22 @@ class TestBounds:
         assert "gen_private_asymptotic" not in result.output
         assert "gen_grid_asymptotic" not in result.output
         assert "gen_type_count" in result.output
+
+    def test_no_privacy_report_is_pinned(self, runner):
+        result = runner.invoke(main, ["bounds", "--alphabet-size", "3",
+                                      "--n", "20", "--sigma", "0.5"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == (
+            "bound_id,value_nats,gen_error_value,applicable,asymptotic_only,"
+            "regime_note\n"
+            "type_count,6.08904487545e+00,3.90161661220e-01,true,false,"
+            "universal; no conditions\n"
+            "simplex_any,5.53027842211e+00,3.71829208848e-01,true,false,"
+            "one cell per count vector; valid for any algorithm\n"
+            "gen_type_count,,3.90161661220e-01,true,true,"
+            "exact at finite n (conversion of type_count); loss units\n"
+            "multinomial_entropy,7.89711998489e+00,4.44328706728e-01,false,true,"
+            '"large-n entropy approximation; nats, report only"\n')
 
 
 class TestCover:
@@ -851,6 +872,38 @@ def test_mc_samples_over_the_cap_exit_2_at_once(tmp_path):
     assert run_cli("simulate", "--config", config) == (
         2, b"", "error: mc_samples=100000000000000000000 exceeds the "
         "enumeration cap of 10000000; raise GENBOUND_TYPE_CAP to override\n")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 76.3 MiB"),
+     "error: out of memory: Unable to allocate 76.3 MiB\n"),
+], ids=["bare", "numpy"])
+def test_out_of_memory_exits_2_with_one_line(runner, monkeypatch, exc, line):
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(genbound.covering, "verify_cover", refuse)
+    result = runner.invoke(main, ["cover", "--alphabet-size", "2", "--n", "9",
+                                  "--t", "3", "--kind", "full_grid"])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", line)
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_refused_allocation_exits_2_in_a_process():
+    # 10**7 grid cells pass the cap, but their axis table does not fit
+    # under a 400 MiB address space
+    limit = 400 << 20
+    src = os.path.dirname(os.path.dirname(genbound.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "genbound.cli", "cover", "--alphabet-size", "2",
+         "--n", "9999999", "--t", "10000000", "--kind", "full_grid"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbound.covering
+import genbound.types_core
 from genbound.covering import (
     CoverKind,
     CoverSpec,
@@ -488,16 +490,32 @@ def test_typicality_mask_matches_scalar_loop(probs):
      SourceDistribution([0.6, 0.4, 0.0])),
 ], ids=["full-m3", "full-m2", "simplex-m4", "simplex-all", "corners", "typical",
         "typical-zero"])
-def test_verify_cover_matches_scalar_loop(monkeypatch, build, source):
+def test_verify_cover_matches_scalar_loop(block_rows, build, source):
     cover = build()
     achieved, checked, worst = scalar_verify_cover(cover, source)
     # small blocks: the worst vector and its ties fall in different blocks
-    for block_rows in (7, 256):
-        monkeypatch.setattr(genbound.covering, "BLOCK_ROWS", block_rows)
+    for size in (7, 256):
+        block_rows(size)
         check = verify_cover(cover, source=source)
         assert check.achieved_radius == achieved
         assert check.checked_vectors == checked
         assert check.worst == worst
+
+
+def test_verify_cover_holds_one_block_of_cells(monkeypatch):
+    # 2,000 centers, so 2 ** 14 cells are 8-row blocks: one block's int64
+    # distances and gaps are 256 KiB, where 256 rows would be 8 MiB
+    cover = build_full_grid_cover(2, 1999, 2000)
+    assert len(cover.centers) == 2000
+    monkeypatch.setattr(genbound.types_core, "BLOCK_CELLS", 2 ** 14)
+    tracemalloc.start()
+    try:
+        check = verify_cover(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.checked_vectors == 2000 and check.verified
+    assert peak < 2 ** 20
 
 
 def typical_mass(source, n, epsilon):

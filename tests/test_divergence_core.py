@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbound.divergence_core
+import genbound.types_core
 from genbound.divergence_core import kl_row_blocks
 from genbound.errors import InputError
 from genbound.privacy_mechanisms import (
@@ -19,7 +20,7 @@ from genbound.privacy_mechanisms import (
     load_mechanism_csv,
     save_mechanism_csv,
 )
-from genbound.types_core import BLOCK_ROWS, num_types
+from genbound.types_core import BLOCK_ROWS, num_types, row_blocks
 from divergence_reference import (
     DiscreteDistribution,
     MixtureSpec,
@@ -176,10 +177,11 @@ sparse_rows = st.lists(
 
 def kl_matrix(kernel):
     """The KL matrix of a kernel's rows, stacked from kl_row_blocks, after
-    checking that the blocks start every BLOCK_ROWS rows."""
+    checking that the blocks are the row blocks of the T x T pass."""
     kernel = np.asarray(kernel, dtype=float)
     blocks = list(kl_row_blocks(kernel))
-    assert [lo for lo, _ in blocks] == list(range(0, len(kernel), BLOCK_ROWS))
+    assert [(lo, lo + len(block)) for lo, block in blocks] == [
+        (rows.start, rows.stop) for rows in row_blocks(len(kernel), len(kernel))]
     if not blocks:
         return np.empty((0, len(kernel)))
     return np.concatenate([block for _, block in blocks])
@@ -283,6 +285,23 @@ def test_equal_rows_on_either_side_of_a_block_boundary(tmp_path):
     matrix = kl_matrix(load_mechanism_csv(path).kernel)
     assert matrix[255, 256] == matrix[256, 255] == 0.0
     assert (matrix == 0.0).sum() == len(kernel) + 2
+
+
+def test_kl_row_blocks_shrink_to_the_cell_bound(monkeypatch):
+    # 300 rows over 2 ** 12 cells: 13-row blocks, far fewer than
+    # BLOCK_ROWS, with equal rows 12 and 13 on either side of the first
+    # boundary and 25 and 26 on either side of the second
+    rng = np.random.default_rng(15)
+    kernel = sparse_kernel(rng, 300, 6)
+    kernel[13], kernel[26] = kernel[12], kernel[25]
+    monkeypatch.setattr(genbound.types_core, "BLOCK_CELLS", 2 ** 12)
+    assert [lo for lo, _ in kl_row_blocks(kernel)] == list(range(0, 300, 13))
+    matrix = kl_matrix(kernel)
+    assert matrix[12, 13] == matrix[13, 12] == matrix[25, 26] == matrix[26, 25] == 0.0
+    reference = definition_kl_matrix(kernel)
+    assert (np.isinf(matrix) == np.isinf(reference)).all() and np.isinf(matrix).any()
+    finite = np.isfinite(reference)
+    assert np.abs(matrix[finite] - reference[finite]).max() <= 1e-12
 
 
 def test_rows_equal_by_value_are_equal_across_signed_zeros():

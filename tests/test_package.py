@@ -83,15 +83,21 @@ def test_only_the_audit_loads_the_kl_layer(tmp_path, args, loaded):
     "oracle_harness",
 ])
 def test_one_row_block_size(layer):
-    # every blocked pass reads types_core's one constant; no layer keeps
-    # a block size of its own, and only types_core exports it
-    import genbound.types_core
+    # every blocked pass takes its rows from types_core.row_blocks: only
+    # types_core binds or names a block bound, and every other layer
+    # imports the helper
+    import genbound.types_core as core
 
     module = importlib.import_module(f"genbound.{layer}")
-    assert [attr for attr in vars(module) if attr.endswith("BLOCK_ROWS")] == [
-        "BLOCK_ROWS"]
-    assert module.BLOCK_ROWS is genbound.types_core.BLOCK_ROWS == 256
-    assert ("BLOCK_ROWS" in module.__all__) == (layer == "types_core")
+    bounds = [attr for attr in vars(module) if attr.startswith("BLOCK_")]
+    if layer == "types_core":
+        assert bounds == ["BLOCK_ROWS", "BLOCK_CELLS"]
+        assert (core.BLOCK_ROWS, core.BLOCK_CELLS) == (256, 256 * 8192)
+        assert {"BLOCK_ROWS", "BLOCK_CELLS", "row_blocks"} <= set(core.__all__)
+    else:
+        assert bounds == []
+        assert "BLOCK_" not in Path(module.__file__).read_text()
+        assert module.row_blocks is core.row_blocks
 
 
 TESTS = Path(__file__).parent

@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 import genbound.types_core
 from genbound.errors import InputError, ResourceLimitError
 from genbound.types_core import (
+    BLOCK_CELLS,
+    BLOCK_ROWS,
     SourceDistribution,
     check_cap,
     distance_matrix,
     enforce_cap,
     num_types,
+    row_blocks,
     sigma_sub_gaussian,
     type_enumeration_cap,
     type_counts,
@@ -231,6 +234,37 @@ def test_distance_matrix_rejects_mismatched_lattices():
         distance_matrix([[2, 1]], [[2, 2]])
     with pytest.raises(InputError):
         distance_matrix([[2, 1]], [[1, 1, 1]])
+
+
+@given(st.integers(0, 3000), st.one_of(st.integers(0, 3 * BLOCK_CELLS),
+                                       st.sampled_from([8192, 8193, BLOCK_CELLS])))
+def test_row_blocks_tile_the_rows_within_the_bounds(total, width):
+    blocks = list(row_blocks(total, width))
+    # every row once, in order, by contiguous slices
+    assert [i for rows in blocks for i in range(total)[rows]] == list(range(total))
+    assert all(rows.step is None for rows in blocks)
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert all(1 <= size <= BLOCK_ROWS for size in sizes)
+    # the cell bound holds unless one row alone is wider
+    assert all(size * width <= BLOCK_CELLS or size == 1 for size in sizes)
+    if width <= 8192:  # every kernel and benchmark op keeps 256-row blocks
+        assert sizes[:-1] == [BLOCK_ROWS] * (len(sizes) - 1)
+
+
+def test_row_blocks_sizes():
+    assert [(r.start, r.stop) for r in row_blocks(600, 0)] == [
+        (0, 256), (256, 512), (512, 600)]  # no zero column: full blocks
+    assert [r.stop - r.start for r in row_blocks(5, 10_000)] == [5]
+    assert [r.stop - r.start for r in row_blocks(1000, 10_000)] == [209] * 4 + [164]
+    assert [r.stop - r.start for r in row_blocks(3, BLOCK_CELLS + 1)] == [1] * 3
+    assert list(row_blocks(0, 7)) == []
+
+
+def test_row_blocks_read_the_bounds_when_called(monkeypatch):
+    monkeypatch.setattr(genbound.types_core, "BLOCK_CELLS", 100)
+    assert [r.stop - r.start for r in row_blocks(25, 10)] == [10, 10, 5]
+    monkeypatch.setattr(genbound.types_core, "BLOCK_ROWS", 4)
+    assert [r.stop - r.start for r in row_blocks(10, 10)] == [4, 4, 2]
 
 
 def test_enumeration_cap_enforced(monkeypatch):
