@@ -204,7 +204,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _jsonl_text(records: list[dict]) -> str:
+def _records_text(records: list[dict], fmt: str) -> str:
+    """verify-mi's and simulate's records: CSV headed by the first
+    record's keys, or JSONL, one object per line."""
+    if fmt == "csv":
+        return _csv_text(list(records[0]), [list(r.values()) for r in records])
     import json
 
     lines = []
@@ -278,15 +282,11 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
     def add(report, nats: bool) -> None:
         if nats:
             gen = gen_error_from_mi(sigma, n, report.value) if report.value >= 0 else ""
-            rows.append([
-                report.bound_id.value, report.value, gen,
-                report.applicable, report.asymptotic_only, report.regime_note,
-            ])
-        else:
-            rows.append([
-                report.bound_id.value, "", report.value,
-                report.applicable, report.asymptotic_only, report.regime_note,
-            ])
+            value_nats, gen_value = report.value, gen
+        else:  # a row in loss units
+            value_nats, gen_value = "", report.value
+        rows.append([report.bound_id.value, value_nats, gen_value,
+                     report.applicable, report.asymptotic_only, report.regime_note])
 
     candidates = kl_candidates(privacy, alphabet_size, n)
     for report in candidates:
@@ -327,7 +327,6 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> int | None:
     if source_text is not None and kind != "typical_grid":
         raise UsageError(f"--source applies only to --kind typical_grid, not {kind}")
     from .covering import (
-        CoverKind,
         build_full_grid_cover,
         build_simplex_grid_cover,
         build_typical_cover,
@@ -335,29 +334,23 @@ def cover_cmd(alphabet_size, n, t, kind, source_text, output) -> int | None:
     )
     from .types_core import SourceDistribution
 
-    kind_enum = CoverKind(kind)
-    source = None
-    if kind_enum is CoverKind.TYPICAL_GRID:
-        if source_text is not None:
-            source = SourceDistribution.parse(source_text)
-            if source.alphabet_size != alphabet_size:
-                raise InputError(
-                    f"source lists {source.alphabet_size} probabilities for "
-                    f"--alphabet-size {alphabet_size}"
-                )
-        else:
-            source = SourceDistribution.uniform(alphabet_size)
+    if kind == "typical_grid":
+        source = (SourceDistribution.uniform(alphabet_size) if source_text is None
+                  else SourceDistribution.parse(source_text))
+        if source.alphabet_size != alphabet_size:
+            raise InputError(f"source lists {source.alphabet_size} probabilities "
+                             f"for --alphabet-size {alphabet_size}")
         cover = build_typical_cover(source, n, t)
-    elif kind_enum is CoverKind.FULL_GRID:
+    elif kind == "full_grid":
         cover = build_full_grid_cover(alphabet_size, n, t)
     else:
         cover = build_simplex_grid_cover(alphabet_size, n, t)
 
-    check = verify_cover(cover, source=source)
+    check = verify_cover(cover)
     _emit(_csv_text(
         ["kind", "alphabet_size", "n", "t", "center_count",
          "analytic_radius", "achieved_radius", "verified"],
-        [[kind_enum.value, alphabet_size, n, cover.t, len(cover.centers),
+        [[kind, alphabet_size, n, cover.t, len(cover.centers),
           cover.certified_radius, check.achieved_radius, check.verified]],
     ), output)
     if not check.verified:
@@ -424,20 +417,17 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> int | No
 
 def _verification_records(report) -> list[dict]:
     """One record per bound, as the report judged it."""
-    records = []
-    for bid, value in report.bound_values.items():
-        records.append({
-            "bound_id": bid.value,
-            "bound_value": value,
-            "comparison_value": report.comparison_values[bid],
-            "slack": report.per_bound_slack[bid],
-            "pass": bid.value not in report.violations,
-            "exact_mi": report.exact_mi,
-            "exact_gen_error": report.exact_gen_error,
-            "sigma": report.sigma,
-            "all_pass": report.all_pass,
-        })
-    return records
+    return [{
+        "bound_id": bid.value,
+        "bound_value": value,
+        "comparison_value": report.comparison_values[bid],
+        "slack": report.per_bound_slack[bid],
+        "pass": bid.value not in report.violations,
+        "exact_mi": report.exact_mi,
+        "exact_gen_error": report.exact_gen_error,
+        "sigma": report.sigma,
+        "all_pass": report.all_pass,
+    } for bid, value in report.bound_values.items()]
 
 
 CONFIG = option("--config", dest="config_path", type=_input_file, required=True,
@@ -452,12 +442,8 @@ def verify_mi_cmd(config_path, fmt, output) -> int | None:
 
     config, sigma_override = load_experiment_config(config_path)
     report = run_verification(config, sigma=sigma_override)
-    records = _verification_records(report)
-    if fmt == "csv":  # the gen-bound record is always there to name the columns
-        text = _csv_text(list(records[0]), [list(r.values()) for r in records])
-    else:
-        text = _jsonl_text(records)
-    _emit(text, output)
+    # the gen-bound record is always there to name the CSV columns
+    _emit(_records_text(_verification_records(report), fmt), output)
     if not report.all_pass:
         print("verification failed: " + ", ".join(report.violations), file=sys.stderr)
         return 1
@@ -483,10 +469,8 @@ def simulate_cmd(config_path, workers, fmt, output) -> int | None:
     result = mc_expected_gen_error(config, workers=workers)
     exact = exact_expected_gen_error(config)
     abs_error = abs(result.estimate - exact)
-    if result.standard_error > 0:
-        within = abs_error <= 4.0 * result.standard_error
-    else:
-        within = abs_error <= 1e-12
+    within = abs_error <= (4.0 * result.standard_error
+                           if result.standard_error > 0 else 1e-12)
     record = {
         "samples": result.samples,
         "estimate": result.estimate,
@@ -495,11 +479,7 @@ def simulate_cmd(config_path, workers, fmt, output) -> int | None:
         "abs_error": abs_error,
         "within_4se": within,
     }
-    if fmt == "csv":
-        text = _csv_text(list(record), [list(record.values())])
-    else:
-        text = _jsonl_text([record])
-    _emit(text, output)
+    _emit(_records_text([record], fmt), output)
     if not within:
         print(f"simulation inconsistent with exact value: |{result.estimate!r} - "
               f"{exact!r}| > 4 * {result.standard_error!r}", file=sys.stderr)

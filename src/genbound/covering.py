@@ -13,7 +13,8 @@ replacement distance:
 - typical grid: covers only the typical count vectors of a source,
   splitting each symbol's typical range into t cells (a range holding
   fewer than t atoms puts every atom on its axis); radius
-  sqrt(n log n) * m / t.
+  sqrt(n log n) * m / t. The cover keeps the source's probabilities, so
+  verify_cover checks it against the typical set it was built for.
 
 The certified radius stored on a cover is always the analytic bound.
 The achieved radius is a measured quantity reported by verify_cover and
@@ -78,15 +79,15 @@ class CoverSpec(Record):
 
     centers is a read-only C x m int64 array, one count vector per row:
     at least one row and two columns, non-negative, no row twice, and one
-    row sum (the dataset length n >= 1). typical_epsilon is 0 except for
-    typical-grid covers, where it records the typicality threshold the
-    cover was built against.
+    row sum (the dataset length n >= 1). A typical-grid cover covers the
+    typical set of one source, so it keeps that source's m probabilities
+    as source_probs, a read-only float64 array; a grid cover keeps none.
     """
 
-    __slots__ = ("centers", "t", "certified_radius", "kind", "typical_epsilon")
+    __slots__ = ("centers", "t", "certified_radius", "kind", "source_probs")
 
     def __init__(self, centers, t: int, certified_radius: float, kind: CoverKind,
-                 typical_epsilon: float = 0.0) -> None:
+                 source_probs=None) -> None:
         try:
             centers = np.array(centers, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
@@ -105,8 +106,16 @@ class CoverSpec(Record):
             raise InputError("cover centers must be duplicate-free")
         if t < 1:
             raise InputError(f"grid parameter must be positive, got {t}")
+        if (kind is CoverKind.TYPICAL_GRID) != (source_probs is not None):
+            raise InputError("a typical cover, and only a typical cover, keeps "
+                             "the probabilities of its source")
+        if source_probs is not None:
+            source_probs = SourceDistribution(source_probs).probs
+            if source_probs.size != centers.shape[1]:
+                raise InputError(f"source over {source_probs.size} symbols does "
+                                 f"not match cover over {centers.shape[1]}")
         centers.flags.writeable = False
-        self._assign(centers, t, certified_radius, kind, typical_epsilon)
+        self._assign(centers, t, certified_radius, kind, source_probs)
 
     @property
     def n(self) -> int:
@@ -131,14 +140,11 @@ class CoverVerification(Record):
     """Outcome of an exhaustive radius check; worst is the witness count
     vector as a tuple, or None."""
 
-    __slots__ = ("achieved_radius", "certified_radius", "verified",
-                 "checked_vectors", "worst")
+    __slots__ = ("achieved_radius", "verified", "checked_vectors", "worst")
 
-    def __init__(self, achieved_radius: int, certified_radius: float,
-                 verified: bool, checked_vectors: int,
-                 worst: tuple[int, ...] | None) -> None:
-        self._assign(achieved_radius, certified_radius, verified,
-                     checked_vectors, worst)
+    def __init__(self, achieved_radius: int, verified: bool,
+                 checked_vectors: int, worst: tuple[int, ...] | None) -> None:
+        self._assign(achieved_radius, verified, checked_vectors, worst)
 
 
 class GridParameter(Record):
@@ -210,10 +216,6 @@ def _patch_sums(coords: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([patched, n - patched.sum(axis=1)])
 
 
-def _grid_radius(alphabet_size: int, n: int, t: int) -> float:
-    return (n / (2.0 * t) + 0.5) * (alphabet_size - 1)
-
-
 def _check_grid_args(alphabet_size: int, n: int, t: int) -> None:
     if alphabet_size < 2:
         raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
@@ -249,7 +251,7 @@ def _grid_cover(alphabet_size: int, n: int, t: int, kind: CoverKind) -> CoverSpe
         idx = np.indices((t,) * k).reshape(k, -1).T
     centers = _patch_sums(_axis_centers(n, t)[idx], n)
     return CoverSpec(centers[_first_distinct_rows(centers)], t,
-                     _grid_radius(alphabet_size, n, t), kind)
+                     (n / (2.0 * t) + 0.5) * (alphabet_size - 1), kind)
 
 
 def build_full_grid_cover(alphabet_size: int, n: int, t: int) -> CoverSpec:
@@ -280,8 +282,6 @@ def typical_epsilon(n: int) -> float:
 
 def _typical_mask(counts: np.ndarray, probs: np.ndarray, epsilon: float) -> np.ndarray:
     """Typicality of each count vector (the last axis of counts)."""
-    if not (epsilon > 0):
-        raise InputError(f"epsilon must be positive, got {epsilon}")
     freqs = counts / counts.sum(axis=-1, keepdims=True)
     return np.where(
         probs == 0.0, counts == 0, np.abs(freqs - probs) <= epsilon
@@ -339,7 +339,7 @@ def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec
     centers = lo + _cut_largest(grown - lo, np.maximum(-deficit, 0))
     radius = math.sqrt(n * math.log(n)) * m / t
     return CoverSpec(centers[_first_distinct_rows(centers)], t, radius,
-                     CoverKind.TYPICAL_GRID, typical_epsilon=eps)
+                     CoverKind.TYPICAL_GRID, source_probs=source.probs)
 
 
 _FULL_REGIMES = {"dp_full", "gdp_full"}
@@ -385,31 +385,22 @@ def optimal_grid_parameter(
     return GridParameter(t=t, clamped=(t != rounded), raw_value=float(raw))
 
 
-def verify_cover(
-    cover: CoverSpec, source: SourceDistribution | None = None
-) -> CoverVerification:
+def verify_cover(cover: CoverSpec) -> CoverVerification:
     """Exhaustively check that every relevant count vector lies within the
     certified radius of some center.
 
     Full and simplex covers are checked against every count vector;
-    typical covers against the typical set only (a source is required).
-    The witness is the first count vector, in lexicographic order, at
-    the achieved radius (None when every vector is a center). Count
-    vectors are checked a row block at a time against every center, so
-    beyond the lattice and the centers the check holds one block.
+    typical covers against the typical set of the source they keep, at
+    the threshold typical_epsilon(n) they were built with. The witness is
+    the first count vector, in lexicographic order, at the achieved
+    radius (None when every vector is a center). Count vectors are
+    checked a row block at a time against every center, so beyond the
+    lattice and the centers the check holds one block.
     """
-    if cover.kind is CoverKind.TYPICAL_GRID:
-        if source is None:
-            raise InputError("verifying a typical cover requires the source")
-        if source.alphabet_size != cover.alphabet_size:
-            raise InputError(
-                f"source over {source.alphabet_size} symbols does not match "
-                f"cover over {cover.alphabet_size}"
-            )
-
     counts = type_counts(cover.alphabet_size, cover.n)
     if cover.kind is CoverKind.TYPICAL_GRID:
-        counts = counts[_typical_mask(counts, source.probs, cover.typical_epsilon)]
+        counts = counts[_typical_mask(counts, cover.source_probs,
+                                      typical_epsilon(cover.n))]
     worst: tuple[int, ...] | None = None
     achieved = 0
     for rows in row_blocks(counts.shape[0], len(cover.centers)):
@@ -421,7 +412,6 @@ def verify_cover(
             worst = tuple(block[i].tolist())
     return CoverVerification(
         achieved_radius=achieved,
-        certified_radius=cover.certified_radius,
         verified=achieved <= cover.certified_radius + 1e-12,
         checked_vectors=int(counts.shape[0]),
         worst=worst,

@@ -173,14 +173,10 @@ def random_mechanism(
     total = check_cap(alphabet_size, n)
     check_kernel_cells(total, hypothesis_count)
     rng = np.random.default_rng(seed)
-    kernel = rng.dirichlet(np.ones(hypothesis_count), size=total)
-    return Mechanism(
-        kernel,
-        alphabet_size,
-        n,
-        privacy if privacy is not None else PrivacyParams.none(),
-        description=f"random Dirichlet(1) mechanism, seed={seed}",
-    )
+    return Mechanism(rng.dirichlet(np.ones(hypothesis_count), size=total),
+                     alphabet_size, n,
+                     privacy if privacy is not None else PrivacyParams.none(),
+                     description=f"random Dirichlet(1) mechanism, seed={seed}")
 
 
 def _rows_identical(kernel: np.ndarray) -> bool:
@@ -291,6 +287,40 @@ class McResult(Record):
         self._assign(estimate, standard_error, samples)
 
 
+def _draw_hypotheses(kernel: np.ndarray, ranks: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """Each sample's hypothesis, np.searchsorted(cdf[:-1], u, side="right")
+    on its kernel row's CDF, so a uniform past every entry takes the last:
+    the samples grouped by row with one radix sort, and a row_blocks block
+    of the distinct rows' CDFs searched at once by a branchless bisection,
+    exact on non-decreasing rows."""
+    width = kernel.shape[1]
+    order = np.argsort(ranks, kind="stable")
+    sorted_ranks, u = ranks[order], u[order]
+    # the samples of drawn[i] are order[ends[i]:ends[i + 1]]
+    ends = np.flatnonzero(np.concatenate(
+        ([True], sorted_ranks[1:] != sorted_ranks[:-1], [True])))
+    drawn, counts = sorted_ranks[ends[:-1]], np.diff(ends)
+    w = np.empty(u.size, dtype=np.min_scalar_type(width - 1))
+    for rows in row_blocks(drawn.size, width):
+        cdf = kernel[drawn[rows]]
+        flat = np.cumsum(cdf, axis=1, out=cdf).ravel()
+        lo, hi = ends[rows.start], ends[rows.stop]
+        # pos is a row's first index in flat plus a base b: the count of
+        # the row's entries <= u lies in [b, b + n]
+        pos = np.repeat(np.arange(0, cdf.size, width), counts[rows])
+        n = width
+        while n > 1:
+            half = n // 2
+            pos += half * (flat[pos + half] <= u[lo:hi])
+            n -= half
+        # the count over the row, capped at width - 1, is the count over
+        # all entries but the last
+        w[order[lo:hi]] = np.minimum(pos % width + (flat[pos] <= u[lo:hi]),
+                                     width - 1)
+    return w
+
+
 def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResult:
     """Monte-Carlo estimate of the expected generalization error.
 
@@ -298,8 +328,9 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
     call), then its inverse-CDF uniforms, from one Philox stream keyed
     (seed, j), and partial sums are reduced in chunk order: the result is
     a pure function of (seed, mc_samples). A round of _MC_ROUND chunks
-    searches the CDF of each kernel row it drew once, for all the row's
-    samples. workers must be >= 1 and has no effect.
+    takes the CDF of each distinct kernel row it drew once, a row block
+    at a time, and searches all of a block's samples together
+    (_draw_hypotheses). workers must be >= 1 and has no effect.
     """
     m = config.mc_samples
     if m < 100:
@@ -314,19 +345,13 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
     for first in range(0, len(sizes), _MC_ROUND):
         chunks = [(np.random.Generator(np.random.Philox(key=[config.seed, j])), size)
                   for j, size in enumerate(sizes[first:first + _MC_ROUND], start=first)]
-        t_idx = type_rank(np.concatenate([
+        ranks = type_rank(np.concatenate([
             gen.multinomial(config.n, config.source.probs, size=size)
-            for gen, size in chunks]))
-        u = np.concatenate([gen.random(size) for gen, size in chunks])
-        ranks = t_idx.astype(rank_type)
-        order = np.argsort(ranks, kind="stable")
-        w = np.empty(u.size, dtype=np.int64)
-        for drawn in np.split(order, np.flatnonzero(np.diff(ranks[order])) + 1):
-            # searching all but the last CDF entry clamps to the last hypothesis
-            cdf = np.cumsum(config.mechanism.kernel[t_idx[drawn[0]]])[:-1]
-            w[drawn] = np.searchsorted(cdf, u[drawn], side="right")
-        for lo in range(0, u.size, _MC_CHUNK):
-            t, h = t_idx[lo:lo + _MC_CHUNK], w[lo:lo + _MC_CHUNK]
+            for gen, size in chunks])).astype(rank_type)
+        w = _draw_hypotheses(config.mechanism.kernel, ranks, np.concatenate(
+            [gen.random(size) for gen, size in chunks]))
+        for lo in range(0, w.size, _MC_CHUNK):
+            t, h = ranks[lo:lo + _MC_CHUNK], w[lo:lo + _MC_CHUNK]
             vals = pop[h] - np.einsum("sa,sa->s", config.loss_table[h], freqs[t])
             partials.append((float(np.sum(vals)), float(np.sum(vals * vals))))
 
@@ -404,18 +429,19 @@ def _build_cover(kind: str, t: int, alphabet_size: int, n: int) -> CoverSpec:
 class VerificationReport(Record):
     """Everything a certification run measured, bound by bound: each
     bound's value, the exact quantity it is compared against, and the
-    slack between the two."""
+    slack between the two. The generalization bound from the exact MI is
+    bound_values[BoundId.GEN_SUB_GAUSSIAN]."""
 
-    __slots__ = ("exact_mi", "exact_gen_error", "sigma", "gen_bound",
-                 "bound_values", "comparison_values", "per_bound_slack",
-                 "violations", "all_pass")
+    __slots__ = ("exact_mi", "exact_gen_error", "sigma", "bound_values",
+                 "comparison_values", "per_bound_slack", "violations",
+                 "all_pass")
 
     def __init__(self, exact_mi: float, exact_gen_error: float, sigma: float,
-                 gen_bound: float, bound_values: Mapping[BoundId, float],
+                 bound_values: Mapping[BoundId, float],
                  comparison_values: Mapping[BoundId, float],
                  per_bound_slack: Mapping[BoundId, float],
                  violations: tuple[str, ...], all_pass: bool) -> None:
-        self._assign(exact_mi, exact_gen_error, sigma, gen_bound, bound_values,
+        self._assign(exact_mi, exact_gen_error, sigma, bound_values,
                      comparison_values, per_bound_slack, violations, all_pass)
 
 
@@ -439,7 +465,6 @@ def run_verification(
     sums = _KernelSums(config.mechanism.kernel, p_types)
     gen = _gen_error(config, p_types, sums.identical)
     scale = sigma_sub_gaussian(config.loss_table) if sigma is None else float(sigma)
-    gen_bound = gen_error_from_mi(scale, n, sums.mi)
 
     values: dict[BoundId, float] = {}
     comparisons: dict[BoundId, float] = {}
@@ -460,7 +485,7 @@ def run_verification(
         else:
             comparisons[report.bound_id] = sums.mi
 
-    values[BoundId.GEN_SUB_GAUSSIAN] = gen_bound
+    values[BoundId.GEN_SUB_GAUSSIAN] = gen_error_from_mi(scale, n, sums.mi)
     comparisons[BoundId.GEN_SUB_GAUSSIAN] = abs(gen)
 
     slack = {bid: values[bid] - comparisons[bid] for bid in values}
@@ -471,7 +496,6 @@ def run_verification(
         exact_mi=sums.mi,
         exact_gen_error=gen,
         sigma=scale,
-        gen_bound=gen_bound,
         bound_values=values,
         comparison_values=comparisons,
         per_bound_slack=slack,
@@ -501,7 +525,8 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
 
     Recognized keys: alphabet_size, n, source (comma-separated
     probabilities), mechanism (builtin name: exponential, identity,
-    uniform; or a path to a saved kernel), epsilon or mu, sigma (optional
+    uniform; or a path to a saved kernel, which needs one hypothesis per
+    count vector for the default loss), epsilon or mu, sigma (optional
     non-negative override returned separately), seed, mc_samples. '#'
     starts a comment. mechanism=exponential consumes epsilon as its
     construction parameter; for any other mechanism an epsilon or mu key
@@ -567,18 +592,20 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
                 f"{path}: mechanism file is for alphabet size "
                 f"{mechanism.alphabet_size}, n={mechanism.n}"
             )
+        total, width = mechanism.kernel.shape
+        if width != total:
+            raise InputError(f"{path}: mechanism file {mech_name} has {width} "
+                             "hypotheses, but a config's default loss needs "
+                             f"one per count vector (T={total})")
 
-    # an explicit epsilon/mu is the experimenter's privacy declaration for
-    # the kernel; it is trusted here and auditable via verify_kl_stability
-    declared = None
+    # an explicit epsilon/mu is the experimenter's privacy declaration, set
+    # on the mechanism built above for this config alone and auditable via
+    # verify_kl_stability (an exponential mechanism's epsilon excludes mu)
     if "epsilon" in raw and mech_name != "exponential":
-        declared = PrivacyParams.eps_dp(_finite_value(path, raw, "epsilon"))
+        mechanism.privacy = PrivacyParams.eps_dp(
+            _finite_value(path, raw, "epsilon"))
     elif "mu" in raw:
-        declared = PrivacyParams.mu_gdp(_finite_value(path, raw, "mu"))
-    if declared is not None:
-        mechanism = Mechanism(
-            mechanism.kernel, size, n, declared, mechanism.description
-        )
+        mechanism.privacy = PrivacyParams.mu_gdp(_finite_value(path, raw, "mu"))
 
     sigma_override = _finite_value(path, raw, "sigma") if "sigma" in raw else None
     if sigma_override is not None and sigma_override < 0:

@@ -265,7 +265,7 @@ def test_criterion_11_every_cover_verifies_exhaustively():
                        SourceDistribution([0.2, 0.3, 0.5])):
             for t in (1, 2, 4, min(8, t_max)):
                 cover = build_typical_cover(source, n, t)
-                assert verify_cover(cover, source=source).verified, \
+                assert verify_cover(cover).verified, \
                     ("typical", n, t, source)
 
 

@@ -24,6 +24,7 @@ import genbound.covering
 import genbound.privacy_mechanisms
 from genbound.cli import main
 from genbound.covering import CoverKind, CoverSpec
+from genbound.oracle_harness import random_mechanism
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyParams,
@@ -481,6 +482,22 @@ class TestSimulate:
         record = json.loads(result.output)
         assert record["samples"] == 2000
         assert record["within_4se"] is True
+
+
+@pytest.mark.parametrize("command", ["verify-mi", "simulate"])
+def test_config_naming_a_narrow_kernel_exits_2_with_one_line(runner, tmp_path,
+                                                            command):
+    # 3 hypotheses over 5 count vectors: the default loss cannot apply, and
+    # the one line names the kernel file, not a loss table the user never gave
+    kernel = str(tmp_path / "narrow.csv")
+    save_mechanism_csv(random_mechanism(2, 4, 3, seed=1), kernel)
+    config = write_config(tmp_path, "alphabet_size = 2\nn = 4\n"
+                          f"source = 0.5,0.5\nmechanism = {kernel}\n")
+    result = runner.invoke(main, [command, "--config", config])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: {config}: mechanism file {kernel} has 3 hypotheses, but a "
+        "config's default loss needs one per count vector (T=5)\n")
 
 
 class TestCatalog:

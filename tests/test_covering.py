@@ -52,13 +52,14 @@ def rows(cover):
     return tuple(map(tuple, cover.centers.tolist()))
 
 
-def scalar_verify_cover(cover, source=None):
+def scalar_verify_cover(cover):
     """Reference cover check: every count vector against every center,
-    the first vector at a new worst distance kept as the witness."""
+    the first vector at a new worst distance kept as the witness; a
+    typical cover's vectors are those typical for its own source."""
     worst, achieved, checked = None, 0, 0
     for s in enumerate_types(cover.alphabet_size, cover.n):
         if cover.kind is CoverKind.TYPICAL_GRID and not is_typical(
-            s, source.probs, cover.typical_epsilon
+            s, cover.source_probs, typical_epsilon(cover.n)
         ):
             continue
         checked += 1
@@ -296,7 +297,7 @@ def typical_matches_reference(probs, n, t):
     try:
         expected = reference_typical_centers(probs, n, t)
     except InputError:
-        assert verify_cover(cover, source=src).verified, (probs, n, t)
+        assert verify_cover(cover).verified, (probs, n, t)
         return False
     assert rows(cover) == expected, (probs, n, t)
     return True
@@ -349,7 +350,7 @@ def test_typical_cover_of_a_short_range_verifies(probs):
         for t in range(1, typical_t_max(n) + 1):
             if any(0 < hi - lo < t - 1 for lo, hi in ranges):
                 short += 1
-                check = verify_cover(build_typical_cover(src, n, t), source=src)
+                check = verify_cover(build_typical_cover(src, n, t))
                 assert check.verified, (n, t, check.worst)
     assert short > 0
 
@@ -476,27 +477,25 @@ def test_typicality_mask_matches_scalar_loop(probs):
                                   for s in enumerate_types(3, 12)]
 
 
-@pytest.mark.parametrize("build, source", [
-    (lambda: build_full_grid_cover(3, 20, 4), None),
-    (lambda: build_full_grid_cover(2, 30, 7), None),
-    (lambda: build_simplex_grid_cover(4, 10, 3), None),
-    (lambda: build_simplex_grid_cover(3, 8, 9), None),  # every vector a center
+@pytest.mark.parametrize("build", [
+    lambda: build_full_grid_cover(3, 20, 4),
+    lambda: build_full_grid_cover(2, 30, 7),
+    lambda: build_simplex_grid_cover(4, 10, 3),
+    lambda: build_simplex_grid_cover(3, 8, 9),  # every vector a center
     # corner centers: the witness, (4, 4, 4), is the 51st count vector
-    (lambda: CoverSpec(((0, 0, 12), (12, 0, 0), (0, 12, 0)), 1, 12.0,
-                       CoverKind.FULL_GRID), None),
-    (lambda: build_typical_cover(SourceDistribution([0.2, 0.3, 0.5]), 40, 5),
-     SourceDistribution([0.2, 0.3, 0.5])),
-    (lambda: build_typical_cover(SourceDistribution([0.6, 0.4, 0.0]), 30, 3),
-     SourceDistribution([0.6, 0.4, 0.0])),
+    lambda: CoverSpec(((0, 0, 12), (12, 0, 0), (0, 12, 0)), 1, 12.0,
+                      CoverKind.FULL_GRID),
+    lambda: build_typical_cover(SourceDistribution([0.2, 0.3, 0.5]), 40, 5),
+    lambda: build_typical_cover(SourceDistribution([0.6, 0.4, 0.0]), 30, 3),
 ], ids=["full-m3", "full-m2", "simplex-m4", "simplex-all", "corners", "typical",
         "typical-zero"])
-def test_verify_cover_matches_scalar_loop(block_rows, build, source):
+def test_verify_cover_matches_scalar_loop(block_rows, build):
     cover = build()
-    achieved, checked, worst = scalar_verify_cover(cover, source)
+    achieved, checked, worst = scalar_verify_cover(cover)
     # small blocks: the worst vector and its ties fall in different blocks
     for size in (7, 256):
         block_rows(size)
-        check = verify_cover(cover, source=source)
+        check = verify_cover(cover)
         assert check.achieved_radius == achieved
         assert check.checked_vectors == checked
         assert check.worst == worst
@@ -561,8 +560,8 @@ def test_typical_cover_small_instance():
     src = SourceDistribution.uniform(2)
     cover = build_typical_cover(src, 16, 2)
     assert cover.kind is CoverKind.TYPICAL_GRID
-    assert cover.typical_epsilon == typical_epsilon(16)
-    check = verify_cover(cover, source=src)
+    assert cover.source_probs.tolist() == src.probs.tolist()
+    check = verify_cover(cover)
     assert check.verified
 
 
@@ -570,10 +569,10 @@ def test_typical_cover_ignores_non_typical_extremes():
     src = SourceDistribution.uniform(2)
     cover = build_typical_cover(src, 64, 8)
     extreme = (64, 0)
-    assert not typical(extreme, src, cover.typical_epsilon)
+    assert not typical(extreme, src, typical_epsilon(64))
     nearest = distance_matrix([extreme], cover.centers).min()
     assert nearest > cover.certified_radius
-    assert verify_cover(cover, source=src).verified
+    assert verify_cover(cover).verified
 
 
 def test_typical_cover_center_budget():
@@ -581,7 +580,7 @@ def test_typical_cover_center_budget():
     for t in (1, 2, 3):
         cover = build_typical_cover(src, 20, t)
         assert len(cover.centers) <= t**3
-        assert verify_cover(cover, source=src).verified
+        assert verify_cover(cover).verified
 
 
 def test_typical_cover_rejects_out_of_range_t():
@@ -592,10 +591,38 @@ def test_typical_cover_rejects_out_of_range_t():
         build_typical_cover(src, 16, limit + 1)
 
 
-def test_verify_cover_typical_requires_source():
-    cover = build_typical_cover(SourceDistribution.uniform(2), 16, 2)
-    with pytest.raises(InputError):
-        verify_cover(cover)
+def test_typical_cover_verifies_without_a_source():
+    # the cover keeps its source: the check reads the typical set of that
+    # source, whatever other source is at hand
+    skewed = SourceDistribution([0.2, 0.3, 0.5])
+    cover = build_typical_cover(skewed, 24, 3)
+    assert cover.source_probs.tolist() == [0.2, 0.3, 0.5]
+    assert not cover.source_probs.flags.writeable
+    typical_set = [s for s in enumerate_types(3, 24)
+                   if is_typical(s, skewed.probs, typical_epsilon(24))]
+    check = verify_cover(cover)
+    assert check.verified
+    assert check.checked_vectors == len(typical_set)
+    assert (check.achieved_radius, check.checked_vectors, check.worst) == \
+        scalar_verify_cover(cover)
+
+
+def test_cover_spec_keeps_a_source_only_for_a_typical_cover():
+    centers = build_typical_cover(SourceDistribution.uniform(2), 16, 2).centers
+    radius = math.sqrt(16 * math.log(16)) * 2 / 2
+    only = "^a typical cover, and only a typical cover, keeps the probabilities"
+    with pytest.raises(InputError, match=only):
+        CoverSpec(centers, 2, radius, CoverKind.TYPICAL_GRID)
+    with pytest.raises(InputError, match="^source over 3 symbols does not "
+                                         "match cover over 2$"):
+        CoverSpec(centers, 2, radius, CoverKind.TYPICAL_GRID, (0.2, 0.3, 0.5))
+    with pytest.raises(InputError, match="must sum to 1"):
+        CoverSpec(centers, 2, radius, CoverKind.TYPICAL_GRID, (0.5, 0.6))
+    with pytest.raises(InputError, match=only):
+        CoverSpec(centers, 2, radius, CoverKind.FULL_GRID, (0.5, 0.5))
+    hand_built = CoverSpec(centers, 2, radius, CoverKind.TYPICAL_GRID, [0.5, 0.5])
+    assert hand_built == build_typical_cover(SourceDistribution.uniform(2), 16, 2)
+    assert verify_cover(hand_built).verified
 
 
 def test_optimal_grid_parameter_values():

@@ -638,13 +638,24 @@ def zero_entry_config():
         seed=11, mc_samples=40_000)
 
 
+def narrow_kernel_config():
+    """random_mechanism(5, 30, 20): 46,376 count vectors and 20
+    hypotheses, so a round draws thousands of distinct rows."""
+    rng = np.random.default_rng(31)
+    return ExperimentConfig(
+        SourceDistribution([0.1, 0.15, 0.2, 0.25, 0.3]),
+        random_mechanism(5, 30, 20, seed=5),
+        rng.uniform(-1.0, 2.0, size=(20, 5)), seed=13, mc_samples=200_000)
+
+
 @pytest.mark.parametrize("build, estimate, standard_error", [
     (zero_entry_config, "-0x1.fa318c99870bcp-6", "0x1.b80dbf4bcfd98p-10"),
     (lambda: ExperimentConfig(
         SourceDistribution.uniform(3), exponential_mechanism_over_types(3, 6, 0.5),
         default_loss_table(3, 6), seed=7, mc_samples=100_001),
      "0x1.a9a817e40cb42p-6", "0x1.7d2fecc13bdecp-12"),
-], ids=["zero-entries", "m3-n6-100001"])
+    (narrow_kernel_config, "-0x1.27947639c407dp-11", "0x1.4943ddeca21eap-12"),
+], ids=["zero-entries", "m3-n6-100001", "narrow-kernel"])
 def test_mc_estimates_are_pinned(build, estimate, standard_error):
     # the Philox streams and the chunk order fix every bit of both, so a
     # change to how hypotheses are searched must leave these values
@@ -675,6 +686,38 @@ def test_mc_search_at_the_ends_of_each_cdf(monkeypatch):
     estimate, standard_error = emp_mc(config)
     assert math.isclose(result.estimate, estimate, rel_tol=1e-12)
     assert math.isclose(result.standard_error, standard_error, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("kernel", [
+    zero_entry_config().mechanism.kernel,
+    exponential_mechanism_over_types(3, 6, 0.5).kernel,
+    np.ones((28, 1)),
+    np.tile([0.0, 1.0], (28, 1)),
+], ids=["zero-entries", "exponential", "one-hypothesis", "two-hypotheses"])
+def test_mc_search_over_row_blocks_matches_searchsorted(block_rows, kernel):
+    # 5-row blocks: the 28 rows drawn span six blocks, and each sample
+    # still takes np.searchsorted's index on its own row's CDF
+    rng = np.random.default_rng(37)
+    ranks = rng.integers(0, 28, size=3000).astype(np.uint8)
+    u = rng.random(3000)
+    u[:40] = 0.0
+    u[40:80] = np.nextafter(1.0, 0.0)
+    expected = np.minimum(searchsorted_per_type(
+        np.cumsum(kernel, axis=1), ranks, u), kernel.shape[1] - 1)
+    spans = []
+    real_row_blocks = genbound.oracle_harness.row_blocks
+
+    def recording(total, width):
+        blocks = list(real_row_blocks(total, width))
+        spans.append(len(blocks))
+        return iter(blocks)
+
+    block_rows(5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genbound.oracle_harness, "row_blocks", recording)
+        drawn = genbound.oracle_harness._draw_hypotheses(kernel, ranks, u)
+    assert spans == [6]
+    assert drawn.tolist() == expected.tolist()
 
 
 def test_mc_holds_no_kernel_sized_array():
@@ -811,7 +854,8 @@ def test_run_verification_passes_reference_suite():
         assert report.all_pass, (name, report.violations)
         assert BoundId.GEN_SUB_GAUSSIAN in report.bound_values
         assert report.sigma == sigma_sub_gaussian(config.loss_table)
-        assert abs(report.exact_gen_error) <= report.gen_bound + 1e-9
+        assert abs(report.exact_gen_error) <= \
+            report.bound_values[BoundId.GEN_SUB_GAUSSIAN] + 1e-9
 
 
 def test_run_verification_sigma_override(make_config):
@@ -819,7 +863,8 @@ def test_run_verification_sigma_override(make_config):
     report = run_verification(config, sigma=2.0)
     assert report.sigma == 2.0
     baseline = run_verification(config)
-    assert report.gen_bound == 4.0 * baseline.gen_bound
+    assert report.bound_values[BoundId.GEN_SUB_GAUSSIAN] == \
+        4.0 * baseline.bound_values[BoundId.GEN_SUB_GAUSSIAN]
 
 
 def test_report_carries_the_comparisons_it_judged():
@@ -941,6 +986,51 @@ class TestConfigLoader:
         config, _ = load_experiment_config(str(path))
         np.testing.assert_array_equal(config.mechanism.kernel, mech.kernel)
         assert config.mechanism.privacy == PrivacyParams.eps_dp(0.7)
+
+    def test_saved_kernel_needs_one_hypothesis_per_count_vector(self, tmp_path):
+        # the default loss has one row per count vector, so a kernel over
+        # other hypotheses is refused when the config names it
+        kernel_path = str(tmp_path / "narrow.csv")
+        save_mechanism_csv(random_mechanism(2, 4, 3, seed=1), kernel_path)
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"alphabet_size = 2\nn = 4\nsource = 0.5,0.5\nmechanism = {kernel_path}\n"
+        )
+        with pytest.raises(InputError) as err:
+            load_experiment_config(str(path))
+        assert str(err.value) == (
+            f"{path}: mechanism file {kernel_path} has 3 hypotheses, but a "
+            "config's default loss needs one per count vector (T=5)")
+
+    @pytest.mark.parametrize("mechanism, declaration", [
+        ("identity", "epsilon = 1.0"), ("uniform", "mu = 0.5"),
+        ("exponential", "epsilon = 0.5"), ("saved", "mu = 2.0"),
+    ])
+    def test_one_mechanism_per_config(self, tmp_path, monkeypatch, mechanism,
+                                      declaration):
+        # the declared privacy goes on the mechanism the loader built, and
+        # no second Mechanism re-validates its kernel
+        if mechanism == "saved":
+            mechanism = str(tmp_path / "kernel.csv")
+            save_mechanism_csv(exponential_mechanism_over_types(2, 4, 0.7),
+                               mechanism)
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"alphabet_size = 2\nn = 4\nsource = 0.5,0.5\n"
+                        f"mechanism = {mechanism}\n{declaration}\n")
+        built = []
+        real_init = Mechanism.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mechanism, "__init__", counting)
+        config, _ = load_experiment_config(str(path))
+        assert built == [config.mechanism]
+        key, _, value = declaration.partition(" = ")
+        assert config.mechanism.privacy == (
+            PrivacyParams.mu_gdp(float(value)) if key == "mu"
+            else PrivacyParams.eps_dp(float(value)))
 
     def test_source_length_mismatch(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -30,13 +30,13 @@ RECORDS = [
                     "unit": "nats", "asymptotic": False}, {}),
     (CoverSpec, {"centers": np.array([[1, 2], [3, 0]]), "t": 2,
                  "certified_radius": 1.25, "kind": CoverKind.SIMPLEX_GRID,
-                 "typical_epsilon": 0.1}, {"typical_epsilon": 0.0}),
-    (CoverVerification, {"achieved_radius": 1, "certified_radius": 1.25,
-                         "verified": True, "checked_vectors": 4, "worst": (1, 2)}, {}),
+                 "source_probs": None}, {"source_probs": None}),
+    (CoverVerification, {"achieved_radius": 1, "verified": True,
+                         "checked_vectors": 4, "worst": (1, 2)}, {}),
     (GridParameter, {"t": 3, "clamped": False, "raw_value": 2.8}, {}),
     (McResult, {"estimate": 0.01, "standard_error": 0.001, "samples": 100}, {}),
     (VerificationReport, {"exact_mi": 0.1, "exact_gen_error": 0.01,
-                          "sigma": 0.5, "gen_bound": 0.2,
+                          "sigma": 0.5,
                           "bound_values": {BoundId.TYPE_COUNT: 1.0},
                           "comparison_values": {BoundId.TYPE_COUNT: 0.1},
                           "per_bound_slack": {BoundId.TYPE_COUNT: 0.9},
