@@ -23,7 +23,7 @@ _EXPORTS = {
     "covering": (
         "CoverKind", "CoverSpec", "build_full_grid_cover",
         "build_simplex_grid_cover", "build_typical_cover",
-        "optimal_grid_parameter", "simplex_hypercube_count",
+        "simplex_hypercube_count",
         "typical_epsilon", "verify_cover",
     ),
     "privacy_mechanisms": (
@@ -38,7 +38,7 @@ _EXPORTS = {
         "asymptotic_report", "catalog_entries",
         "gen_error_from_mi", "kl_bound_cover_dp", "kl_bound_cover_gdp",
         "kl_bound_refined", "kl_bound_simple", "mi_bound_typical",
-        "pac_bayes_gen_bound",
+        "optimal_grid_parameter", "pac_bayes_gen_bound",
     ),
     "oracle_harness": (
         "ExperimentConfig", "exact_expected_gen_error",

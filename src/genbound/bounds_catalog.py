@@ -8,8 +8,10 @@ enter numeric certification, plus two conversions (sub-Gaussian
 MI-to-generalization and a PAC-Bayes high-probability variant).
 
 A BoundReport is self-describing: value, applicability, the regime that
-produced it, and whether it is asymptotic-only. Asymptotic-only reports
-are never used in certification.
+produced it, whether it is asymptotic-only, and, for a count-based
+branch, the cover whose mixture it dominates. Asymptotic-only reports
+are never used in certification. The grid parameter t of that cover is
+optimal_grid_parameter's, the trade-off rule of the bound's own regime.
 
 The module needs nothing beyond the standard library. It re-exports
 PrivacyKind and PrivacyParams from genbound.privacy.
@@ -30,6 +32,8 @@ __all__ = [
     "BoundId",
     "BoundReport",
     "CatalogEntry",
+    "GridParameter",
+    "optimal_grid_parameter",
     "kl_bound_simple",
     "kl_bound_cover_dp",
     "kl_bound_cover_gdp",
@@ -67,14 +71,30 @@ class BoundId(enum.Enum):
 
 
 class BoundReport(Record):
-    """One evaluated bound: value, applicability, and provenance of regime."""
+    """One evaluated bound: value, applicability, and provenance of regime.
+
+    cover is the cover a count-based bound dominates the mixture KL of,
+    as (CoverKind value, grid parameter t); None for the typical-set and
+    asymptotic reports, which no cover certifies.
+    """
 
     __slots__ = ("bound_id", "value", "applicable", "regime_note",
-                 "asymptotic_only")
+                 "asymptotic_only", "cover")
 
     def __init__(self, bound_id: BoundId, value: float, applicable: bool,
-                 regime_note: str, asymptotic_only: bool = False) -> None:
-        self._assign(bound_id, value, applicable, regime_note, asymptotic_only)
+                 regime_note: str, asymptotic_only: bool = False,
+                 cover: tuple[str, int] | None = None) -> None:
+        self._assign(bound_id, value, applicable, regime_note, asymptotic_only,
+                     cover)
+
+
+class GridParameter(Record):
+    """Chosen grid parameter plus how it was obtained."""
+
+    __slots__ = ("t", "clamped", "raw_value")
+
+    def __init__(self, t: int, clamped: bool, raw_value: float) -> None:
+        self._assign(t, clamped, raw_value)
 
 
 def _check_mn(alphabet_size: int, n: int) -> int:
@@ -83,6 +103,49 @@ def _check_mn(alphabet_size: int, n: int) -> int:
     if n < 1:
         raise InputError(f"dataset length must be positive, got {n}")
     return alphabet_size - 1
+
+
+_FULL_REGIMES = {"dp_full", "gdp_full"}
+_TYPICAL_REGIMES = {"dp_typical", "gdp_typical"}
+
+
+def optimal_grid_parameter(
+    regime: str, privacy_parameter: float, alphabet_size: int, n: int
+) -> GridParameter:
+    """Grid parameter minimizing the cover bound's stability + log-count
+    trade-off, clamped to the valid interval and rounded to an integer.
+
+    Optimizers: dp_full -> eps*n; gdp_full -> sqrt(m-1)*mu*n;
+    dp_typical -> sqrt(n log n)*eps; gdp_typical -> sqrt(m n log n)*mu.
+    A raw value past the interval, inf included, gives its upper end.
+    """
+    if regime not in _FULL_REGIMES | _TYPICAL_REGIMES:
+        raise InputError(
+            f"unknown regime {regime!r}; expected one of dp_full, gdp_full, "
+            f"dp_typical, gdp_typical"
+        )
+    if not (privacy_parameter > 0):
+        raise InputError(f"privacy parameter must be positive, got {privacy_parameter}")
+    _check_mn(alphabet_size, n)
+
+    if regime == "dp_full":
+        raw = privacy_parameter * n
+    elif regime == "gdp_full":
+        raw = math.sqrt(alphabet_size - 1) * privacy_parameter * n
+    elif regime == "dp_typical":
+        raw = math.sqrt(n * math.log(n)) * privacy_parameter
+    else:
+        raw = math.sqrt(alphabet_size * n * math.log(n)) * privacy_parameter
+
+    if regime in _FULL_REGIMES:
+        lo, hi = 1, n
+    else:
+        lo, hi = 1, max(1, math.floor(2.0 * math.sqrt(n * math.log(max(n, 2)))))
+    # clamped before rounding, so an overflowed raw value (eps * n = inf)
+    # needs no int
+    rounded = hi + 1 if raw >= hi + 1 else int(round(raw))
+    t = min(max(rounded, lo), hi)
+    return GridParameter(t=t, clamped=(t != rounded), raw_value=float(raw))
 
 
 def kl_bound_simple(alphabet_size: int, n: int) -> BoundReport:
@@ -94,6 +157,7 @@ def kl_bound_simple(alphabet_size: int, n: int) -> BoundReport:
         k * math.log(n + 1.0),
         applicable=True,
         regime_note="universal; no conditions",
+        cover=("simplex_grid", n + 1),
     )
 
 
@@ -114,6 +178,8 @@ def kl_bound_cover_dp(epsilon: float, alphabet_size: int, n: int) -> BoundReport
         k * math.log1p(math.e * epsilon * n),
         applicable=applicable,
         regime_note=note,
+        cover=("full_grid", optimal_grid_parameter("dp_full", epsilon,
+                                                   alphabet_size, n).t),
     )
 
 
@@ -135,6 +201,8 @@ def kl_bound_cover_gdp(mu: float, alphabet_size: int, n: int) -> BoundReport:
         0.5 * k * math.log1p(math.e * k * mu * mu * n * n),
         applicable=applicable,
         regime_note=note,
+        cover=("full_grid", optimal_grid_parameter("gdp_full", mu,
+                                                   alphabet_size, n).t),
     )
 
 
@@ -159,7 +227,8 @@ def kl_bound_refined(
         if eps <= 1.0 / n:
             value = k * (1.0 + eps * n) - correction
             return BoundReport(
-                BoundId.DP_SIMPLEX_LOW, value, True, "single-cell cover; eps <= 1/n"
+                BoundId.DP_SIMPLEX_LOW, value, True, "single-cell cover; eps <= 1/n",
+                cover=("simplex_grid", 1),
             )
         if eps <= 1.0:
             value = (
@@ -170,6 +239,8 @@ def kl_bound_refined(
             return BoundReport(
                 BoundId.DP_SIMPLEX_MID, value, True,
                 "simplex grid at t ~ eps*n; 1/n < eps <= 1",
+                cover=("simplex_grid", optimal_grid_parameter(
+                    "dp_full", eps, alphabet_size, n).t),
             )
     elif privacy.kind is PrivacyKind.MU_GDP:
         mu = privacy.value
@@ -179,6 +250,7 @@ def kl_bound_refined(
             return BoundReport(
                 BoundId.GDP_SIMPLEX_LOW, value, True,
                 "single-cell cover; mu <= 1/(n*sqrt(m-1))",
+                cover=("simplex_grid", 1),
             )
         if mu <= 1.0 / root_k:
             value = (
@@ -190,12 +262,15 @@ def kl_bound_refined(
                 BoundId.GDP_SIMPLEX_MID, value, True,
                 "simplex grid at t ~ sqrt(m-1)*mu*n; "
                 "1/(n*sqrt(m-1)) < mu <= 1/sqrt(m-1)",
+                cover=("simplex_grid", optimal_grid_parameter(
+                    "gdp_full", mu, alphabet_size, n).t),
             )
 
     value = k * math.log1p(n / k) + k - correction
     return BoundReport(
         BoundId.SIMPLEX_ANY, value, True,
         "one cell per count vector; valid for any algorithm",
+        cover=("simplex_grid", n + 1),
     )
 
 

@@ -417,16 +417,17 @@ def stability_cmd(alphabet_size, n, epsilon, mechanism_path, output) -> int | No
 
 def _verification_records(report) -> list[dict]:
     """One record per bound, as the report judged it."""
+    slack, violations = report.per_bound_slack, report.violations
     return [{
         "bound_id": bid.value,
         "bound_value": value,
         "comparison_value": report.comparison_values[bid],
-        "slack": report.per_bound_slack[bid],
-        "pass": bid.value not in report.violations,
+        "slack": slack[bid],
+        "pass": bid.value not in violations,
         "exact_mi": report.exact_mi,
         "exact_gen_error": report.exact_gen_error,
         "sigma": report.sigma,
-        "all_pass": report.all_pass,
+        "all_pass": not violations,
     } for bid, value in report.bound_values.items()]
 
 

@@ -57,13 +57,11 @@ __all__ = [
     "CoverKind",
     "CoverSpec",
     "CoverVerification",
-    "GridParameter",
     "simplex_hypercube_count",
     "build_full_grid_cover",
     "build_simplex_grid_cover",
     "typical_epsilon",
     "build_typical_cover",
-    "optimal_grid_parameter",
     "verify_cover",
 ]
 
@@ -145,15 +143,6 @@ class CoverVerification(Record):
     def __init__(self, achieved_radius: int, verified: bool,
                  checked_vectors: int, worst: tuple[int, ...] | None) -> None:
         self._assign(achieved_radius, verified, checked_vectors, worst)
-
-
-class GridParameter(Record):
-    """Chosen grid parameter plus how it was obtained."""
-
-    __slots__ = ("t", "clamped", "raw_value")
-
-    def __init__(self, t: int, clamped: bool, raw_value: float) -> None:
-        self._assign(t, clamped, raw_value)
 
 
 def simplex_hypercube_count(k: int, t: int) -> int:
@@ -340,49 +329,6 @@ def build_typical_cover(source: SourceDistribution, n: int, t: int) -> CoverSpec
     radius = math.sqrt(n * math.log(n)) * m / t
     return CoverSpec(centers[_first_distinct_rows(centers)], t, radius,
                      CoverKind.TYPICAL_GRID, source_probs=source.probs)
-
-
-_FULL_REGIMES = {"dp_full", "gdp_full"}
-_TYPICAL_REGIMES = {"dp_typical", "gdp_typical"}
-
-
-def optimal_grid_parameter(
-    regime: str, privacy_parameter: float, alphabet_size: int, n: int
-) -> GridParameter:
-    """Grid parameter minimizing the cover bound's stability + log-count
-    trade-off, rounded to an integer and clamped to the valid interval.
-
-    Optimizers: dp_full -> eps*n; gdp_full -> sqrt(m-1)*mu*n;
-    dp_typical -> sqrt(n log n)*eps; gdp_typical -> sqrt(m n log n)*mu.
-    """
-    if regime not in _FULL_REGIMES | _TYPICAL_REGIMES:
-        raise InputError(
-            f"unknown regime {regime!r}; expected one of dp_full, gdp_full, "
-            f"dp_typical, gdp_typical"
-        )
-    if not (privacy_parameter > 0):
-        raise InputError(f"privacy parameter must be positive, got {privacy_parameter}")
-    if alphabet_size < 2:
-        raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
-    if n < 1:
-        raise InputError(f"dataset length must be positive, got {n}")
-
-    if regime == "dp_full":
-        raw = privacy_parameter * n
-    elif regime == "gdp_full":
-        raw = math.sqrt(alphabet_size - 1) * privacy_parameter * n
-    elif regime == "dp_typical":
-        raw = math.sqrt(n * math.log(n)) * privacy_parameter
-    else:
-        raw = math.sqrt(alphabet_size * n * math.log(n)) * privacy_parameter
-
-    if regime in _FULL_REGIMES:
-        lo, hi = 1, n
-    else:
-        lo, hi = 1, max(1, math.floor(2.0 * math.sqrt(n * math.log(max(n, 2)))))
-    rounded = int(round(raw))
-    t = min(max(rounded, lo), hi)
-    return GridParameter(t=t, clamped=(t != rounded), raw_value=float(raw))
 
 
 def verify_cover(cover: CoverSpec) -> CoverVerification:

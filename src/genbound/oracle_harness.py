@@ -16,11 +16,12 @@ checked against:
 - the sub-Gaussian conversion: the absolute exact expected
   generalization error.
 
-The report carries each comparison value, each slack (bound minus
-comparison) and the violations, the bounds whose slack falls below
--SLACK_TOL, the audit's tolerance in privacy_mechanisms. A kernel whose
-rows are all the same ignores its input: every expected KL to a mixture
-of its rows, exact MI included, is then exactly 0.0.
+The report carries each bound and its comparison value, and reads from
+them each slack (bound minus comparison) and the violations, the bounds
+whose slack falls below -SLACK_TOL, the audit's tolerance in
+privacy_mechanisms. A kernel whose rows are all the same ignores its
+input: every expected KL to a mixture of its rows, exact MI included, is
+then exactly 0.0.
 
 The kernel is the one T x hypotheses array a run holds; everything else
 is reduced from it in place or one block of rows at a time. Every
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import InputError, input_lines
-from .privacy import PrivacyKind, PrivacyParams
+from .privacy import PrivacyParams
 from .privacy_mechanisms import (
     SLACK_TOL,
     Mechanism,
@@ -87,7 +88,6 @@ __all__ = [
     "random_mechanism",
     "exact_expected_gen_error",
     "mc_expected_gen_error",
-    "cover_for_bound",
     "run_verification",
     "load_experiment_config",
 ]
@@ -366,57 +366,8 @@ def mc_expected_gen_error(config: ExperimentConfig, workers: int = 1) -> McResul
     )
 
 
-# The cover each count-based bound dominates the mixture KL of, keyed by
-# BoundId value: its CoverKind value and its grid parameter rule, which is
-# None for t = n + 1 (one center per count vector), a fixed t, or the
-# regime whose optimal_grid_parameter sets t from the privacy kind in
-# _RULE_KIND. Plain strings, so the table needs neither the catalog nor
-# the covers loaded.
-_COVER_OF: dict[str, tuple[str, int | str | None]] = {
-    "type_count": ("simplex_grid", None),
-    "dp_grid": ("full_grid", "dp_full"),
-    "gdp_grid": ("full_grid", "gdp_full"),
-    "dp_simplex_low": ("simplex_grid", 1),
-    "dp_simplex_mid": ("simplex_grid", "dp_full"),
-    "gdp_simplex_low": ("simplex_grid", 1),
-    "gdp_simplex_mid": ("simplex_grid", "gdp_full"),
-    "simplex_any": ("simplex_grid", None),
-}
-_RULE_KIND = {"dp_full": PrivacyKind.EPS_DP, "gdp_full": PrivacyKind.MU_GDP}
-
-
-def cover_for_bound(
-    bound_id: BoundId, privacy: PrivacyParams, alphabet_size: int, n: int
-) -> CoverSpec:
-    """The cover whose mixture the given count-based bound dominates. A
-    bound whose grid parameter follows a privacy regime needs a
-    declaration of that regime's kind."""
-    kind, t = _cover_grid(bound_id, privacy, alphabet_size, n)
-    return _build_cover(kind, t, alphabet_size, n)
-
-
-def _cover_grid(
-    bound_id: BoundId, privacy: PrivacyParams, alphabet_size: int, n: int
-) -> tuple[str, int]:
-    """The CoverKind value and grid parameter of cover_for_bound's cover."""
-    from .covering import optimal_grid_parameter
-
-    if bound_id.value not in _COVER_OF:
-        raise InputError(f"no cover construction for bound {bound_id.value!r}")
-    kind, rule = _COVER_OF[bound_id.value]
-    if rule is None:
-        return kind, n + 1
-    if isinstance(rule, str):
-        if privacy.kind is not _RULE_KIND[rule]:
-            raise InputError(
-                f"bound {bound_id.value!r} needs a {_RULE_KIND[rule].value} "
-                f"declaration, got {privacy.kind.value}"
-            )
-        return kind, optimal_grid_parameter(rule, privacy.value, alphabet_size, n).t
-    return kind, rule
-
-
 def _build_cover(kind: str, t: int, alphabet_size: int, n: int) -> CoverSpec:
+    """The cover a BoundReport names as (CoverKind value, t)."""
     # the builder is imported at call time, so a wrapper bound over the
     # covering module's name (a tracing span, say) sees every call
     from .covering import build_full_grid_cover, build_simplex_grid_cover
@@ -428,21 +379,35 @@ def _build_cover(kind: str, t: int, alphabet_size: int, n: int) -> CoverSpec:
 
 class VerificationReport(Record):
     """Everything a certification run measured, bound by bound: each
-    bound's value, the exact quantity it is compared against, and the
-    slack between the two. The generalization bound from the exact MI is
+    bound's value and the exact quantity it is compared against. The
+    slack between the two and the verdicts are read from those values.
+    The generalization bound from the exact MI is
     bound_values[BoundId.GEN_SUB_GAUSSIAN]."""
 
     __slots__ = ("exact_mi", "exact_gen_error", "sigma", "bound_values",
-                 "comparison_values", "per_bound_slack", "violations",
-                 "all_pass")
+                 "comparison_values")
 
     def __init__(self, exact_mi: float, exact_gen_error: float, sigma: float,
                  bound_values: Mapping[BoundId, float],
-                 comparison_values: Mapping[BoundId, float],
-                 per_bound_slack: Mapping[BoundId, float],
-                 violations: tuple[str, ...], all_pass: bool) -> None:
+                 comparison_values: Mapping[BoundId, float]) -> None:
         self._assign(exact_mi, exact_gen_error, sigma, bound_values,
-                     comparison_values, per_bound_slack, violations, all_pass)
+                     comparison_values)
+
+    @property
+    def per_bound_slack(self) -> dict[BoundId, float]:
+        """Bound minus comparison, in bound_values order."""
+        return {bid: value - self.comparison_values[bid]
+                for bid, value in self.bound_values.items()}
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        """The bounds whose slack falls below -SLACK_TOL, by value."""
+        return tuple(bid.value for bid, s in self.per_bound_slack.items()
+                     if not (s >= -SLACK_TOL))
+
+    @property
+    def all_pass(self) -> bool:
+        return not self.violations
 
 
 def run_verification(
@@ -450,8 +415,8 @@ def run_verification(
 ) -> VerificationReport:
     """Evaluate every applicable bound and measure its slack.
 
-    Branches with a cover in _COVER_OF are compared against the
-    expectation of the per-dataset KL to their cover mixture; the others
+    A branch whose report names a cover is compared against the
+    expectation of the per-dataset KL to that cover's mixture; the others
     (the typical branches) against the exact mutual information; the
     sub-Gaussian conversion against the absolute exact expected
     generalization error. A bound whose slack falls below -SLACK_TOL is a
@@ -459,7 +424,6 @@ def run_verification(
     """
     from .bounds_catalog import BoundId, gen_error_from_mi, kl_candidates
 
-    privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
     p_types = type_probabilities(type_counts(m, n), config.source)
     sums = _KernelSums(config.mechanism.kernel, p_types)
@@ -472,35 +436,27 @@ def run_verification(
     # t = n + 1 simplex grid) share one build and one expectation
     expectations: dict[tuple[str, int], float] = {}
 
-    for report in kl_candidates(privacy, m, n):
+    for report in kl_candidates(config.mechanism.privacy, m, n):
         if not report.applicable:
             continue
         values[report.bound_id] = report.value
-        if report.bound_id.value in _COVER_OF:
-            grid = _cover_grid(report.bound_id, privacy, m, n)
-            if grid not in expectations:
-                expectations[grid] = sums.expected_kl(
-                    _cover_mixture(config, _build_cover(*grid, m, n)))
-            comparisons[report.bound_id] = expectations[grid]
-        else:
+        if report.cover is None:
             comparisons[report.bound_id] = sums.mi
+            continue
+        if report.cover not in expectations:
+            expectations[report.cover] = sums.expected_kl(
+                _cover_mixture(config, _build_cover(*report.cover, m, n)))
+        comparisons[report.bound_id] = expectations[report.cover]
 
     values[BoundId.GEN_SUB_GAUSSIAN] = gen_error_from_mi(scale, n, sums.mi)
     comparisons[BoundId.GEN_SUB_GAUSSIAN] = abs(gen)
 
-    slack = {bid: values[bid] - comparisons[bid] for bid in values}
-    violations = tuple(
-        bid.value for bid, s in slack.items() if not (s >= -SLACK_TOL)
-    )
     return VerificationReport(
         exact_mi=sums.mi,
         exact_gen_error=gen,
         sigma=scale,
         bound_values=values,
         comparison_values=comparisons,
-        per_bound_slack=slack,
-        violations=violations,
-        all_pass=not violations,
     )
 
 

@@ -342,9 +342,16 @@ def save_mechanism_csv(mech: Mechanism, path: str) -> str:
     return meta_path
 
 
+_SIDECAR_KEYS = {"alphabet_size", "n", "hypothesis_count", "privacy_kind",
+                 "privacy_value", "description"}
+
+
 def load_mechanism_csv(path: str) -> Mechanism:
     """Load a kernel written by save_mechanism_csv (sidecar required).
-    Either file missing, a directory or not UTF-8 raises InputError.
+    Either file missing, a directory or not UTF-8 raises InputError, as
+    does a sidecar key that save_mechanism_csv does not write or one
+    written twice. A description keeps everything after its '=', '#'
+    included.
 
     Each line is parsed into its row of one T x hypothesis_count array,
     allocated once the sidecar's size passes KERNEL_CELL_BUDGET, which
@@ -356,14 +363,19 @@ def load_mechanism_csv(path: str) -> Mechanism:
     if not os.path.exists(meta_path):
         raise InputError(f"mechanism sidecar not found: {meta_path}")
     meta: dict[str, str] = {}
-    for line in input_lines(meta_path):
+    for lineno, line in enumerate(input_lines(meta_path), start=1):
         line = line.rstrip("\n")
         if not line:
             continue
         if "=" not in line:
             raise InputError(f"{meta_path}: malformed line {line!r}")
         key, _, val = line.partition("=")
-        meta[key.strip()] = val
+        key = key.strip()
+        if key not in _SIDECAR_KEYS:
+            raise InputError(f"{meta_path}: unknown key {key!r} on line {lineno}")
+        if key in meta:
+            raise InputError(f"{meta_path}: duplicate key {key!r} on line {lineno}")
+        meta[key] = val
     for key in ("alphabet_size", "n", "hypothesis_count", "privacy_kind"):
         if key not in meta:
             raise InputError(f"{meta_path}: missing key {key!r}")

@@ -17,7 +17,8 @@ class. This module provides:
 - the sub-Gaussian scale of a bounded loss table.
 
 Counting is big-integer exact, and the int64 arrays hold no value above
-T; floats appear only at the probability and loss boundaries.
+T (distances take the narrowest type that holds 2n); floats appear only
+at the probability and loss boundaries.
 Enumeration, and any other work that grows like it (a grid cover's
 cells, say), is guarded by one cap (default 10**7 items), set by the
 GENBOUND_TYPE_CAP environment variable. A pass over a T x width array
@@ -217,20 +218,28 @@ def type_rank(counts) -> np.ndarray:
 
 def distance_matrix(a, b) -> np.ndarray:
     """Replacement distance (half the L1 gap) between every row of a and
-    every row of b as an int64 array, accumulated one symbol at a time in
-    one scratch array of the result's size."""
+    every row of b, accumulated one symbol at a time in one scratch array
+    of the result's size. Counts are non-negative and every row sums to
+    one n, so no L1 sum passes 2n: the result and its scratch are in the
+    narrowest signed integer type that holds 2n."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or (
         (totals := np.concatenate([a.sum(axis=1), b.sum(axis=1)])) != totals[:1]
     ).any():
         raise InputError("count arrays must share one alphabet and dataset length")
-    dist = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    gap = np.empty_like(dist)  # one buffer for every symbol's gaps
-    for j in range(a.shape[1]):
-        np.subtract(a[:, j, None], b[None, :, j], out=gap)
+    if a.shape[1] < 2 or (a < 0).any() or (b < 0).any():
+        raise InputError("count vectors need two or more non-negative counts")
+    dtype = np.min_scalar_type(-(2 * int(totals.max(initial=0)) + 1))
+    # one contiguous row of b's counts per symbol
+    a, b = a.astype(dtype), np.ascontiguousarray(b.T, dtype=dtype)
+    dist = np.subtract(a[:, 0, None], b[0])
+    np.abs(dist, out=dist)
+    gap = np.empty_like(dist)  # one buffer for every later symbol's gaps
+    for j in range(1, a.shape[1]):
+        np.subtract(a[:, j, None], b[j], out=gap)
         dist += np.abs(gap, out=gap)
-    dist //= 2
+    dist >>= 1  # every L1 sum is even and non-negative
     return dist
 
 

@@ -31,7 +31,6 @@ from genbound.covering import (
 )
 from genbound.oracle_harness import (
     ExperimentConfig,
-    cover_for_bound,
     default_loss_table,
     exact_expected_gen_error,
     mc_expected_gen_error,
@@ -201,7 +200,9 @@ def test_criterion_08_cover_bounds_hold_per_dataset():
                 ):
                     if not report.applicable:
                         continue
-                    cover = cover_for_bound(report.bound_id, privacy, m, n)
+                    kind, t = report.cover
+                    cover = (build_full_grid_cover if kind == "full_grid"
+                             else build_simplex_grid_cover)(m, n, t)
                     centers = [mech.kernel[type_index(c)]
                                for c in cover.centers.tolist()]
                     mixture = mixture_distribution(MixtureSpec(

@@ -597,6 +597,24 @@ class TestInputContract:
         assert_input_error(result)
         assert "hypothesis_count is 5" in result.stderr
 
+    @pytest.mark.parametrize("extra, line", [
+        ("privacy_kind=eps_dp\nprivacy_value=0.01\n",
+         "duplicate key 'privacy_kind' on line 7"),
+        ("bogus_key=1\n", "unknown key 'bogus_key' on line 7"),
+    ], ids=["duplicate", "unknown"])
+    def test_sidecar_refuses_duplicate_and_unknown_keys(self, runner, tmp_path,
+                                                        extra, line):
+        # an appended declaration used to replace the honest one silently
+        path = tmp_path / "mech.csv"
+        meta = save_mechanism_csv(exponential_mechanism_over_types(2, 3, 0.5),
+                                  str(path))
+        with open(meta, "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        result = runner.invoke(main, ["stability", "--mechanism", str(path)])
+        assert_input_error(result)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {meta}: {line}\n"
+
     def test_non_numeric_kernel_entry(self, runner, tmp_path):
         path = tmp_path / "mech.csv"
         save_mechanism_csv(exponential_mechanism_over_types(2, 3, 0.5), str(path))

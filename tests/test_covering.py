@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import genbound.covering
 import genbound.types_core
+from genbound.bounds_catalog import optimal_grid_parameter
 from genbound.covering import (
     CoverKind,
     CoverSpec,
     build_full_grid_cover,
     build_simplex_grid_cover,
     build_typical_cover,
-    optimal_grid_parameter,
     simplex_hypercube_count,
     typical_epsilon,
     verify_cover,
@@ -632,6 +632,10 @@ def test_optimal_grid_parameter_values():
 
     clamped = optimal_grid_parameter("dp_full", 2.0, 2, 10)
     assert (clamped.t, clamped.clamped, clamped.raw_value) == (10, True, 20.0)
+
+    # eps * n overflows to inf: clamped to t = n, with no int of inf
+    huge = optimal_grid_parameter("dp_full", 1e308, 2, 10)
+    assert (huge.t, huge.clamped, huge.raw_value) == (10, True, math.inf)
 
     g = optimal_grid_parameter("gdp_full", 0.5, 3, 10)
     assert g.t == 7 and math.isclose(g.raw_value, math.sqrt(2) * 5)

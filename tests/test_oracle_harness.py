@@ -14,18 +14,23 @@ import genbound.covering
 import genbound.oracle_harness
 import genbound.privacy_mechanisms
 import genbound.types_core
-from genbound.bounds_catalog import BoundId
+from genbound.bounds_catalog import (
+    BoundId,
+    asymptotic_report,
+    kl_bound_refined,
+    kl_bound_simple,
+    kl_candidates,
+    optimal_grid_parameter,
+)
 from genbound.covering import (
     CoverKind,
     build_full_grid_cover,
     build_simplex_grid_cover,
-    optimal_grid_parameter,
     verify_cover,
 )
 from genbound.errors import InputError, ResourceLimitError
 from genbound.oracle_harness import (
     ExperimentConfig,
-    cover_for_bound,
     default_loss_table,
     exact_expected_gen_error,
     load_experiment_config,
@@ -33,7 +38,7 @@ from genbound.oracle_harness import (
     random_mechanism,
     run_verification,
 )
-from genbound.oracle_harness import _cover_mixture, _KernelSums
+from genbound.oracle_harness import _build_cover, _cover_mixture, _KernelSums
 from genbound.privacy_mechanisms import (
     Mechanism,
     PrivacyKind,
@@ -219,7 +224,7 @@ def test_chain_rule_matches_the_decimal_reference(n, probs, epsilon):
     mi, type_count = decimal_exponential_kl_m2(n, probs, epsilon)
     report = run_verification(config)
     assert abs(report.exact_mi - mi) <= 5e-14
-    cover = cover_for_bound(BoundId.TYPE_COUNT, PrivacyParams.none(), 2, n)
+    cover = _build_cover(*kl_bound_simple(2, n).cover, 2, n)
     p_types = type_probabilities(type_counts(2, n), config.source)
     per_row = expected_kl_by_rows(config.mechanism.kernel, p_types,
                                   _cover_mixture(config, cover))
@@ -454,14 +459,23 @@ def test_exactly_the_count_based_bounds_have_a_cover():
         BoundId.GDP_SIMPLEX_MID: CoverKind.SIMPLEX_GRID,
         BoundId.SIMPLEX_ANY: CoverKind.SIMPLEX_GRID,
     }
-    for bid in BoundId:
-        privacy = (PrivacyParams.mu_gdp(0.3) if bid.value.startswith("gdp")
-                   else PrivacyParams.eps_dp(0.5))
-        if bid in expected:
-            assert cover_for_bound(bid, privacy, 3, 6).kind is expected[bid]
-        else:
-            with pytest.raises(InputError, match="no cover construction"):
-                cover_for_bound(bid, privacy, 3, 6)
+    seen = set()
+    # at m = 3, n = 6 these reach every branch: eps and mu below and
+    # above 1/n (1/(n sqrt 2) for mu), and no privacy
+    for privacy in (PrivacyParams.eps_dp(0.1), PrivacyParams.eps_dp(0.5),
+                    PrivacyParams.mu_gdp(0.1), PrivacyParams.mu_gdp(0.3),
+                    PrivacyParams.none()):
+        gamma = None if privacy.kind is PrivacyKind.NONE else privacy.value
+        for report in (*kl_candidates(privacy, 3, 6),
+                       *asymptotic_report(0.5, gamma, 3, 6)):
+            seen.add(report.bound_id)
+            if report.bound_id in expected:
+                cover = _build_cover(*report.cover, 3, 6)
+                assert cover.kind is expected[report.bound_id]
+                assert report.cover == (cover.kind.value, cover.t)
+            else:
+                assert report.cover is None, report.bound_id
+    assert set(expected) < seen
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
@@ -470,23 +484,27 @@ def test_verification_comparisons_match_scalar_expectation(name):
     # here recomputed one kl_divergence call per count vector
     config = reference_configs()[name]
     report = run_verification(config)
-    privacy = config.mechanism.privacy
     m, n = config.alphabet_size, config.n
     p_types = type_probabilities(type_counts(m, n), config.source)
     kernel = config.mechanism.kernel
-    for bid, value in report.bound_values.items():
-        try:
-            cover = cover_for_bound(bid, privacy, m, n)
-        except InputError:
-            continue  # typical and conversion rows are not cover-based
+    for bid, cover in report_covers(config):
         centers = [kernel[type_index(c)] for c in cover.centers.tolist()]
         mixture = np.full(len(centers), 1.0 / len(centers)) @ np.array(centers)
         expected = math.fsum(
             float(p) * kl_divergence(kernel[i], mixture)
             for i, p in enumerate(p_types) if p > 0
         )
-        comparison = value - report.per_bound_slack[bid]
+        comparison = report.bound_values[bid] - report.per_bound_slack[bid]
         assert comparison == expected or abs(comparison - expected) <= 1e-12
+
+
+def report_covers(config):
+    """Each applicable count-based bound for the config's privacy, with
+    the cover its report names, built as run_verification builds it."""
+    m, n = config.alphabet_size, config.n
+    return [(r.bound_id, _build_cover(*r.cover, m, n))
+            for r in kl_candidates(config.mechanism.privacy, m, n)
+            if r.applicable and r.cover is not None]
 
 
 def certify_seed1_configs():
@@ -518,16 +536,12 @@ def test_per_dataset_exact_column_sums_to_the_comparison(config):
     # run_verification compares each count-based bound against, which
     # reads exactly 0.0 for a kernel whose rows are all the same
     report = run_verification(config)
-    m, n, privacy = config.alphabet_size, config.n, config.mechanism.privacy
+    m, n = config.alphabet_size, config.n
     p_types = type_probabilities(type_counts(m, n), config.source)
     kernel = config.mechanism.kernel
     identical = (kernel == kernel[0]).all()
     checked = 0
-    for bid in report.bound_values:
-        try:
-            cover = cover_for_bound(bid, privacy, m, n)
-        except InputError:
-            continue  # typical and conversion rows are not cover-based
+    for bid, cover in report_covers(config):
         total = expected_kl_by_rows(kernel, p_types, _cover_mixture(config, cover))
         if identical:
             assert report.comparison_values[bid] == 0.0
@@ -782,19 +796,21 @@ def test_random_mechanism_rows_and_determinism():
 
 
 def test_cover_for_bound_routes():
-    none = PrivacyParams.none()
-    all_types = cover_for_bound(BoundId.TYPE_COUNT, none, 2, 6)
+    # the covers the catalog's reports name at m = 2, n = 6
+    none = {r.bound_id: r.cover for r in kl_candidates(PrivacyParams.none(), 2, 6)}
+    assert none == {BoundId.TYPE_COUNT: ("simplex_grid", 7),
+                    BoundId.SIMPLEX_ANY: ("simplex_grid", 7)}
+    all_types = _build_cover(*none[BoundId.TYPE_COUNT], 2, 6)
     assert len(all_types.centers) == num_types(2, 6)
 
-    dp = PrivacyParams.eps_dp(0.5)
-    grid = cover_for_bound(BoundId.DP_GRID, dp, 2, 6)
-    assert grid.t == 3  # round(eps * n)
+    dp = {r.bound_id: r.cover for r in kl_candidates(PrivacyParams.eps_dp(0.5), 2, 6)}
+    assert dp[BoundId.DP_GRID] == ("full_grid", 3)  # round(eps * n)
+    assert dp[BoundId.DP_TYPICAL_LOW] is None
 
-    low = cover_for_bound(BoundId.DP_SIMPLEX_LOW, dp, 2, 6)
-    assert low.t == 1 and len(low.centers) == 1
-
-    with pytest.raises(InputError):
-        cover_for_bound(BoundId.GEN_SUB_GAUSSIAN, dp, 2, 6)
+    low = kl_bound_refined(PrivacyParams.eps_dp(0.1), 2, 6)  # eps <= 1/n
+    assert low.bound_id is BoundId.DP_SIMPLEX_LOW
+    assert low.cover == ("simplex_grid", 1)
+    assert len(_build_cover(*low.cover, 2, 6).centers) == 1
 
 
 def reference_cover_for_bound(bound_id, privacy, alphabet_size, n):
@@ -834,18 +850,24 @@ def cover_outcome(route, *args):
 
 
 @pytest.mark.parametrize("privacy", [
-    PrivacyParams.eps_dp(0.5), PrivacyParams.mu_gdp(0.7), PrivacyParams.none(),
-], ids=["eps", "mu", "none"])
+    PrivacyParams.eps_dp(0.5), PrivacyParams.eps_dp(0.001),
+    PrivacyParams.eps_dp(1e308), PrivacyParams.mu_gdp(0.7),
+    PrivacyParams.mu_gdp(1e300), PrivacyParams.none(),
+], ids=["eps", "eps-0.001", "eps-1e308", "mu", "mu-1e300", "none"])
 @pytest.mark.parametrize("m, n", [(2, 6), (3, 5), (4, 3)])
 def test_cover_for_bound_matches_reference_routing(privacy, m, n):
-    for bound_id in BoundId:
-        assert (cover_outcome(cover_for_bound, bound_id, privacy, m, n)
-                == cover_outcome(reference_cover_for_bound, bound_id, privacy, m, n)
-                ), bound_id
-    for bound_id in (BoundId.DP_TYPICAL_LOW, BoundId.DP_TYPICAL_HIGH,
-                     BoundId.GDP_TYPICAL_LOW, BoundId.GDP_TYPICAL_HIGH):
-        with pytest.raises(InputError, match="no cover construction"):
-            cover_for_bound(bound_id, privacy, m, n)
+    # every report names the cover the reference routes its bound to, and
+    # the typical and asymptotic reports, which it routes nowhere, none;
+    # an eps * n that overflows to inf takes the largest grid, t = n
+    gamma = None if privacy.kind is PrivacyKind.NONE else privacy.value
+    for report in (*kl_candidates(privacy, m, n),
+                   *asymptotic_report(0.5, gamma, m, n)):
+        expected = cover_outcome(reference_cover_for_bound, report.bound_id,
+                                 privacy, m, n)
+        if report.cover is None:
+            assert expected is InputError, report.bound_id
+        else:
+            assert _build_cover(*report.cover, m, n) == expected, report.bound_id
 
 
 def test_run_verification_passes_reference_suite():

@@ -426,6 +426,10 @@ def test_mechanism_csv_round_trip(tmp_path):
     assert loaded.privacy == mech.privacy
     assert loaded.alphabet_size == 2 and loaded.n == 5
     assert loaded.description == mech.description
+    # the sidecar keeps a description whole, '=' and '#' included
+    marked = Mechanism(mech.kernel, 2, 5, mech.privacy, "eps=0.8 # note")
+    save_mechanism_csv(marked, path)
+    assert load_mechanism_csv(path).description == "eps=0.8 # note"
 
 
 def test_mechanism_csv_requires_sidecar(tmp_path):

@@ -10,8 +10,8 @@ import pickle
 import numpy as np
 import pytest
 
-from genbound.bounds_catalog import BoundId, BoundReport, CatalogEntry
-from genbound.covering import CoverKind, CoverSpec, CoverVerification, GridParameter
+from genbound.bounds_catalog import BoundId, BoundReport, CatalogEntry, GridParameter
+from genbound.covering import CoverKind, CoverSpec, CoverVerification
 from genbound.oracle_harness import McResult, VerificationReport
 from genbound.privacy import PrivacyKind, PrivacyParams
 from genbound.privacy_mechanisms import StabilityReport, StabilityRow
@@ -25,7 +25,8 @@ RECORDS = [
     (PrivacyParams, {"kind": PrivacyKind.EPS_DP, "value": 0.5}, {}),
     (BoundReport, {"bound_id": BoundId.TYPE_COUNT, "value": 1.5,
                    "applicable": True, "regime_note": "note",
-                   "asymptotic_only": True}, {"asymptotic_only": False}),
+                   "asymptotic_only": True, "cover": ("simplex_grid", 4)},
+     {"asymptotic_only": False, "cover": None}),
     (CatalogEntry, {"bound_id": BoundId.DP_GRID, "formula": "f", "regime": "r",
                     "unit": "nats", "asymptotic": False}, {}),
     (CoverSpec, {"centers": np.array([[1, 2], [3, 0]]), "t": 2,
@@ -38,9 +39,7 @@ RECORDS = [
     (VerificationReport, {"exact_mi": 0.1, "exact_gen_error": 0.01,
                           "sigma": 0.5,
                           "bound_values": {BoundId.TYPE_COUNT: 1.0},
-                          "comparison_values": {BoundId.TYPE_COUNT: 0.1},
-                          "per_bound_slack": {BoundId.TYPE_COUNT: 0.9},
-                          "violations": (), "all_pass": True}, {}),
+                          "comparison_values": {BoundId.TYPE_COUNT: 0.1}}, {}),
     (StabilityRow, {"k": 1, "max_kl": 0.1, "bound": 0.2, "passed": True,
                     "worst_pair": (0, 1)}, {}),
     (StabilityReport, {"rows": (ROW,), "passed": True}, {}),
@@ -65,9 +64,11 @@ def test_record_contract(cls, fields, defaults):
     for name, value in defaults.items():
         assert same(getattr(defaulted, name), value)
 
-    for name in fields:
+    # a value a record derives from its fields is as read-only as they are
+    derived = [name for name in dir(cls) if isinstance(getattr(cls, name), property)]
+    for name in [*fields, *derived]:
         with pytest.raises(AttributeError):
-            setattr(positional, name, fields[name])
+            setattr(positional, name, getattr(positional, name))
         with pytest.raises(AttributeError):
             delattr(positional, name)
     with pytest.raises(AttributeError):
@@ -149,3 +150,17 @@ def test_privacy_params_equality_hash_and_validation():
                         (PrivacyKind.MU_GDP, float("inf"))]:
         with pytest.raises(ValueError):
             PrivacyParams(kind, value)
+
+
+def test_verification_report_derives_its_verdicts():
+    # slack is bound minus comparison in bound order, and a violation is a
+    # slack below -SLACK_TOL, so no report lists one while all_pass holds
+    report = VerificationReport(0.1, 0.01, 0.5,
+                                {BoundId.TYPE_COUNT: 1.0, BoundId.DP_GRID: 0.2},
+                                {BoundId.TYPE_COUNT: 0.1, BoundId.DP_GRID: 0.3})
+    assert report.per_bound_slack == {BoundId.TYPE_COUNT: 1.0 - 0.1,
+                                      BoundId.DP_GRID: 0.2 - 0.3}
+    assert list(report.per_bound_slack) == [BoundId.TYPE_COUNT, BoundId.DP_GRID]
+    assert report.violations == ("dp_grid",) and not report.all_pass
+    assert VerificationReport(0.1, 0.01, 0.5, {BoundId.DP_GRID: 0.3},
+                              {BoundId.DP_GRID: 0.3 + 1e-10}).all_pass

@@ -224,7 +224,7 @@ def test_type_rank_rejects_bad_counts():
 def test_distance_matrix_matches_dataset_distance(m, n):
     types = enumerate_types(m, n)
     dist = distance_matrix(type_counts(m, n), type_counts(m, n)[::-1])
-    assert dist.dtype == np.int64
+    assert dist.dtype == np.int8  # holds 2n <= 14
     expected = [[dataset_distance(a, b) for b in types[::-1]] for a in types]
     assert dist.tolist() == expected
 
@@ -234,6 +234,23 @@ def test_distance_matrix_rejects_mismatched_lattices():
         distance_matrix([[2, 1]], [[2, 2]])
     with pytest.raises(InputError):
         distance_matrix([[2, 1]], [[1, 1, 1]])
+    # equal totals, but a negative count could take an L1 sum past 2n
+    with pytest.raises(InputError, match="non-negative"):
+        distance_matrix([[3, -1]], [[1, 1]])
+
+
+@pytest.mark.parametrize("n, dtype", [
+    (63, np.int8), (64, np.int16), (16383, np.int16), (16384, np.int32),
+])
+def test_distance_matrix_narrows_to_the_type_that_holds_2n(n, dtype):
+    # (n, 0, 0) against (0, n, 0) sums 2n before halving, the most any
+    # pair can: every distance equals the int64 reference at each edge
+    counts = np.array([[n, 0, 0], [0, n, 0], [0, 0, n], [1, n - 1, 0],
+                       [n // 2, 0, n - n // 2], [0, 1, n - 1]], dtype=np.int64)
+    dist = distance_matrix(counts, counts[::-1])
+    reference = np.abs(counts[:, None, :] - counts[None, ::-1, :]).sum(axis=2) // 2
+    assert dist.dtype == dtype
+    assert np.array_equal(dist, reference) and dist.max() == n
 
 
 @given(st.integers(0, 3000), st.one_of(st.integers(0, 3 * BLOCK_CELLS),
