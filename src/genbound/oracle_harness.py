@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import InputError, input_lines
+from .errors import InputError, input_lines, key_number, read_key_values
 from .privacy import PrivacyParams
 from .privacy_mechanisms import (
     SLACK_TOL,
@@ -464,16 +464,7 @@ _CONFIG_KEYS = {
     "alphabet_size", "n", "source", "mechanism", "epsilon", "mu",
     "sigma", "seed", "mc_samples",
 }
-
-
-def _finite_value(path: str, raw: Mapping[str, str], key: str) -> float:
-    try:
-        value = float(raw[key])
-    except ValueError:
-        raise InputError(f"{path}: {key} must be a number, got {raw[key]!r}") from None
-    if not math.isfinite(value):
-        raise InputError(f"{path}: {key} must be finite, got {raw[key]!r}")
-    return value
+_REQUIRED_KEYS = ("alphabet_size", "n", "source", "mechanism")
 
 
 def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
@@ -484,44 +475,27 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     uniform; or a path to a saved kernel, which needs one hypothesis per
     count vector for the default loss), epsilon or mu, sigma (optional
     non-negative override returned separately), seed, mc_samples. '#'
-    starts a comment. mechanism=exponential consumes epsilon as its
-    construction parameter; for any other mechanism an epsilon or mu key
-    declares that privacy level for the kernel, trusted here and auditable
-    with verify_kl_stability. Returns (config, sigma_override). A file, or
-    a saved kernel it names, that cannot be read as UTF-8 text raises
-    InputError naming it.
+    starts a comment; values are stripped. mechanism=exponential consumes
+    epsilon as its construction parameter; for any other mechanism an
+    epsilon or mu key declares that privacy level for the kernel, trusted
+    here and auditable with verify_kl_stability. Returns (config,
+    sigma_override). Every refusal is an InputError naming the file, or
+    the saved kernel, and the key and line where there is one.
     """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(input_lines(path), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise InputError(f"{path}: line {lineno} is not key=value: {line!r}")
-        key, _, val = stripped.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
-            raise InputError(f"{path}: unknown key {key!r} on line {lineno}")
-        if key in raw:
-            raise InputError(f"{path}: duplicate key {key!r} on line {lineno}")
-        raw[key] = val
-
-    for required in ("alphabet_size", "n", "source", "mechanism"):
-        if required not in raw:
-            raise InputError(f"{path}: missing required key {required!r}")
-    if "epsilon" in raw and "mu" in raw:
+    lines = (line.split("#", 1)[0] for line in input_lines(path))
+    fields = {key: (lineno, value.strip()) for key, (lineno, value) in
+              read_key_values(path, lines, _CONFIG_KEYS, _REQUIRED_KEYS).items()}
+    if "epsilon" in fields and "mu" in fields:
         raise InputError(f"{path}: epsilon and mu are mutually exclusive")
 
-    try:
-        size = int(raw["alphabet_size"])
-        n = int(raw["n"])
-        seed = int(raw.get("seed", "0"))
-        mc_samples = int(raw.get("mc_samples", "10000"))
-    except ValueError as exc:
-        raise InputError(f"{path}: non-integer value where an integer is required") from exc
+    size = key_number(path, fields, "alphabet_size", int)
+    n = key_number(path, fields, "n", int)
+    seed = key_number(path, fields, "seed", int) if "seed" in fields else 0
+    mc_samples = (key_number(path, fields, "mc_samples", int)
+                  if "mc_samples" in fields else 10000)
 
     try:
-        source = SourceDistribution.parse(raw["source"])
+        source = SourceDistribution.parse(fields["source"][1])
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     if source.alphabet_size != size:
@@ -530,12 +504,12 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
             f"for alphabet_size={size}"
         )
 
-    mech_name = raw["mechanism"]
+    mech_name = fields["mechanism"][1]
     if mech_name == "exponential":
-        if "epsilon" not in raw:
+        if "epsilon" not in fields:
             raise InputError(f"{path}: mechanism=exponential requires epsilon")
         mechanism = exponential_mechanism_over_types(
-            size, n, _finite_value(path, raw, "epsilon")
+            size, n, key_number(path, fields, "epsilon")
         )
     elif mech_name == "identity":
         mechanism = identity_mechanism(size, n)
@@ -557,15 +531,16 @@ def load_experiment_config(path: str) -> tuple[ExperimentConfig, float | None]:
     # an explicit epsilon/mu is the experimenter's privacy declaration, set
     # on the mechanism built above for this config alone and auditable via
     # verify_kl_stability (an exponential mechanism's epsilon excludes mu)
-    if "epsilon" in raw and mech_name != "exponential":
+    if "epsilon" in fields and mech_name != "exponential":
         mechanism.privacy = PrivacyParams.eps_dp(
-            _finite_value(path, raw, "epsilon"))
-    elif "mu" in raw:
-        mechanism.privacy = PrivacyParams.mu_gdp(_finite_value(path, raw, "mu"))
+            key_number(path, fields, "epsilon"))
+    elif "mu" in fields:
+        mechanism.privacy = PrivacyParams.mu_gdp(key_number(path, fields, "mu"))
 
-    sigma_override = _finite_value(path, raw, "sigma") if "sigma" in raw else None
+    sigma_override = key_number(path, fields, "sigma") if "sigma" in fields else None
     if sigma_override is not None and sigma_override < 0:
-        raise InputError(f"{path}: sigma must be non-negative, got {raw['sigma']!r}")
+        raise InputError(f"{path}: sigma must be non-negative, "
+                         f"got {fields['sigma'][1]!r}")
     config = ExperimentConfig(
         source=source,
         mechanism=mechanism,

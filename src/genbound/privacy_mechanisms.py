@@ -30,11 +30,11 @@ same tolerance.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, input_lines
+from .errors import (InputError, ResourceLimitError, input_lines, key_number,
+                     read_key_values)
 from .privacy import PrivacyKind, PrivacyParams
 from .records import Record
 from .types_core import (
@@ -235,20 +235,28 @@ def uniform_mechanism(alphabet_size: int, n: int) -> Mechanism:
 class StabilityRow(Record):
     """Audit result at one replacement distance."""
 
-    __slots__ = ("k", "max_kl", "bound", "passed", "worst_pair")
+    __slots__ = ("k", "max_kl", "bound", "worst_pair")
 
-    def __init__(self, k: int, max_kl: float, bound: float, passed: bool,
+    def __init__(self, k: int, max_kl: float, bound: float,
                  worst_pair: tuple[int, int]) -> None:
-        self._assign(k, max_kl, bound, passed, worst_pair)
+        self._assign(k, max_kl, bound, worst_pair)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_kl < math.inf and self.max_kl <= self.bound + SLACK_TOL
 
 
 class StabilityReport(Record):
     """Audit results at every distance 1..n, and whether all passed."""
 
-    __slots__ = ("rows", "passed")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[StabilityRow, ...], passed: bool) -> None:
-        self._assign(rows, passed)
+    def __init__(self, rows: tuple[StabilityRow, ...]) -> None:
+        self._assign(rows)
+
+    @property
+    def passed(self) -> bool:
+        return all(row.passed for row in self.rows)
 
 
 def verify_kl_stability(mech: Mechanism) -> StabilityReport:
@@ -290,18 +298,12 @@ def verify_kl_stability(mech: Mechanism) -> StabilityReport:
         witness[better] = lo * total + first[better]
         # freed before kl_row_blocks computes the next block
         del block, kl, dist, hits
-    rows = []
     # with m >= 2 symbols every distance 1..n occurs; 0 is only i == j
-    for k in range(1, mech.n + 1):
-        worst, bound = float(max_kl[k]), kl_stability_bound(mech.privacy, k)
-        rows.append(
-            StabilityRow(
-                k=k, max_kl=worst, bound=bound,
-                passed=worst < math.inf and worst <= bound + SLACK_TOL,
-                worst_pair=divmod(int(witness[k]), total),
-            )
-        )
-    return StabilityReport(rows=tuple(rows), passed=all(r.passed for r in rows))
+    return StabilityReport(tuple(
+        StabilityRow(k=k, max_kl=float(max_kl[k]),
+                     bound=kl_stability_bound(mech.privacy, k),
+                     worst_pair=divmod(int(witness[k]), total))
+        for k in range(1, mech.n + 1)))
 
 
 def gdp_param_noisy_sgd(
@@ -325,12 +327,18 @@ def save_mechanism_csv(mech: Mechanism, path: str) -> str:
     """Write the kernel (one row per line, lexicographic row order) to
     `path` and a key=value sidecar to `path + '.meta'`. Returns the
     sidecar path. Entries use repr precision so loading round-trips; both
-    files are UTF-8, the encoding load_mechanism_csv reads."""
+    files are UTF-8, the encoding load_mechanism_csv reads. A description
+    that would not load back, one not one line of UTF-8 text, raises
+    InputError before either file is opened."""
+    meta_path = path + ".meta"
+    # a lone surrogate is the one code point UTF-8 cannot encode
+    if any(c in "\n\r" or "\ud800" <= c <= "\udfff" for c in mech.description):
+        raise InputError(f"{meta_path}: a description must be one line of "
+                         f"UTF-8 text, got {mech.description!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for row in mech.kernel:
             fh.write(",".join(repr(float(x)) for x in row))
             fh.write("\n")
-    meta_path = path + ".meta"
     value = "" if mech.privacy.value is None else repr(mech.privacy.value)
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"alphabet_size={mech.alphabet_size}\n")
@@ -348,10 +356,11 @@ _SIDECAR_KEYS = {"alphabet_size", "n", "hypothesis_count", "privacy_kind",
 
 def load_mechanism_csv(path: str) -> Mechanism:
     """Load a kernel written by save_mechanism_csv (sidecar required).
-    Either file missing, a directory or not UTF-8 raises InputError, as
-    does a sidecar key that save_mechanism_csv does not write or one
-    written twice. A description keeps everything after its '=', '#'
-    included.
+
+    The sidecar's lines reach errors.read_key_values unchanged, so a
+    description keeps all after its '=', '#' and spaces included. Every
+    refusal is an InputError naming the file, and the key and line where
+    there is one.
 
     Each line is parsed into its row of one T x hypothesis_count array,
     allocated once the sidecar's size passes KERNEL_CELL_BUDGET, which
@@ -360,49 +369,18 @@ def load_mechanism_csv(path: str) -> Mechanism:
     the last line.
     """
     meta_path = path + ".meta"
-    if not os.path.exists(meta_path):
-        raise InputError(f"mechanism sidecar not found: {meta_path}")
-    meta: dict[str, str] = {}
-    for lineno, line in enumerate(input_lines(meta_path), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{meta_path}: malformed line {line!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _SIDECAR_KEYS:
-            raise InputError(f"{meta_path}: unknown key {key!r} on line {lineno}")
-        if key in meta:
-            raise InputError(f"{meta_path}: duplicate key {key!r} on line {lineno}")
-        meta[key] = val
-    for key in ("alphabet_size", "n", "hypothesis_count", "privacy_kind"):
-        if key not in meta:
-            raise InputError(f"{meta_path}: missing key {key!r}")
-    try:
-        alphabet_size, n, width = (
-            int(meta[key]) for key in ("alphabet_size", "n", "hypothesis_count")
-        )
-    except ValueError:
-        raise InputError(
-            f"{meta_path}: alphabet_size, n and hypothesis_count must be integers"
-        ) from None
+    meta = read_key_values(meta_path, input_lines(meta_path), _SIDECAR_KEYS,
+                           ("alphabet_size", "n", "hypothesis_count",
+                            "privacy_kind"))
+    alphabet_size, n, width = (key_number(meta_path, meta, key, int)
+                               for key in ("alphabet_size", "n", "hypothesis_count"))
     total = num_types(alphabet_size, n)
     check_kernel_cells(total, width)
-    kind = meta["privacy_kind"]
-    if kind == PrivacyKind.NONE.value:
-        privacy = PrivacyParams.none()
-    elif kind in (PrivacyKind.EPS_DP.value, PrivacyKind.MU_GDP.value):
-        try:
-            value = float(meta.get("privacy_value", ""))
-        except ValueError:
-            raise InputError(
-                f"{meta_path}: privacy_value must be a number, "
-                f"got {meta.get('privacy_value')!r}"
-            ) from None
-        privacy = PrivacyParams(PrivacyKind(kind), value)
-    else:
-        raise InputError(f"{meta_path}: unknown privacy kind {kind!r}")
+    lineno, kind = meta["privacy_kind"]
+    if kind not in {k.value for k in PrivacyKind}:
+        raise InputError(f"{meta_path}: unknown privacy_kind {kind!r} on line {lineno}")
+    value = None if kind == "none" else key_number(meta_path, meta, "privacy_value")
+    privacy = PrivacyParams(PrivacyKind(kind), value)
     # a negative width allocates no column; its lines fail the width check
     kernel = np.empty((total, max(width, 0)))
     rows = 0
@@ -429,5 +407,5 @@ def load_mechanism_csv(path: str) -> Mechanism:
         alphabet_size,
         n,
         privacy,
-        description=meta.get("description", ""),
+        description=meta.get("description", (0, ""))[1],
     )

@@ -536,6 +536,49 @@ def assert_input_error(result):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
+# One refusal table for both key=value formats: the format, a case name,
+# an edit that breaks a valid file and the refusal after "error: <file>: ".
+# The config is GOOD_CONFIG; the sidecar is that of the exponential kernel
+# at m = 2, n = 3, eps 0.5, whose '#' is no comment.
+FORMAT_REFUSALS = [
+    ("config", "malformed-line", lambda t: t + "plain # note\n",
+     "line 8 is not key=value: 'plain'"),
+    ("config", "unknown-key", lambda t: t + "wokers = 2\n",
+     "unknown key 'wokers' on line 8"),
+    ("config", "duplicate-key", lambda t: t + "n = 9\n",
+     "duplicate key 'n' on line 8"),
+    ("config", "missing-key", lambda t: t.replace("source = 0.5, 0.5\n", ""),
+     "missing required key 'source'"),
+    ("config", "non-integer-n", lambda t: t.replace("n = 8", "n = 2.5"),
+     "n on line 2 must be an integer, got '2.5'"),
+    ("config", "non-finite-epsilon",
+     lambda t: t.replace("epsilon = 0.5", "epsilon = inf"),
+     "epsilon on line 5 must be finite, got 'inf'"),
+    ("config", "non-finite-sigma", lambda t: t + "sigma = nan # scale\n",
+     "sigma on line 8 must be finite, got 'nan'"),
+    ("sidecar", "malformed-line", lambda t: t + "plain # note\n",
+     "line 7 is not key=value: 'plain # note'"),
+    ("sidecar", "unknown-key", lambda t: t + "bogus_key=1\n",
+     "unknown key 'bogus_key' on line 7"),
+    ("sidecar", "duplicate-key", lambda t: t + "n=3\n",
+     "duplicate key 'n' on line 7"),
+    ("sidecar", "missing-key", lambda t: t.replace("hypothesis_count=4\n", ""),
+     "missing required key 'hypothesis_count'"),
+    ("sidecar", "non-integer-n", lambda t: t.replace("n=3", "n=2.5"),
+     "n on line 2 must be an integer, got '2.5'"),
+    ("sidecar", "non-finite-privacy-value",
+     lambda t: t.replace("privacy_value=0.5", "privacy_value=nan"),
+     "privacy_value on line 5 must be finite, got 'nan'"),
+    ("sidecar", "unknown-privacy-kind",
+     lambda t: t.replace("privacy_kind=eps_dp", "privacy_kind=eps"),
+     "unknown privacy_kind 'eps' on line 4"),
+]
+# the commands that read each format: a sidecar also through a config
+# that names its kernel
+READERS = {"config": ["verify-mi", "simulate"],
+           "sidecar": ["stability", "verify-mi"]}
+
+
 class TestInputContract:
     def test_non_numeric_epsilon_in_config(self, runner, tmp_path):
         config = write_config(tmp_path, GOOD_CONFIG.replace(
@@ -614,6 +657,28 @@ class TestInputContract:
         assert_input_error(result)
         assert result.stdout == ""
         assert result.stderr == f"error: {meta}: {line}\n"
+
+    @pytest.mark.parametrize("fmt, edit, refusal, command", [
+        pytest.param(fmt, edit, refusal, command, id=f"{fmt}-{case}-{command}")
+        for fmt, case, edit, refusal in FORMAT_REFUSALS
+        for command in READERS[fmt]])
+    def test_one_refusal_table_for_configs_and_sidecars(self, runner, tmp_path,
+                                                        fmt, edit, refusal,
+                                                        command):
+        kernel = tmp_path / "mech.csv"
+        save_mechanism_csv(exponential_mechanism_over_types(2, 3, 0.5), str(kernel))
+        config = tmp_path / "exp.cfg"
+        config.write_text(GOOD_CONFIG if fmt == "config" else GOOD_CONFIG.replace(
+            "n = 8", "n = 3").replace("mechanism = exponential\nepsilon = 0.5",
+                                      f"mechanism = {kernel}"))
+        broken = config if fmt == "config" else tmp_path / "mech.csv.meta"
+        broken.write_text(edit(broken.read_text()))
+        flags = (["--mechanism", str(kernel)] if command == "stability"
+                 else ["--config", str(config)])
+        result = runner.invoke(main, [command, *flags])
+        assert_input_error(result)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {broken}: {refusal}\n"
 
     def test_non_numeric_kernel_entry(self, runner, tmp_path):
         path = tmp_path / "mech.csv"

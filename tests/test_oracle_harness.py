@@ -955,6 +955,32 @@ class TestConfigLoader:
         assert config.mechanism.privacy == PrivacyParams.eps_dp(0.5)
         np.testing.assert_allclose(config.source.probs, [0.4, 0.6])
 
+    @pytest.mark.parametrize("plain, annotated", [
+        ("alphabet_size = 2\nn = 8\nsource = 0.4, 0.6\nmechanism = exponential\n"
+         "epsilon = 0.5\nseed = 99\nmc_samples = 5000\nsigma = 0.25\n",
+         "# demo experiment\n\n  alphabet_size=2   # two symbols\n"
+         "n = 8#length\n   \nsource = 0.4, 0.6 # p = (0.4, 0.6)\n"
+         "# mechanism = identity\nmechanism = exponential # x = y\n\n"
+         "\tepsilon =  0.5\nseed = 99\n#\nmc_samples = 5000\nsigma = 0.25 #\n"),
+        ("alphabet_size = 3\nn = 4\nsource = 0.2, 0.3, 0.5\n"
+         "mechanism = identity\nmu = 1.5\n",
+         "\n\nalphabet_size = 3 # = 3\n# n = 5\nn = 4\n"
+         "source = 0.2,0.3,0.5\n\nmechanism = identity # mu = 9\nmu = 1.5\n\n"),
+    ], ids=["exponential", "identity"])
+    def test_comments_and_blank_lines_change_nothing(self, tmp_path, plain,
+                                                      annotated):
+        def load(text):
+            path = tmp_path / "exp.cfg"
+            path.write_text(text)
+            config, sigma = load_experiment_config(str(path))
+            mech = config.mechanism
+            return (config.source.probs.tolist(), mech.kernel.tobytes(),
+                    mech.kernel.shape, mech.alphabet_size, mech.n, mech.privacy,
+                    mech.description, config.loss_table.tobytes(), config.seed,
+                    config.mc_samples, sigma)
+
+        assert load(annotated) == load(plain)
+
     def test_sigma_override_returned(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(self.good_text() + "sigma = 0.25\n")

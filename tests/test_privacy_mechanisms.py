@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genbound.privacy_mechanisms
@@ -430,6 +432,38 @@ def test_mechanism_csv_round_trip(tmp_path):
     marked = Mechanism(mech.kernel, 2, 5, mech.privacy, "eps=0.8 # note")
     save_mechanism_csv(marked, path)
     assert load_mechanism_csv(path).description == "eps=0.8 # note"
+
+
+ONE_LINE = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ONE_LINE)
+@example("  eps=0.8 # note = x  ")
+@example("\t\u00e9t\u00e9 \u2603 \U0001d518\u2028\x85\x00")
+def test_every_one_line_description_round_trips(description):
+    # '#', '=', surrounding spaces and non-ASCII text all come back as saved
+    mech = Mechanism(np.eye(2), 2, 1, PrivacyParams.eps_dp(0.5), description)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "mech.csv")
+        save_mechanism_csv(mech, path)
+        assert load_mechanism_csv(path).description == description
+
+
+@settings(max_examples=60, deadline=None)
+@given(ONE_LINE, st.sampled_from(["\n", "\r", "\r\n", "\ud800", "\udfff"]),
+       ONE_LINE)
+def test_a_description_that_would_not_load_back_is_refused(before, bad, after):
+    # a line break, or a lone surrogate UTF-8 cannot encode: refused before
+    # either file is opened, so neither is left behind
+    mech = Mechanism(np.eye(2), 2, 1, PrivacyParams.none(), before + bad + after)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "mech.csv")
+        with pytest.raises(InputError) as err:
+            save_mechanism_csv(mech, path)
+        assert str(err.value).startswith(f"{path}.meta: a description must be "
+                                         "one line of UTF-8 text, got ")
+        assert os.listdir(work) == []
 
 
 def test_mechanism_csv_requires_sidecar(tmp_path):

@@ -17,7 +17,7 @@ from genbound.privacy import PrivacyKind, PrivacyParams
 from genbound.privacy_mechanisms import StabilityReport, StabilityRow
 from genbound.types_core import type_rank
 
-ROW = StabilityRow(1, 0.1, 0.2, True, (0, 1))
+ROW = StabilityRow(1, 0.1, 0.2, (0, 1))
 
 # class, its fields in positional order with a value for each, and the
 # fields that may be left out with their defaults
@@ -40,9 +40,9 @@ RECORDS = [
                           "sigma": 0.5,
                           "bound_values": {BoundId.TYPE_COUNT: 1.0},
                           "comparison_values": {BoundId.TYPE_COUNT: 0.1}}, {}),
-    (StabilityRow, {"k": 1, "max_kl": 0.1, "bound": 0.2, "passed": True,
+    (StabilityRow, {"k": 1, "max_kl": 0.1, "bound": 0.2,
                     "worst_pair": (0, 1)}, {}),
-    (StabilityReport, {"rows": (ROW,), "passed": True}, {}),
+    (StabilityReport, {"rows": (ROW,)}, {}),
 ]
 
 
@@ -164,3 +164,17 @@ def test_verification_report_derives_its_verdicts():
     assert report.violations == ("dp_grid",) and not report.all_pass
     assert VerificationReport(0.1, 0.01, 0.5, {BoundId.DP_GRID: 0.3},
                               {BoundId.DP_GRID: 0.3 + 1e-10}).all_pass
+
+
+@pytest.mark.parametrize("max_kl, bound, passed", [
+    (0.2, 0.2, True), (0.2 + 1e-10, 0.2, True), (0.2 + 1e-8, 0.2, False),
+    (0.0, 0.0, True), (float("inf"), float("inf"), False),
+    (float("nan"), 1.0, False), (1e300, float("inf"), True),
+])
+def test_stability_report_derives_its_verdicts(max_kl, bound, passed):
+    # a row passes when its worst KL is finite and within bound + SLACK_TOL,
+    # and a report when every row does, so no report contradicts its rows
+    row = StabilityRow(2, max_kl, bound, (0, 1))
+    assert row.passed is passed
+    assert StabilityReport((ROW, row)).passed is passed
+    assert StabilityReport((ROW,)).passed and StabilityReport(()).passed
