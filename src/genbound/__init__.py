@@ -38,7 +38,7 @@ _EXPORTS = {
         "asymptotic_report", "catalog_entries",
         "gen_error_from_mi", "kl_bound_cover_dp", "kl_bound_cover_gdp",
         "kl_bound_refined", "kl_bound_simple", "mi_bound_typical",
-        "optimal_grid_parameter", "pac_bayes_gen_bound",
+        "pac_bayes_gen_bound",
     ),
     "oracle_harness": (
         "ExperimentConfig", "exact_expected_gen_error",

@@ -10,8 +10,10 @@ MI-to-generalization and a PAC-Bayes high-probability variant).
 A BoundReport is self-describing: value, applicability, the regime that
 produced it, whether it is asymptotic-only, and, for a count-based
 branch, the cover whose mixture it dominates. Asymptotic-only reports
-are never used in certification. The grid parameter t of that cover is
-optimal_grid_parameter's, the trade-off rule of the bound's own regime.
+are never used in certification. A grid cover's parameter t balances
+its log-count against the stability at its radius: about eps*n under
+eps-DP and sqrt(m-1)*mu*n under mu-GDP, each stated in the branch that
+names the cover.
 
 The module needs nothing beyond the standard library. It re-exports
 PrivacyKind and PrivacyParams from genbound.privacy.
@@ -32,8 +34,6 @@ __all__ = [
     "BoundId",
     "BoundReport",
     "CatalogEntry",
-    "GridParameter",
-    "optimal_grid_parameter",
     "kl_bound_simple",
     "kl_bound_cover_dp",
     "kl_bound_cover_gdp",
@@ -88,15 +88,6 @@ class BoundReport(Record):
                      cover)
 
 
-class GridParameter(Record):
-    """Chosen grid parameter plus how it was obtained."""
-
-    __slots__ = ("t", "clamped", "raw_value")
-
-    def __init__(self, t: int, clamped: bool, raw_value: float) -> None:
-        self._assign(t, clamped, raw_value)
-
-
 def _check_mn(alphabet_size: int, n: int) -> int:
     if alphabet_size < 2:
         raise InputError(f"alphabet size must be at least 2, got {alphabet_size}")
@@ -105,47 +96,10 @@ def _check_mn(alphabet_size: int, n: int) -> int:
     return alphabet_size - 1
 
 
-_FULL_REGIMES = {"dp_full", "gdp_full"}
-_TYPICAL_REGIMES = {"dp_typical", "gdp_typical"}
-
-
-def optimal_grid_parameter(
-    regime: str, privacy_parameter: float, alphabet_size: int, n: int
-) -> GridParameter:
-    """Grid parameter minimizing the cover bound's stability + log-count
-    trade-off, clamped to the valid interval and rounded to an integer.
-
-    Optimizers: dp_full -> eps*n; gdp_full -> sqrt(m-1)*mu*n;
-    dp_typical -> sqrt(n log n)*eps; gdp_typical -> sqrt(m n log n)*mu.
-    A raw value past the interval, inf included, gives its upper end.
-    """
-    if regime not in _FULL_REGIMES | _TYPICAL_REGIMES:
-        raise InputError(
-            f"unknown regime {regime!r}; expected one of dp_full, gdp_full, "
-            f"dp_typical, gdp_typical"
-        )
-    if not (privacy_parameter > 0):
-        raise InputError(f"privacy parameter must be positive, got {privacy_parameter}")
-    _check_mn(alphabet_size, n)
-
-    if regime == "dp_full":
-        raw = privacy_parameter * n
-    elif regime == "gdp_full":
-        raw = math.sqrt(alphabet_size - 1) * privacy_parameter * n
-    elif regime == "dp_typical":
-        raw = math.sqrt(n * math.log(n)) * privacy_parameter
-    else:
-        raw = math.sqrt(alphabet_size * n * math.log(n)) * privacy_parameter
-
-    if regime in _FULL_REGIMES:
-        lo, hi = 1, n
-    else:
-        lo, hi = 1, max(1, math.floor(2.0 * math.sqrt(n * math.log(max(n, 2)))))
-    # clamped before rounding, so an overflowed raw value (eps * n = inf)
-    # needs no int
-    rounded = hi + 1 if raw >= hi + 1 else int(round(raw))
-    t = min(max(rounded, lo), hi)
-    return GridParameter(t=t, clamped=(t != rounded), raw_value=float(raw))
+def _grid_t(raw: float, n: int) -> int:
+    """A grid cover's t: raw rounded and clamped to [1, n]. A raw value
+    at or past n, inf included, gives n before any rounding."""
+    return n if raw >= n else max(round(raw), 1)
 
 
 def kl_bound_simple(alphabet_size: int, n: int) -> BoundReport:
@@ -178,8 +132,7 @@ def kl_bound_cover_dp(epsilon: float, alphabet_size: int, n: int) -> BoundReport
         k * math.log1p(math.e * epsilon * n),
         applicable=applicable,
         regime_note=note,
-        cover=("full_grid", optimal_grid_parameter("dp_full", epsilon,
-                                                   alphabet_size, n).t),
+        cover=("full_grid", _grid_t(epsilon * n, n)),
     )
 
 
@@ -201,8 +154,7 @@ def kl_bound_cover_gdp(mu: float, alphabet_size: int, n: int) -> BoundReport:
         0.5 * k * math.log1p(math.e * k * mu * mu * n * n),
         applicable=applicable,
         regime_note=note,
-        cover=("full_grid", optimal_grid_parameter("gdp_full", mu,
-                                                   alphabet_size, n).t),
+        cover=("full_grid", _grid_t(math.sqrt(k) * mu * n, n)),
     )
 
 
@@ -239,8 +191,7 @@ def kl_bound_refined(
             return BoundReport(
                 BoundId.DP_SIMPLEX_MID, value, True,
                 "simplex grid at t ~ eps*n; 1/n < eps <= 1",
-                cover=("simplex_grid", optimal_grid_parameter(
-                    "dp_full", eps, alphabet_size, n).t),
+                cover=("simplex_grid", _grid_t(eps * n, n)),
             )
     elif privacy.kind is PrivacyKind.MU_GDP:
         mu = privacy.value
@@ -262,8 +213,7 @@ def kl_bound_refined(
                 BoundId.GDP_SIMPLEX_MID, value, True,
                 "simplex grid at t ~ sqrt(m-1)*mu*n; "
                 "1/(n*sqrt(m-1)) < mu <= 1/sqrt(m-1)",
-                cover=("simplex_grid", optimal_grid_parameter(
-                    "gdp_full", mu, alphabet_size, n).t),
+                cover=("simplex_grid", _grid_t(root_k * mu * n, n)),
             )
 
     value = k * math.log1p(n / k) + k - correction
@@ -335,7 +285,9 @@ def gen_error_from_mi(sigma: float, n: int, mi_bound: float) -> float:
 
 def pac_bayes_gen_bound(sigma: float, n: int, kl_value: float, beta: float) -> float:
     """High-probability variant sqrt((2 sigma^2 / n)(KL + log(1/beta))),
-    holding with probability at least 1 - beta."""
+    holding with probability at least 1 - beta when kl_value bounds the
+    drawn dataset's KL to a prior fixed before the draw, as a count-based
+    bound does for its cover's mixture."""
     _check_sigma(sigma)
     if n < 1:
         raise InputError(f"dataset length must be positive, got {n}")
@@ -432,9 +384,11 @@ def catalog_entries() -> list[CatalogEntry]:
     """The fourteen formula branches this package evaluates.
 
     Twelve certified KL/MI branches plus the two asymptotic shape-only
-    expressions. The two conversions (sub-Gaussian MI-to-generalization,
-    PAC-Bayes) apply on top of any nats-valued entry and are documented
-    by the CLI catalog epilogue rather than counted here.
+    expressions. The two conversions are documented by the CLI catalog
+    epilogue rather than counted here: sub-Gaussian MI-to-generalization
+    applies on top of any nats-valued entry, PAC-Bayes on top of a
+    count-based one (the first eight), whose value bounds every dataset's
+    KL to its cover's mixture.
     """
     e = [
         CatalogEntry(

@@ -295,8 +295,12 @@ def bounds_cmd(alphabet_size, n, epsilon, mu, sigma, beta, output) -> None:
     for report in asymptotic_report(sigma, gamma, alphabet_size, n):
         add(report, nats=report.bound_id is BoundId.MULTINOMIAL_ENTROPY)
     if beta is not None:
-        applicable = [c for c in candidates if c.applicable]
-        source = min(applicable, key=lambda c: c.value)
+        # PAC-Bayes needs each dataset's KL to one fixed prior: a
+        # count-based bound gives it to its cover's mixture, a typical-set
+        # (first-moment) bound does not
+        source = min((c for c in candidates
+                      if c.applicable and c.cover is not None),
+                     key=lambda c: c.value)
         value = pac_bayes_gen_bound(sigma, n, source.value, beta)
         rows.append([
             BoundId.PAC_BAYES_GEN.value, source.value, value, True, False,
@@ -506,7 +510,7 @@ def catalog_cmd(output) -> None:
         lines.append(f"      regime:  {entry.regime}")
     lines += [
         "",
-        "Conversions applying to any nats entry:",
+        "Conversions of a nats entry (pac_bayes_gen: count-based 1-8 only):",
         "  gen_sub_gaussian: sqrt(2*sigma^2*value/n), expected generalization",
         "  error of a sigma-sub-Gaussian loss.",
         "  pac_bayes_gen: sqrt((2*sigma^2/n)*(value + log(1/beta))), holds with",

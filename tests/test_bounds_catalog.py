@@ -100,6 +100,32 @@ def test_refined_fallback_known_value():
     assert report.applicable
 
 
+def test_dp_grid_cover_t_is_eps_n_clamped_to_n():
+    # t = round(eps * n) within [1, n]; eps * n = inf (eps 1e308) gives n
+    # with no int of inf
+    for eps, t in [(0.5, 5), (2.0, 10), (1e308, 10)]:
+        assert kl_bound_cover_dp(eps, 2, 10).cover == ("full_grid", t)
+
+
+def test_gdp_cover_t_is_root_k_mu_n():
+    # sqrt(m - 1) * mu * n = sqrt(2) * 0.5 * 10 = 7.07
+    assert kl_bound_cover_gdp(0.5, 3, 10).cover == ("full_grid", 7)
+    mid = kl_bound_refined(PrivacyParams.mu_gdp(0.5), 3, 10)
+    assert (mid.bound_id, mid.cover) == (BoundId.GDP_SIMPLEX_MID,
+                                         ("simplex_grid", 7))
+
+
+def test_grid_cover_t_floors_at_one_and_rounds_half_to_even():
+    # eps * n = 0.1 and sqrt(2) * mu * n = 0.14 round to 0, raised to 1
+    assert kl_bound_cover_dp(0.01, 2, 10).cover == ("full_grid", 1)
+    assert kl_bound_cover_gdp(0.01, 3, 10).cover == ("full_grid", 1)
+    # eps * n = 2.5 exactly: round() takes the even neighbour
+    assert kl_bound_cover_dp(0.25, 2, 10).cover == ("full_grid", 2)
+    mid = kl_bound_refined(PrivacyParams.eps_dp(0.25), 2, 10)
+    assert (mid.bound_id, mid.cover) == (BoundId.DP_SIMPLEX_MID,
+                                         ("simplex_grid", 2))
+
+
 def test_typical_branch_selection_and_value():
     report = mi_bound_typical(PrivacyParams.eps_dp(0.5), 2, 16)
     assert report.bound_id is BoundId.DP_TYPICAL_LOW

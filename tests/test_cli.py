@@ -123,6 +123,32 @@ class TestBounds:
         result = runner.invoke(main, self.ARGS + ["--beta", "0.05"])
         assert result.output.splitlines()[-1].startswith("pac_bayes_gen,")
 
+    # the branches that bound every dataset's KL to one cover mixture
+    COUNT_BASED = {"type_count", "dp_grid", "gdp_grid", "dp_simplex_low",
+                   "dp_simplex_mid", "gdp_simplex_low", "gdp_simplex_mid",
+                   "simplex_any"}
+
+    @pytest.mark.parametrize("m, n, flag, value", [
+        # a typical-set (first-moment) bound is the smallest row here
+        (3, 20, "--epsilon", "0.01"), (3, 100000, "--epsilon", "0.5"),
+        (2, 10**6, "--mu", "0.01"),
+        *[(m, n, flag, value) for m in (2, 4) for n in (2, 50, 10**4)
+          for flag in ("--epsilon", "--mu") for value in ("0.001", "0.1", "2")],
+    ])
+    def test_pac_bayes_divergence_is_the_smallest_count_based_bound(
+            self, runner, m, n, flag, value):
+        result = runner.invoke(main, ["bounds", "--alphabet-size", str(m),
+                                      "--n", str(n), flag, value,
+                                      "--sigma", "0.5", "--beta", "0.05"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        *rows, pac = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert pac[0] == "pac_bayes_gen"
+        source = pac[5].rsplit("divergence from ", 1)[1]
+        count_based = {row[0]: float(row[1]) for row in rows
+                       if row[0] in self.COUNT_BASED and row[3] == "true"}
+        assert source in count_based
+        assert float(pac[1]) == count_based[source] == min(count_based.values())
+
     def test_epsilon_mu_exclusive(self, runner):
         result = runner.invoke(main, self.ARGS + ["--mu", "0.5"])
         assert result.exit_code == 2
@@ -184,7 +210,7 @@ class TestCover:
 
     def test_typical_cover_of_a_clipped_range(self, runner):
         # the first symbol's typical counts are 0..8, nine atoms for t = 15
-        # cells; the t that optimal_grid_parameter gives dp_typical at eps 2
+        # cells; t = round(eps * sqrt(n log n)) at eps 2
         result = runner.invoke(main, ["cover", "--alphabet-size", "2",
                                       "--n", "20", "--t", "15",
                                       "--kind", "typical_grid",

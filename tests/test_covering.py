@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import genbound.covering
 import genbound.types_core
-from genbound.bounds_catalog import optimal_grid_parameter
 from genbound.covering import (
     CoverKind,
     CoverSpec,
@@ -623,33 +622,3 @@ def test_cover_spec_keeps_a_source_only_for_a_typical_cover():
     hand_built = CoverSpec(centers, 2, radius, CoverKind.TYPICAL_GRID, [0.5, 0.5])
     assert hand_built == build_typical_cover(SourceDistribution.uniform(2), 16, 2)
     assert verify_cover(hand_built).verified
-
-
-def test_optimal_grid_parameter_values():
-    p = optimal_grid_parameter("dp_full", 0.5, 2, 10)
-    assert (p.t, p.clamped) == (5, False)
-    assert p.raw_value == 5.0
-
-    clamped = optimal_grid_parameter("dp_full", 2.0, 2, 10)
-    assert (clamped.t, clamped.clamped, clamped.raw_value) == (10, True, 20.0)
-
-    # eps * n overflows to inf: clamped to t = n, with no int of inf
-    huge = optimal_grid_parameter("dp_full", 1e308, 2, 10)
-    assert (huge.t, huge.clamped, huge.raw_value) == (10, True, math.inf)
-
-    g = optimal_grid_parameter("gdp_full", 0.5, 3, 10)
-    assert g.t == 7 and math.isclose(g.raw_value, math.sqrt(2) * 5)
-
-    ty = optimal_grid_parameter("dp_typical", 0.5, 2, 16)
-    assert ty.t == 3
-    assert math.isclose(ty.raw_value, 0.5 * math.sqrt(16 * math.log(16)))
-
-
-def test_optimal_grid_parameter_floors_at_one():
-    p = optimal_grid_parameter("gdp_typical", 0.01, 2, 16)
-    assert p.t == 1 and p.clamped
-
-
-def test_optimal_grid_parameter_rejects_unknown_regime():
-    with pytest.raises(InputError):
-        optimal_grid_parameter("full", 0.5, 2, 10)

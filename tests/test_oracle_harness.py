@@ -20,7 +20,6 @@ from genbound.bounds_catalog import (
     kl_bound_refined,
     kl_bound_simple,
     kl_candidates,
-    optimal_grid_parameter,
 )
 from genbound.covering import (
     CoverKind,
@@ -820,7 +819,13 @@ def reference_cover_for_bound(bound_id, privacy, alphabet_size, n):
     def rule_t(regime, kind):
         if privacy.kind is not kind:
             raise InputError(f"{regime} needs a {kind.value} declaration")
-        return optimal_grid_parameter(regime, privacy.value, alphabet_size, n).t
+        if regime == "dp_full":
+            raw = privacy.value * n
+        else:
+            raw = math.sqrt(alphabet_size - 1) * privacy.value * n
+        # clamped to [1, n] before rounding, so raw = inf needs no int
+        rounded = n + 1 if raw >= n + 1 else int(round(raw))
+        return min(max(rounded, 1), n)
 
     if bound_id in (BoundId.TYPE_COUNT, BoundId.SIMPLEX_ANY):
         return build_simplex_grid_cover(alphabet_size, n, n + 1)

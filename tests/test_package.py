@@ -30,14 +30,14 @@ PUBLIC_NAMES = [
     "kl_bound_cover_dp", "kl_bound_cover_gdp", "kl_bound_refined",
     "kl_bound_simple", "kl_stability_bound", "load_experiment_config",
     "mc_expected_gen_error", "mi_bound_typical", "num_types",
-    "optimal_grid_parameter", "pac_bayes_gen_bound", "run_verification",
-    "sigma_sub_gaussian", "simplex_hypercube_count", "typical_epsilon",
-    "verify_cover", "verify_kl_stability",
+    "pac_bayes_gen_bound", "run_verification", "sigma_sub_gaussian",
+    "simplex_hypercube_count", "typical_epsilon", "verify_cover",
+    "verify_kl_stability",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 39 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 38 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert genbound.__all__ == PUBLIC_NAMES
 
 

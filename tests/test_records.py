@@ -10,7 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from genbound.bounds_catalog import BoundId, BoundReport, CatalogEntry, GridParameter
+from genbound.bounds_catalog import BoundId, BoundReport, CatalogEntry
 from genbound.covering import CoverKind, CoverSpec, CoverVerification
 from genbound.oracle_harness import McResult, VerificationReport
 from genbound.privacy import PrivacyKind, PrivacyParams
@@ -34,7 +34,6 @@ RECORDS = [
                  "source_probs": None}, {"source_probs": None}),
     (CoverVerification, {"achieved_radius": 1, "verified": True,
                          "checked_vectors": 4, "worst": (1, 2)}, {}),
-    (GridParameter, {"t": 3, "clamped": False, "raw_value": 2.8}, {}),
     (McResult, {"estimate": 0.01, "standard_error": 0.001, "samples": 100}, {}),
     (VerificationReport, {"exact_mi": 0.1, "exact_gen_error": 0.01,
                           "sigma": 0.5,
@@ -112,7 +111,8 @@ def test_cover_spec_centers_are_read_only():
 
 def test_records_of_different_classes_never_compare_equal():
     # same field values, different record class
-    assert GridParameter(1, False, 1.0) != McResult(1, False, 1.0)
+    assert (CoverVerification(1, False, 1, (0, 1))
+            != StabilityRow(1, False, 1, (0, 1)))
 
 
 def test_count_vector_equality_and_hash():
